@@ -8,6 +8,10 @@ LLC scales with core count; DRAM configuration is the *same* for 4- and
 Interleaving: at each step the core with the smallest local clock executes
 its next trace record, so shared-resource contention (LLC capacity, DRAM
 bandwidth and row buffers) is observed in approximate global time order.
+When every core supports it, each core runs on its compiled fused-kernel
+runner (``repro.sim.kernel.compile_runner``), one same-core run of
+records per call; otherwise each record goes through ``Core.step``, the
+reference path.  Both execute the records in the same global order.
 
 The reported figure of merit is the paper's weighted speedup: for each
 workload in a mix, IPC in the mix divided by IPC running alone on the same
@@ -19,11 +23,14 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cpu.core import Core
+from repro.memory.address import (
+    BLOCK_BITS, PAGE_1G_BITS, PAGE_2M_BITS, PAGE_4K_BITS)
 from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
 from repro.sim.config import SystemConfig, accesses_for_scale
@@ -65,6 +72,16 @@ def simulate_mix(specs: List[WorkloadSpec], config: SystemConfig,
                  n_accesses: Optional[int] = None,
                  warmup_fraction: float = 0.5) -> MixResult:
     """Run one mix: len(specs) cores sharing LLC + DRAM."""
+    _, results = _run_mix(specs, config, prefetcher, variant, n_accesses,
+                          warmup_fraction)
+    return MixResult(workloads=[s.name for s in specs],
+                     ipcs=[r.ipc for r in results])
+
+
+def _run_mix(specs: List[WorkloadSpec], config: SystemConfig,
+             prefetcher: str, variant: str, n_accesses: Optional[int],
+             warmup_fraction: float) -> Tuple[List[Core], list]:
+    """Build and run one mix; return its cores and per-core results."""
     n = n_accesses if n_accesses is not None else accesses_for_scale()
     shared_llc = Cache(config.llc)
     shared_dram = DRAM(config.dram)
@@ -78,23 +95,95 @@ def simulate_mix(specs: List[WorkloadSpec], config: SystemConfig,
         cores.append(Core(hierarchy, config.rob_entries, config.fetch_width))
         traces.append(trace)
     warmup = int(n * warmup_fraction)
+    lengths = [len(trace.records) for trace in traces]
+    runners = _compile_runners(cores, traces)
     # Min-heap over (core local clock, core index, next record index).
     heap: List[Tuple[float, int, int]] = [
         (0.0, idx, 0) for idx in range(len(cores))]
     heapq.heapify(heap)
     while heap:
-        _, idx, record_index = heapq.heappop(heap)
+        _, idx, index = heapq.heappop(heap)
         core = cores[idx]
-        records = traces[idx].records
-        if record_index == warmup:
+        if index == warmup:
+            (core if runners is None else runners[idx]).begin_measurement()
+        if runners is None:
+            core.step(traces[idx].records[index])
+            index += 1
+            clock = core.now
+        else:
+            # Run the records the one-step loop would give this core in a
+            # row: it is popped again while (clock, idx) stays below the
+            # heap's minimum, and it must stop at the warmup boundary.
+            hi = min(warmup, lengths[idx]) if index < warmup else lengths[idx]
+            limit = math.inf
+            if heap:
+                top_clock, top_idx, _ = heap[0]
+                limit = (top_clock if top_idx < idx
+                         else math.nextafter(top_clock, math.inf))
+            index, clock = runners[idx].run(index, hi, limit)
+        if index < lengths[idx]:
+            heapq.heappush(heap, (clock, idx, index))
+    for runner in runners or ():
+        runner.flush()
+    for core, length in zip(cores, lengths):
+        if warmup >= length:       # as Core.run: nothing is measured
             core.begin_measurement()
-        core.step(records[record_index])
-        record_index += 1
-        if record_index < len(records):
-            heapq.heappush(heap, (core.now, idx, record_index))
-    results = [core.finish() for core in cores]
-    return MixResult(workloads=[s.name for s in specs],
-                     ipcs=[r.ipc for r in results])
+    return cores, [core.finish() for core in cores]
+
+
+#: Native (TLB key) page shift of each page size, indexed by PAGE_SIZE_*.
+_NATIVE_BITS = (PAGE_4K_BITS, PAGE_2M_BITS, PAGE_1G_BITS)
+
+#: Records of a core's trace translated and fed to its runner at a time:
+#: bounds the runner's input lists whatever the trace length.
+FEED_WINDOW = 512
+
+
+class _FusedCore:
+    """A core's compiled runner, fed its trace one window at a time.
+
+    Each core owns its allocator and, under ``fused_enabled``, nothing
+    else allocates from it: translating each window in access order
+    makes exactly the first touches ``Core.step`` would make.
+    """
+
+    def __init__(self, runner, core: Core, cols) -> None:
+        self.runner = runner
+        self.begin_measurement = runner.begin_measurement
+        self.flush = runner.flush
+        self.translate = core.hierarchy.allocator.translate
+        self.cols = cols
+        self.fed = 0          # records [0, fed) have been fed
+
+    def run(self, index: int, hi: int, limit: float) -> Tuple[int, float]:
+        if index == self.fed:
+            self.fed = min(index + FEED_WINDOW, len(self.cols[1]))
+            sizes, natives, blocks = [], [], []
+            for vaddr in self.cols[1][index:self.fed].tolist():
+                paddr, size = self.translate(vaddr)
+                sizes.append(size)
+                natives.append(vaddr >> _NATIVE_BITS[size])
+                blocks.append(paddr >> BLOCK_BITS)
+            self.runner.feed(self.cols, index, self.fed,
+                             (None, sizes, natives, blocks))
+        return self.runner.run(index, min(hi, self.fed), limit)
+
+
+def _compile_runners(cores: List[Core], traces) -> Optional[list]:
+    """A ``_FusedCore`` per core, or None when any core must take the
+    ``Core.step`` reference path."""
+    # Imported here, as in Core.run: importing this module (campaigns
+    # do) should not pay for compiling the kernel.
+    from repro.sim import kernel
+
+    if not all(kernel.fused_enabled(core) for core in cores):
+        return None
+    try:
+        columns = [trace.columns() for trace in traces]
+    except (RuntimeError, OverflowError, TypeError, ValueError):
+        return None
+    return [_FusedCore(kernel.compile_runner(core, core.hierarchy), core,
+                       cols) for core, cols in zip(cores, columns)]
 
 
 def isolation_ipcs(specs: List[WorkloadSpec], config: SystemConfig,
@@ -108,15 +197,15 @@ def isolation_ipcs(specs: List[WorkloadSpec], config: SystemConfig,
     legacy per-caller memo dict; it is still honoured (and filled) for
     callers that carry one across invocations.
     """
-    keys = [(spec.name, prefetcher, variant, n_accesses,
-             config.llc.size_bytes, config.dram.transfer_rate_mts)
-            for spec in specs]
-    missing = [(key, spec) for key, spec in zip(keys, specs)
+    requests = [RunRequest(spec, prefetcher, variant, n_accesses=n_accesses,
+                           config=config) for spec in specs]
+    # The engine's own fingerprint: every config field and the resolved
+    # REPRO_SCALE access count are part of the memo key.
+    keys = [request.key() for request in requests]
+    missing = [(key, request) for key, request in zip(keys, requests)
                if cache is None or key not in cache]
     if missing:
-        metrics = run_batch([
-            RunRequest(spec, prefetcher, variant, n_accesses=n_accesses,
-                       config=config) for _, spec in missing])
+        metrics = run_batch([request for _, request in missing])
         fresh = {key: m.ipc for (key, _), m in zip(missing, metrics)}
         if cache is not None:
             cache.update(fresh)

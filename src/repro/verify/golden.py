@@ -2,6 +2,8 @@
 
 A small set of committed trace files (``tests/golden/*.trace.gz``) plus a
 frozen digest of the metrics each produces (``tests/golden/digests.json``).
+The file also freezes the per-core IPC lists of a few shared-LLC mixes
+(``simulate_mix``, the Figs. 14/15 path), generated from the catalog.
 Tier-1 tests replay every (trace, variant) pair and compare digests: any
 semantic drift in the simulator — intended or not — shows up as a digest
 mismatch, and intended drift is recorded by regenerating the file with
@@ -20,7 +22,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.sim.cache import metrics_to_dict
 from repro.sim.metrics import RunMetrics
@@ -36,6 +38,13 @@ GOLDEN_WORKLOADS: Dict[str, int] = {"lbm": 2500, "mcf": 2500, "milc": 2500}
 GOLDEN_VARIANTS = ("original", "psa", "psa-sd")
 
 GOLDEN_PREFETCHER = "spp"
+
+#: Multicore mixes replayed under every golden variant: the cores of a
+#: mix share one LLC and DRAM (``multicore_config``).
+GOLDEN_MIXES = (("lbm", "mcf"), ("lbm", "mcf", "milc", "soplex"))
+
+#: Trace records per core in a golden mix.
+GOLDEN_MIX_ACCESSES = 2500
 
 DIGESTS_FILE = "digests.json"
 SCHEMA_VERSION = 1
@@ -57,6 +66,12 @@ def metrics_digest(metrics: RunMetrics) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def ipcs_digest(ipcs: Sequence[float]) -> str:
+    """Canonical content digest of one mix's per-core IPC list."""
+    canonical = json.dumps(list(ipcs), separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def _headline(metrics: RunMetrics) -> dict:
     return {"ipc": metrics.ipc, "l2_mpki": metrics.l2_mpki,
             "l2_coverage": metrics.l2_coverage,
@@ -65,21 +80,26 @@ def _headline(metrics: RunMetrics) -> dict:
 
 @dataclass
 class GoldenResult:
-    """Outcome of replaying one (trace, variant) pair."""
+    """Outcome of replaying one (trace or mix, variant) pair."""
 
-    trace: str
+    trace: str                # a trace name, or a mix's "a+b+..." name
     variant: str
     ok: bool
     digest: str
     expected: Optional[str]   # None: no frozen digest yet (needs --bless)
     headline: dict
+    section: str = "entries"  # "mixes" for a multicore mix
 
     def describe(self) -> str:
         status = "OK  " if self.ok else ("NEW " if self.expected is None
                                          else "FAIL")
+        if "ipcs" in self.headline:
+            figure = "ipcs=" + ",".join(f"{ipc:.4f}"
+                                        for ipc in self.headline["ipcs"])
+        else:
+            figure = f"ipc={self.headline['ipc']:.4f}"
         return (f"{status} {self.trace:<14s} {self.variant:<9s} "
-                f"ipc={self.headline['ipc']:.4f} "
-                f"digest={self.digest[:12]}")
+                f"{figure} digest={self.digest[:12]}")
 
 
 def trace_files(golden_dir: Optional[Path] = None) -> List[Path]:
@@ -104,20 +124,23 @@ def load_digests(golden_dir: Optional[Path] = None) -> dict:
     path = golden_dir / DIGESTS_FILE
     if not path.exists():
         return {"schema": SCHEMA_VERSION, "prefetcher": GOLDEN_PREFETCHER,
-                "entries": {}}
+                "entries": {}, "mixes": {}}
     data = json.loads(path.read_text())
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported digest schema "
                          f"{data.get('schema')!r}")
+    data.setdefault("mixes", {})
     return data
 
 
 def run_corpus(golden_dir: Optional[Path] = None,
                oracle: bool = False) -> List[GoldenResult]:
-    """Replay every committed trace under every golden variant.
+    """Replay every committed trace and golden mix under every variant.
 
-    With ``oracle=True`` each replay also runs under the differential
-    oracle, so a digest regression comes with a fast-vs-reference diff.
+    With ``oracle=True`` each single-core replay also runs under the
+    differential oracle, so a digest regression comes with a
+    fast-vs-reference diff.  The oracle cannot shadow a shared LLC, so
+    mixes always replay without it.
     """
     golden_dir = golden_dir or default_golden_dir()
     digests = load_digests(golden_dir)
@@ -134,6 +157,30 @@ def run_corpus(golden_dir: Optional[Path] = None,
                 trace=trace.name, variant=variant,
                 ok=digest == expected, digest=digest, expected=expected,
                 headline=_headline(metrics)))
+    return results + run_mixes(digests)
+
+
+def run_mixes(digests: dict) -> List[GoldenResult]:
+    """Replay every golden mix under every golden variant."""
+    from repro.sim.config import SystemConfig
+    from repro.sim.multicore import multicore_config, simulate_mix
+
+    specs = catalog(include_non_intensive=True)
+    results: List[GoldenResult] = []
+    for workloads in GOLDEN_MIXES:
+        name = "+".join(workloads)
+        config = multicore_config(SystemConfig(), len(workloads))
+        for variant in GOLDEN_VARIANTS:
+            ipcs = simulate_mix([specs[w] for w in workloads], config,
+                                GOLDEN_PREFETCHER, variant,
+                                n_accesses=GOLDEN_MIX_ACCESSES).ipcs
+            digest = ipcs_digest(ipcs)
+            entry = digests["mixes"].get(f"{name}:{variant}")
+            expected = entry["digest"] if entry else None
+            results.append(GoldenResult(
+                trace=name, variant=variant, ok=digest == expected,
+                digest=digest, expected=expected,
+                headline={"ipcs": list(ipcs)}, section="mixes"))
     return results
 
 
@@ -141,12 +188,13 @@ def bless(golden_dir: Optional[Path] = None) -> Path:
     """(Re)generate missing traces and freeze the current digests."""
     golden_dir = golden_dir or default_golden_dir()
     ensure_traces(golden_dir)
-    entries = {}
+    sections: Dict[str, dict] = {"entries": {}, "mixes": {}}
     for result in run_corpus(golden_dir):
-        entries[f"{result.trace}:{result.variant}"] = {
+        sections[result.section][f"{result.trace}:{result.variant}"] = {
             "digest": result.digest, **result.headline}
     payload = {"schema": SCHEMA_VERSION, "prefetcher": GOLDEN_PREFETCHER,
-               "variants": list(GOLDEN_VARIANTS), "entries": entries}
+               "variants": list(GOLDEN_VARIANTS),
+               "mix_accesses": GOLDEN_MIX_ACCESSES, **sections}
     path = golden_dir / DIGESTS_FILE
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path

@@ -32,12 +32,27 @@ class TestCommittedCorpus:
                     for variant in golden.GOLDEN_VARIANTS}
         assert set(digests["entries"]) == expected
 
+    def test_digests_cover_every_mix(self):
+        digests = golden.load_digests(CORPUS)
+        expected = {"+".join(mix) + f":{variant}"
+                    for mix in golden.GOLDEN_MIXES
+                    for variant in golden.GOLDEN_VARIANTS}
+        assert set(digests["mixes"]) == expected
+        assert digests["mix_accesses"] == golden.GOLDEN_MIX_ACCESSES
+
     def test_replay_matches_frozen_digests(self):
         results = golden.run_corpus(CORPUS)
         failures = [r.describe() for r in results if not r.ok]
         assert not failures, (
             "golden digests diverged (bless if intended):\n"
             + "\n".join(failures))
+
+    def test_mix_replay_reports_per_core_ipcs(self):
+        mixes = [r for r in golden.run_mixes(golden.load_digests(CORPUS))
+                 if r.variant == "psa"]
+        assert [len(r.headline["ipcs"]) for r in mixes] == \
+            [len(mix) for mix in golden.GOLDEN_MIXES]
+        assert all(r.ok and "ipcs=" in r.describe() for r in mixes)
 
     def test_traces_load_cleanly(self):
         for path in golden.trace_files(CORPUS):
@@ -63,6 +78,10 @@ class TestDigest:
                     else current + "x")
             assert golden.metrics_digest(changed) != base, f.name
 
+    def test_ipcs_digest_is_order_sensitive(self):
+        assert golden.ipcs_digest([1.0, 2.0]) == golden.ipcs_digest((1.0, 2.0))
+        assert golden.ipcs_digest([1.0, 2.0]) != golden.ipcs_digest([2.0, 1.0])
+
     def test_wall_time_excluded(self):
         fast = RunMetrics(ipc=2.0, wall_time_s=0.1)
         slow = RunMetrics(ipc=2.0, wall_time_s=9.9)
@@ -74,6 +93,8 @@ class TestBless:
     def tiny_corpus(self, monkeypatch, tmp_path):
         monkeypatch.setattr(golden, "GOLDEN_WORKLOADS", {"lbm": 500})
         monkeypatch.setattr(golden, "GOLDEN_VARIANTS", ("psa",))
+        monkeypatch.setattr(golden, "GOLDEN_MIXES", (("lbm", "mcf"),))
+        monkeypatch.setattr(golden, "GOLDEN_MIX_ACCESSES", 300)
         return tmp_path / "golden"
 
     def test_bless_then_verify_roundtrip(self, tiny_corpus):
@@ -81,6 +102,7 @@ class TestBless:
         assert path.exists()
         data = json.loads(path.read_text())
         assert set(data["entries"]) == {"lbm:psa"}
+        assert set(data["mixes"]) == {"lbm+mcf:psa"}
         results = golden.run_corpus(tiny_corpus)
         assert all(r.ok for r in results)
 

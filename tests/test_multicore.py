@@ -1,8 +1,12 @@
 """Tests for repro.sim.multicore — shared-LLC/DRAM mixes."""
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.sim.config import SystemConfig
+from repro.sim import kernel, multicore, runner
+from repro.sim.config import SCALE_ACCESSES, SystemConfig
 from repro.sim.multicore import (
     MixResult,
     generate_mixes,
@@ -13,6 +17,10 @@ from repro.sim.multicore import (
 from repro.workloads.suites import catalog
 
 N = 2000
+
+ALL_VARIANTS = ("none", "original", "psa", "psa-2mb", "psa-sd")
+MIXES = {2: ("lbm", "mcf"), 4: ("milc", "omnetpp", "lbm", "soplex"),
+         "twins": ("lbm", "lbm", "mcf", "mcf")}
 
 
 class TestConfigScaling:
@@ -80,6 +88,94 @@ class TestSimulateMix:
         assert a.ipcs == b.ipcs
 
 
+def _mix_state(cores, variant, monkeypatch, mode, prefetcher="spp",
+               warmup_fraction=0.5, n_accesses=900):
+    """Run one mix under one kernel mode; return (ipcs, pickled state of
+    every core and hierarchy, shared LLC/DRAM included, runners built)."""
+    monkeypatch.setenv("REPRO_KERNEL", mode)
+    built = []
+    compile_runner = kernel.compile_runner
+
+    def counting(core, h, on_record=None):
+        built.append(core)
+        return compile_runner(core, h, on_record)
+
+    monkeypatch.setattr(kernel, "compile_runner", counting)
+    specs = [catalog()[name] for name in MIXES[cores]]
+    mixed, results = multicore._run_mix(
+        specs, multicore_config(SystemConfig(), len(specs)), prefetcher,
+        variant,
+        n_accesses, warmup_fraction)
+    state = pickle.dumps([(core.state_dict(), core.hierarchy.state_dict())
+                          for core in mixed])
+    return [r.ipc for r in results], state, len(built)
+
+
+class TestFusedMixEquivalence:
+    """The per-core compiled runners reproduce ``Core.step`` exactly."""
+
+    def check(self, monkeypatch, cores, variant, **kwargs):
+        ipcs, state, built = _mix_state(cores, variant, monkeypatch,
+                                        "scalar", **kwargs)
+        assert built == 0
+        fused_ipcs, fused_state, built = _mix_state(cores, variant,
+                                                    monkeypatch, "auto",
+                                                    **kwargs)
+        assert built == len(MIXES[cores]), "the mix took Core.step"
+        assert fused_ipcs == ipcs
+        assert fused_state == state, "model state diverged"
+
+    @pytest.mark.parametrize("warmup_fraction", [0.0, 0.5])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @pytest.mark.parametrize("cores", [2, 4])
+    def test_spp_all_variants(self, monkeypatch, cores, variant,
+                              warmup_fraction):
+        self.check(monkeypatch, cores, variant,
+                   warmup_fraction=warmup_fraction)
+
+    @pytest.mark.parametrize("warmup_fraction", [0.0, 0.5])
+    @pytest.mark.parametrize("prefetcher", ["ppf", "vldp", "bop"])
+    def test_other_prefetchers(self, monkeypatch, prefetcher,
+                               warmup_fraction):
+        self.check(monkeypatch, 4, "psa", prefetcher=prefetcher,
+                   warmup_fraction=warmup_fraction)
+
+    def test_runs_end_on_window_and_warmup_boundaries(self, monkeypatch):
+        monkeypatch.setattr(multicore, "FEED_WINDOW", 7)
+        self.check(monkeypatch, 2, "psa-sd", warmup_fraction=0.37,
+                   n_accesses=401)
+
+    @pytest.mark.parametrize("variant", ["original", "psa-sd"])
+    def test_tied_clocks_keep_the_core_order(self, monkeypatch, variant):
+        """Twin cores tie on their clocks; the lower index runs first."""
+        self.check(monkeypatch, "twins", variant)
+
+    def test_unsupported_core_falls_back_to_step(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "auto")
+        specs = [catalog()[name] for name in MIXES[2]]
+        config = multicore_config(SystemConfig(), 2)
+        config = dataclasses.replace(config, tlb_prefetch=True)
+        monkeypatch.setattr(kernel, "compile_runner", None)
+        result = simulate_mix(specs, config, "spp", "psa", n_accesses=300)
+        assert all(ipc > 0 for ipc in result.ipcs)
+
+
+class TestMixWarmup:
+    @pytest.mark.parametrize("mode", ["scalar", "auto"])
+    @pytest.mark.parametrize("warmup_fraction", [1.0, 1.5])
+    def test_warmup_past_the_end_measures_nothing(self, monkeypatch, mode,
+                                                  warmup_fraction):
+        """As ``Core.run``: a warmup covering the whole trace leaves no
+        measured instructions."""
+        monkeypatch.setenv("REPRO_KERNEL", mode)
+        specs = [catalog()[name] for name in MIXES[2]]
+        _, results = multicore._run_mix(
+            specs, multicore_config(SystemConfig(), 2), "spp", "psa", 300,
+            warmup_fraction)
+        assert [(r.instructions, r.memory_accesses, r.ipc)
+                for r in results] == [(0, 0, 0.0)] * 2
+
+
 class TestWeightedIPC:
     def test_weighted_ipc_formula(self):
         result = MixResult(workloads=["a", "b"], ipcs=[1.0, 2.0])
@@ -99,3 +195,37 @@ class TestWeightedIPC:
         second = isolation_ipcs(specs, cfg, "spp", "none", n_accesses=N,
                                 cache=cache)
         assert first == second
+
+    def test_isolation_memo_keyed_by_full_config(self):
+        """Configs that differ only outside the LLC/DRAM fields get
+        separate memo entries."""
+        cfg = multicore_config(SystemConfig(), 2)
+        small_l2 = dataclasses.replace(
+            cfg, l2c=dataclasses.replace(cfg.l2c,
+                                         size_bytes=cfg.l2c.size_bytes // 8))
+        specs = [catalog()["mcf"]]
+        cache = {}
+        first = isolation_ipcs(specs, cfg, "spp", "none", n_accesses=N,
+                               cache=cache)
+        second = isolation_ipcs(specs, small_l2, "spp", "none",
+                                n_accesses=N, cache=cache)
+        assert len(cache) == 2
+        assert second == isolation_ipcs(specs, small_l2, "spp", "none",
+                                        n_accesses=N)
+        assert first == isolation_ipcs(specs, cfg, "spp", "none",
+                                       n_accesses=N)
+
+    def test_isolation_memo_follows_repro_scale(self, monkeypatch):
+        monkeypatch.setitem(SCALE_ACCESSES, "tiny", 600)
+        monkeypatch.setitem(SCALE_ACCESSES, "small", 700)
+        cfg = multicore_config(SystemConfig(), 2)
+        specs = [catalog()["lbm"]]
+        cache = {}
+        for scale in ("tiny", "small"):
+            monkeypatch.setenv("REPRO_SCALE", scale)
+            isolation_ipcs(specs, cfg, "spp", "none", cache=cache)
+        assert len(cache) == 2
+        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        runner.clear_cache()
+        assert list(cache.values())[0] == isolation_ipcs(
+            specs, cfg, "spp", "none")[0]
