@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 import zlib
 from dataclasses import dataclass
@@ -118,19 +117,8 @@ def heartbeat(record: MemberRecord) -> None:
     mid-heartbeat leaves the previous valid record (or a sweepable
     temp file), never a torn one.
     """
-    path = record.path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    os.close(fd)
     data = json.dumps(record.to_payload(), sort_keys=True).encode()
-    try:
-        iofaults.publish_bytes("member", path, data, tmp)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    iofaults.publish_bytes("member", record.path, data)
 
 
 def deregister(record: MemberRecord) -> None:

@@ -3,39 +3,26 @@
 ``repro.sim.iofaults`` wrecks the storage plane; this module gives the
 same adversarial treatment to the transport plane between
 :class:`~repro.serve.client.ServeClient` and the daemon in
-``repro.serve.app``.  It is two things at once:
+``repro.serve.app``.
 
-1. **The socket-seam shim.**  Every client connect/send/recv and every
-   daemon accept/respond crosses one of the hooks below
-   (:func:`connect`, :func:`send`, :func:`recv`, :func:`accept`,
-   :func:`respond`).  When no fault plan is armed each hook is a single
-   ``None`` check in front of the real operation — the disabled
-   overhead is bench-asserted ≤ 2% (``benchmarks/bench_cluster.py``).
-2. **The fault grammar.**  ``REPRO_NET_FAULTS`` — identical in shape to
-   ``REPRO_IO_FAULTS`` — describes which transport *operations* fail
-   and how::
+Every client connect/send/recv and every daemon accept/respond crosses
+one of the hooks below (:func:`connect`, :func:`send`, :func:`recv`,
+:func:`accept`, :func:`respond`).  When no fault plan is armed each hook
+is a single ``None`` check in front of the real operation — the
+disabled overhead is bench-asserted ≤ 2% (``benchmarks/bench_cluster.py``).
 
-       spec    := clause (";" clause)*
-       clause  := kind target? (":" key "=" value)*
-       target  := "@" idx ("+" idx)*     explicit 0-based op indices
-                | "~" count "/" seed     seeded sample from a window
-       kind    := "refuse" | "reset" | "drop" | "delay" | "garble"
-                | "dup-response" | "half-close"
+``REPRO_NET_FAULTS`` says which transport *operations* fail and how,
+in the spec language of :mod:`repro.sim.faultplan` (grammar, seeded
+sampling, the ``site=``/``secs=``/``of=`` parameters, lazy arming and
+per-site sequencing)::
 
-   Examples::
+    REPRO_NET_FAULTS="refuse@0:site=client.connect"  # first dial
+    REPRO_NET_FAULTS="reset~3/7"                     # 3 seeded RSTs
+    REPRO_NET_FAULTS="garble:site=client.recv"       # every read
+    REPRO_NET_FAULTS="drop@2:site=daemon;delay:secs=0.005"
 
-       REPRO_NET_FAULTS="refuse@0:site=client.connect"  # first dial
-       REPRO_NET_FAULTS="reset~3/7"                     # 3 seeded RSTs
-       REPRO_NET_FAULTS="garble:site=client.recv"       # every read
-       REPRO_NET_FAULTS="drop@2:site=daemon;delay:secs=0.005"
-
-   Parameters: ``site=<prefix>`` restricts a clause to one side or op
-   (``client``, ``client.send``, ``daemon``, ``daemon.respond``, ...);
-   ``secs=<float>`` is the ``delay`` stall (default 0.01); ``of=<int>``
-   is the seeded-sample window (default 16 ops per site).
-
-**Sites** are dotted ``<side>.<op>`` names; the op suffix decides
-which kinds can fire there:
+**Sites** are dotted ``<side>.<op>`` names (sides ``client`` and
+``daemon``); the op suffix decides which kinds can fire there:
 
     ============ ====================================================
     op            kinds that apply
@@ -48,10 +35,7 @@ which kinds can fire there:
                   delay                           (daemon replies)
     ============ ====================================================
 
-**Deterministic sequencing**: each site keeps a per-process operation
-counter; clause targets index into that sequence, so a replay of the
-same workload fires the same faults at the same operations.  Hard
-kinds raise :class:`InjectedNetError` (an ``OSError`` with a real
+Hard kinds raise :class:`InjectedNetError` (an ``OSError`` with a real
 ``errno``) or :class:`InjectedNetTimeout` (a ``socket.timeout``) so
 every caller's existing transport-retry path is exercised; the soft
 kinds mutate the payload instead — ``garble`` NUL-smashes a span of
@@ -63,32 +47,20 @@ apply (send twice / send the head then sever mid-body).
 ``drop`` models a blackholed segment.  Literally waiting out the peer
 timeout would make chaos runs crawl, so the hook raises an
 :class:`InjectedNetTimeout` immediately — same exception type, same
-recovery path, no wall-clock tax.
-
-The plan is armed lazily from the environment on the first hook call
-(so daemon subprocesses inherit it), or explicitly via :func:`arm`/
-:func:`disarm` in tests.  A malformed spec raises
-:class:`NetFaultSpecError`, a :class:`ConfigurationError` — an
-operator mistake, not a simulation failure.
+recovery path, no wall-clock tax.  ``delay`` stalls for ``secs``.  A
+malformed spec raises :class:`NetFaultSpecError`.
 """
 
 from __future__ import annotations
 
 import errno
-import os
-import random
 import socket
 import time
-import zlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Set, Tuple
 
-from repro.sim.config import ConfigurationError
+from repro.sim import faultplan
 
 ENV_VAR = "REPRO_NET_FAULTS"
-
-KINDS = ("refuse", "reset", "drop", "delay", "garble", "dup-response",
-         "half-close")
 
 #: Which fault kinds can fire at which op suffix (see module docstring).
 _OPS_FOR_KIND = {
@@ -101,11 +73,10 @@ _OPS_FOR_KIND = {
     "half-close": ("send", "respond"),
 }
 
-#: Default window for seeded "~count/seed" sampling (ops per site).
-DEFAULT_WINDOW = 16
+KINDS = tuple(_OPS_FOR_KIND)
 
 
-class NetFaultSpecError(ConfigurationError):
+class NetFaultSpecError(faultplan.SpecError):
     """A ``REPRO_NET_FAULTS`` spec failed to parse."""
 
 
@@ -117,188 +88,26 @@ class InjectedNetTimeout(socket.timeout):
     """An injected blackhole: the segment never arrives."""
 
 
-@dataclass(frozen=True)
-class NetFaultClause:
-    """One parsed spec clause: kind, site filter, and op targets."""
+PLANE = faultplan.Plane(ENV_VAR, _OPS_FOR_KIND, NetFaultSpecError)
 
-    kind: str
-    site: str = ""                              # dotted prefix filter
-    indices: Optional[Tuple[int, ...]] = None   # explicit "@" targets
-    count: int = 0                              # seeded "~" sample size
-    seed: int = 0
-    window: int = DEFAULT_WINDOW
-    secs: float = 0.01                          # delay stall duration
-
-    def matches_site(self, site: str) -> bool:
-        if not self.site:
-            return True
-        return site == self.site or site.startswith(self.site + ".")
-
-    def fires(self, site: str, index: int) -> bool:
-        """Does this clause fire for op *index* of *site*?"""
-        if site.rsplit(".", 1)[-1] not in _OPS_FOR_KIND[self.kind]:
-            return False
-        if not self.matches_site(site):
-            return False
-        if self.indices is not None:
-            return index in self.indices
-        if self.count:
-            if index >= self.window:
-                return False
-            # Seed mixed with the site so two sites fail at different
-            # offsets, deterministically across processes and replays.
-            rng = random.Random(self.seed ^ zlib.crc32(site.encode()))
-            return index in rng.sample(range(self.window),
-                                       min(self.count, self.window))
-        return True                              # bare kind: every op
+parse = PLANE.parse
+plan_from_env = PLANE.from_env
+arm = PLANE.arm
+disarm = PLANE.disarm
+reset_counters = PLANE.reset_counters
 
 
-def _parse_clause(clause: str) -> NetFaultClause:
-    head, *raw_params = clause.split(":")
-    params: Dict[str, object] = {}
-    for item in raw_params:
-        key, sep, value = item.partition("=")
-        if not sep or not value:
-            raise NetFaultSpecError(
-                f"{ENV_VAR} clause {clause!r}: malformed parameter "
-                f"{item!r}")
-        try:
-            if key == "site":
-                params["site"] = value
-            elif key == "secs":
-                params["secs"] = float(value)
-            elif key == "of":
-                params["window"] = int(value)
-                if params["window"] <= 0:
-                    raise NetFaultSpecError(
-                        f"{ENV_VAR} clause {clause!r}: of= must be > 0")
-            else:
-                raise NetFaultSpecError(
-                    f"{ENV_VAR} clause {clause!r}: unknown parameter "
-                    f"{key!r} (expected site=, secs= or of=)")
-        except ValueError:
-            raise NetFaultSpecError(
-                f"{ENV_VAR} clause {clause!r}: bad value for "
-                f"{key!r}: {value!r}") from None
-
-    explicit = "@" in head
-    seeded = "~" in head
-    if explicit and seeded:
-        raise NetFaultSpecError(
-            f"{ENV_VAR} clause {clause!r}: use @idx or ~count/seed, "
-            f"not both")
-    if explicit:
-        kind, _, target = head.partition("@")
-        try:
-            indices = tuple(int(part) for part in target.split("+"))
-        except ValueError:
-            raise NetFaultSpecError(
-                f"{ENV_VAR} clause {clause!r}: bad op index in "
-                f"{target!r}") from None
-        if any(i < 0 for i in indices):
-            raise NetFaultSpecError(
-                f"{ENV_VAR} clause {clause!r}: negative op index")
-        params["indices"] = indices
-    elif seeded:
-        kind, _, target = head.partition("~")
-        count_str, sep, seed_str = target.partition("/")
-        if not sep or not count_str or not seed_str:
-            raise NetFaultSpecError(
-                f"{ENV_VAR} clause {clause!r}: seeded target must be "
-                f"count/seed")
-        try:
-            params["count"], params["seed"] = int(count_str), int(seed_str)
-        except ValueError:
-            raise NetFaultSpecError(
-                f"{ENV_VAR} clause {clause!r}: bad count/seed "
-                f"{target!r}") from None
-        if params["count"] < 0:
-            raise NetFaultSpecError(
-                f"{ENV_VAR} clause {clause!r}: negative count")
-    else:
-        kind = head
-    if kind not in KINDS:
-        raise NetFaultSpecError(
-            f"{ENV_VAR} clause {clause!r}: unknown kind {kind!r} "
-            f"(expected one of {', '.join(KINDS)})")
-    return NetFaultClause(kind=kind, **params)
-
-
-def parse(spec: str) -> List[NetFaultClause]:
-    """Parse a fault spec string (raises :class:`NetFaultSpecError`)."""
-    clauses = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if part:
-            clauses.append(_parse_clause(part))
-    return clauses
-
-
-def plan_from_env() -> Optional[List[NetFaultClause]]:
-    """The clauses armed via ``REPRO_NET_FAULTS``, or None when unset."""
-    spec = os.environ.get(ENV_VAR, "").strip()
-    if not spec:
-        return None
-    return parse(spec)
-
-
-# ----------------------------------------------------------------------
-# Arming
-# ----------------------------------------------------------------------
-
-_UNINITIALIZED = object()
-
-#: The armed plan: _UNINITIALIZED until the first hook call (then read
-#: once from the environment), None when disabled, else clause list.
-_PLAN = _UNINITIALIZED
-
-#: Per-site operation counters (deterministic sequencing).
-_COUNTERS: Dict[str, int] = {}
-
-
-def arm(spec: str) -> List[NetFaultClause]:
-    """Arm a fault plan for this process (tests; resets sequencing)."""
-    global _PLAN
-    _PLAN = parse(spec)
-    _COUNTERS.clear()
-    return _PLAN
-
-
-def disarm() -> None:
-    """Disable injection and forget the cached environment read."""
-    global _PLAN
-    _PLAN = _UNINITIALIZED
-    _COUNTERS.clear()
-
-
-def reset_counters() -> None:
-    """Zero the per-site op counters (test isolation helper)."""
-    _COUNTERS.clear()
-
-
-def _plan() -> Optional[List[NetFaultClause]]:
-    global _PLAN
-    if _PLAN is _UNINITIALIZED:
-        _PLAN = plan_from_env()
-        _COUNTERS.clear()
-    return _PLAN
-
-
-def _actions(site: str) -> List[NetFaultClause]:
-    """Advance *site*'s op counter; return the clauses firing on it."""
-    plan = _plan()
-    if plan is None:
-        return ()
-    index = _COUNTERS.get(site, 0)
-    _COUNTERS[site] = index + 1
-    return [clause for clause in plan if clause.fires(site, index)]
-
-
-def _raise_for(site: str, fired: List[NetFaultClause]) -> None:
-    """Apply delay and the hard error kinds common to every op."""
-    for clause in fired:
+def _inject(site: str, hard: bool = True) -> Set[str]:
+    """Fire *site*'s clauses: stall on ``delay`` and, with *hard* (the
+    client seams), raise refuse/reset/drop.  Returns the kinds that
+    fired, for the caller's soft effects."""
+    kinds = set()
+    for clause in PLANE.fire(site):
+        kinds.add(clause.kind)
         if clause.kind == "delay":
             time.sleep(clause.secs)
+        elif not hard:
+            continue
         elif clause.kind == "refuse":
             raise InjectedNetError(
                 errno.ECONNREFUSED, f"injected ECONNREFUSED at {site}")
@@ -307,6 +116,7 @@ def _raise_for(site: str, fired: List[NetFaultClause]) -> None:
                 errno.ECONNRESET, f"injected ECONNRESET at {site}")
         elif clause.kind == "drop":
             raise InjectedNetTimeout(f"injected blackhole at {site}")
+    return kinds
 
 
 def _garble(data: bytes) -> bytes:
@@ -331,9 +141,8 @@ def _garble(data: bytes) -> bytes:
 
 def connect(site: str) -> None:
     """Client dial fault point (refuse/reset/delay)."""
-    if _PLAN is None:
-        return
-    _raise_for(site, _actions(site))
+    if PLANE.plan is not None:
+        _inject(site)
 
 
 def send(site: str) -> None:
@@ -343,11 +152,7 @@ def send(site: str) -> None:
     reached the peer before our FIN — indistinguishable from a reset
     for the caller, so it raises EPIPE.
     """
-    if _PLAN is None:
-        return
-    fired = _actions(site)
-    _raise_for(site, fired)
-    if any(clause.kind == "half-close" for clause in fired):
+    if PLANE.plan is not None and "half-close" in _inject(site):
         raise InjectedNetError(
             errno.EPIPE, f"injected EPIPE at {site}")
 
@@ -358,11 +163,7 @@ def recv(site: str, data: bytes) -> bytes:
     ``garble`` corrupts the received bytes in place of raising — the
     caller's parse-and-validate path must catch it.
     """
-    if _PLAN is None:
-        return data
-    fired = _actions(site)
-    _raise_for(site, fired)
-    if any(clause.kind == "garble" for clause in fired):
+    if PLANE.plan is not None and "garble" in _inject(site):
         return _garble(data)
     return data
 
@@ -375,13 +176,8 @@ def accept(site: str) -> str:
     just-accepted connection — the client observes a refused/reset
     dial, which is the same wire-visible outcome.
     """
-    if _PLAN is None:
-        return "ok"
-    fired = _actions(site)
-    for clause in fired:
-        if clause.kind == "delay":
-            time.sleep(clause.secs)
-    if any(clause.kind in ("refuse", "reset") for clause in fired):
+    if PLANE.plan is not None \
+            and _inject(site, hard=False) & {"refuse", "reset"}:
         return "close"
     return "ok"
 
@@ -397,17 +193,14 @@ def respond(site: str, body: bytes) -> Tuple[bytes, str]:
     as the answer to the *next* request).  ``garble`` corrupts the body
     bytes and composes with action ``"ok"``.
     """
-    if _PLAN is None:
+    if PLANE.plan is None:
         return body, "ok"
-    fired = _actions(site)
-    for clause in fired:
-        if clause.kind == "delay":
-            time.sleep(clause.secs)
-    if any(clause.kind == "garble" for clause in fired):
+    kinds = _inject(site, hard=False)
+    if "garble" in kinds:
         body = _garble(body)
     for kind, action in (("drop", "drop"), ("reset", "reset"),
                          ("half-close", "half-close"),
                          ("dup-response", "dup")):
-        if any(clause.kind == kind for clause in fired):
+        if kind in kinds:
             return body, action
     return body, "ok"

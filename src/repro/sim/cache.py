@@ -33,7 +33,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,23 +152,11 @@ def store(key: tuple, metrics: RunMetrics) -> bool:
         "metrics": metrics_to_dict(metrics),
     }
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        os.close(fd)
-        try:
-            # Full crash-consistent publish: write + fsync the temp
-            # file, atomic rename, fsync the directory — a power loss
-            # at any instant leaves the old entry or the new one,
-            # never a torn mix (and the entry itself is durable, not
-            # just the rename).
-            iofaults.publish_bytes(
-                "cache", path, json.dumps(payload).encode(), tmp)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        # Full crash-consistent publish: write + fsync the temp file,
+        # atomic rename, fsync the directory — a power loss at any
+        # instant leaves the old entry or the new one, never a torn mix
+        # (and the entry itself is durable, not just the rename).
+        iofaults.publish_bytes("cache", path, json.dumps(payload).encode())
     except OSError:
         return False                # cache dir unwritable -> run uncached
     return True
@@ -359,15 +346,18 @@ TMP_ORPHAN_AGE_S = 60.0
 
 
 def iter_tmp_orphans(objects: Path,
-                     min_age_s: float = TMP_ORPHAN_AGE_S) -> "list[Path]":
-    """Leaked ``*.tmp`` files under an objects tree, oldest-first.
+                     min_age_s: float = TMP_ORPHAN_AGE_S,
+                     pattern: str = "*/*.tmp") -> "list[Path]":
+    """Leaked temp files matching *pattern* under *objects*, oldest-first.
 
-    Only files older than *min_age_s* are reported so a concurrent
-    writer's still-open temp file is never mistaken for a leak.
+    The default *pattern* walks a fanned-out objects tree; a flat
+    directory passes ``"*.tmp"``.  Only files older than *min_age_s*
+    are reported so a concurrent writer's still-open temp file is never
+    mistaken for a leak.
     """
     orphans = []
     now = time.time()
-    for path in sorted(objects.glob("*/*.tmp")):
+    for path in sorted(objects.glob(pattern)):
         try:
             if now - path.stat().st_mtime >= min_age_s:
                 orphans.append(path)

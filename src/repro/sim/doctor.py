@@ -146,6 +146,21 @@ class DoctorReport:
 # Layer scans
 # ----------------------------------------------------------------------
 
+def _unlink(report: DoctorReport, repair: bool, layer: str, kind: str,
+            path: Path, detail: str) -> None:
+    """Report one finding whose safe repair is unlinking *path*."""
+    finding = DoctorFinding(layer=layer, kind=kind, path=str(path),
+                            detail=detail, action="unlink")
+    if repair:
+        try:
+            path.unlink()
+            finding.repaired = True
+            finding.action = "unlinked"
+        except OSError as exc:
+            finding.detail = str(exc)
+    report.findings.append(finding)
+
+
 def _scan_cache(report: DoctorReport, repair: bool,
                 tmp_age_s: float) -> None:
     objects = disk_cache.cache_dir() / "objects"
@@ -168,17 +183,8 @@ def _scan_cache(report: DoctorReport, repair: bool,
                                   else "unlinked (quarantine failed)")
             report.findings.append(finding)
         for path in disk_cache.iter_tmp_orphans(objects, tmp_age_s):
-            finding = DoctorFinding(
-                layer="cache", kind="tmp-orphan", path=str(path),
-                detail="leaked by a crashed writer", action="unlink")
-            if repair:
-                try:
-                    path.unlink()
-                    finding.repaired = True
-                    finding.action = "unlinked"
-                except OSError as exc:
-                    finding.detail = str(exc)
-            report.findings.append(finding)
+            _unlink(report, repair, "cache", "tmp-orphan", path,
+                    "leaked by a crashed writer")
     report.scanned["cache"] = scanned
 
 
@@ -219,36 +225,21 @@ def _scan_snapshots(report: DoctorReport, repair: bool,
                 continue
             # A torn snapshot is evidence -> quarantine; a stale one is
             # merely unresumable re-computable state -> unlink.
-            action = "quarantine" if status == "corrupt" else "unlink"
+            if status == "stale":
+                _unlink(report, repair, "snapshot", "stale", path, "")
+                continue
             finding = DoctorFinding(
                 layer="snapshot", kind=status, path=str(path),
-                action=action)
+                action="quarantine")
             if repair:
-                if status == "corrupt":
-                    dest = snapshot_store._quarantine(path)
-                    finding.repaired = True
-                    finding.action = (f"quarantined to {dest}" if dest
-                                      else "unlinked (quarantine failed)")
-                else:
-                    try:
-                        path.unlink()
-                        finding.repaired = True
-                        finding.action = "unlinked"
-                    except OSError as exc:
-                        finding.detail = str(exc)
+                dest = snapshot_store._quarantine(path)
+                finding.repaired = True
+                finding.action = (f"quarantined to {dest}" if dest
+                                  else "unlinked (quarantine failed)")
             report.findings.append(finding)
         for path in disk_cache.iter_tmp_orphans(objects, tmp_age_s):
-            finding = DoctorFinding(
-                layer="snapshot", kind="tmp-orphan", path=str(path),
-                detail="leaked by a crashed writer", action="unlink")
-            if repair:
-                try:
-                    path.unlink()
-                    finding.repaired = True
-                    finding.action = "unlinked"
-                except OSError as exc:
-                    finding.detail = str(exc)
-            report.findings.append(finding)
+            _unlink(report, repair, "snapshot", "tmp-orphan", path,
+                    "leaked by a crashed writer")
     report.scanned["snapshot"] = scanned
 
 
@@ -359,34 +350,14 @@ def _scan_leases(report: DoctorReport, repair: bool,
                 age = now - path.stat().st_mtime
             except OSError:
                 continue            # vanished mid-scan: released by owner
-            if age <= lease_ttl_s:
-                continue
-            finding = DoctorFinding(
-                layer="lease", kind="stale", path=str(path),
-                detail=f"age {age:.0f}s > ttl {lease_ttl_s:.0f}s",
-                action="unlink")
-            if repair:
-                try:
-                    path.unlink()
-                    finding.repaired = True
-                    finding.action = "unlinked"
-                except OSError as exc:
-                    finding.detail = str(exc)
-            report.findings.append(finding)
+            if age > lease_ttl_s:
+                _unlink(report, repair, "lease", "stale", path,
+                        f"age {age:.0f}s > ttl {lease_ttl_s:.0f}s")
         # Takeover tombstones a crashed reclaimer left behind.
         for path in sorted(campaigns_root.glob("*/leases/*.stale.*")):
             scanned += 1
-            finding = DoctorFinding(
-                layer="lease", kind="tombstone", path=str(path),
-                detail="leftover takeover marker", action="unlink")
-            if repair:
-                try:
-                    path.unlink()
-                    finding.repaired = True
-                    finding.action = "unlinked"
-                except OSError as exc:
-                    finding.detail = str(exc)
-            report.findings.append(finding)
+            _unlink(report, repair, "lease", "tombstone", path,
+                    "leftover takeover marker")
     report.scanned["lease"] = scanned
 
 
@@ -421,36 +392,12 @@ def _scan_members(report: DoctorReport, repair: bool,
                 if age > ttl_s:
                     kind = "stale"
                     detail = f"age {age:.0f}s > ttl {ttl_s:.0f}s"
-            if kind is None:
-                continue
-            finding = DoctorFinding(
-                layer="member", kind=kind, path=str(path),
-                detail=detail, action="unlink")
-            if repair:
-                try:
-                    path.unlink()
-                    finding.repaired = True
-                    finding.action = "unlinked"
-                except OSError as exc:
-                    finding.detail = str(exc)
-            report.findings.append(finding)
-        for path in sorted(root.glob("*.tmp")):
-            try:
-                if now - path.stat().st_mtime < tmp_age_s:
-                    continue        # possibly a live in-flight publish
-            except OSError:
-                continue
-            finding = DoctorFinding(
-                layer="member", kind="tmp-orphan", path=str(path),
-                detail="leaked by a crashed heartbeat", action="unlink")
-            if repair:
-                try:
-                    path.unlink()
-                    finding.repaired = True
-                    finding.action = "unlinked"
-                except OSError as exc:
-                    finding.detail = str(exc)
-            report.findings.append(finding)
+            if kind is not None:
+                _unlink(report, repair, "member", kind, path, detail)
+        for path in disk_cache.iter_tmp_orphans(root, tmp_age_s,
+                                                pattern="*.tmp"):
+            _unlink(report, repair, "member", "tmp-orphan", path,
+                    "leaked by a crashed heartbeat")
     report.scanned["member"] = scanned
 
 
@@ -474,16 +421,12 @@ def diagnose(repair: bool = False,
     begin = time.perf_counter()
     report = DoctorReport(cache_dir=str(disk_cache.cache_dir()),
                           repair=repair)
-    saved_plan = iofaults._PLAN
-    iofaults._PLAN = None
-    try:
+    with iofaults.suspended():
         _scan_cache(report, repair, tmp_age_s)
         _scan_snapshots(report, repair, tmp_age_s)
         _scan_store(report, repair)
         _scan_leases(report, repair, lease_ttl_s)
         _scan_members(report, repair, tmp_age_s)
-    finally:
-        iofaults._PLAN = saved_plan
     report.quarantine["cache"] = disk_cache.count_quarantine(
         disk_cache.quarantine_dir())
     report.quarantine["snapshot"] = disk_cache.count_quarantine(

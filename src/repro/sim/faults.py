@@ -4,13 +4,9 @@ The supervision layer (``repro.sim.supervisor``) is only trustworthy if
 its failure paths are exercised; this module makes failures first-class,
 reproducible inputs.  A fault *spec* — from the ``REPRO_FAULTS``
 environment variable or passed programmatically — describes which runs
-of a batch fail and how:
-
-    spec    := clause (";" clause)*
-    clause  := kind target (":" key "=" value)*
-    target  := "@" idx ("+" idx)*          explicit 0-based run indices
-             | "~" count "/" seed          seeded random sample of runs
-    kind    := "crash" | "hang" | "error" | "truncate" | "corrupt" | "kill"
+of a batch fail and how, in the spec language of
+:mod:`repro.sim.faultplan` with a required target: ``@idx`` names
+0-based runs, ``~count/seed`` a seeded sample of them.
 
 Examples::
 
@@ -29,34 +25,53 @@ Indices refer to positions in the batch's *scheduled* run list (after
 dedupe and cache hits), which is what makes a schedule deterministic: a
 rerun of a partially cached batch renumbers only the cache misses.
 
-Kinds ``crash``/``hang``/``error``/``truncate`` fire at the
-:func:`checkpoint` the simulator calls at the start of every run, inside
-the real worker call stack.  ``crash`` terminates the worker process
-with ``os._exit(137)`` when running in a supervised pool worker
-(exercising ``BrokenProcessPool`` recovery) and raises
-:class:`InjectedCrash` in-process otherwise, so serial fallback resolves
-persistent crashers without killing the host.  ``corrupt`` is applied by
-the parent *after* the run's cache entry is written (garbling the entry
-on disk) to exercise the cache quarantine path.
+Each kind fires at one hook:
+
+    ============ ======================================================
+    hook          kinds
+    ============ ======================================================
+    checkpoint    crash, hang, error, truncate  (start of every run)
+    access        kill                          (after access ``at``)
+    post-store    corrupt                       (after the cache write)
+    ============ ======================================================
+
+The :func:`checkpoint` kinds fire inside the real worker call stack.
+``crash`` terminates the worker process with ``os._exit(137)`` when
+running in a supervised pool worker (exercising ``BrokenProcessPool``
+recovery) and raises :class:`InjectedCrash` in-process otherwise, so
+serial fallback resolves persistent crashers without killing the host.
+``corrupt`` is applied by the parent *after* the run's cache entry is
+written (garbling the entry on disk) to exercise the cache quarantine
+path.  A malformed spec raises :class:`FaultSpecError`.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.sim import faultplan
 from repro.workloads.io import TraceFormatError
 
 ENV_VAR = "REPRO_FAULTS"
 
-KINDS = ("crash", "hang", "error", "truncate", "corrupt", "kill")
+#: The hook each kind fires at (see module docstring).
+_HOOK_FOR_KIND = {
+    "crash": ("checkpoint",),
+    "hang": ("checkpoint",),
+    "error": ("checkpoint",),
+    "truncate": ("checkpoint",),
+    "corrupt": ("post-store",),
+    "kill": ("access",),
+}
+
+KINDS = tuple(_HOOK_FOR_KIND)
 
 
-class FaultSpecError(ValueError):
+class FaultSpecError(faultplan.SpecError):
     """A ``REPRO_FAULTS`` spec failed to parse."""
 
 
@@ -94,95 +109,25 @@ class FaultClause:
         """Concrete run indices for a batch of *n_runs* scheduled runs."""
         if self.indices is not None:
             return tuple(i for i in self.indices if i < n_runs)
-        count = min(self.count, n_runs)
-        if count <= 0:
-            return ()
-        return tuple(sorted(
-            random.Random(self.seed).sample(range(n_runs), count)))
+        return tuple(sorted(faultplan.sample(self.seed, self.count, n_runs)))
 
 
-def _parse_params(clause: str, raw: List[str]) -> Dict[str, float]:
-    params: Dict[str, float] = {}
-    for item in raw:
-        key, sep, value = item.partition("=")
-        if not sep or not value:
-            raise FaultSpecError(
-                f"fault clause {clause!r}: malformed parameter {item!r}")
-        if key == "secs":
-            params["secs"] = float(value)
-        elif key == "first":
-            params["first"] = int(value)
-        elif key == "at":
-            params["at"] = int(value)
-        else:
-            raise FaultSpecError(
-                f"fault clause {clause!r}: unknown parameter {key!r} "
-                "(expected secs=, first= or at=)")
-    return params
-
-
-def _parse_clause(clause: str) -> FaultClause:
-    head, *raw_params = clause.split(":")
-    try:
-        params = _parse_params(clause, raw_params)
-    except ValueError as exc:
-        if isinstance(exc, FaultSpecError):
-            raise
-        raise FaultSpecError(
-            f"fault clause {clause!r}: bad parameter value ({exc})") from exc
-
-    explicit = "@" in head
-    seeded = "~" in head
-    if explicit == seeded:
-        raise FaultSpecError(
-            f"fault clause {clause!r}: expected kind@idx[+idx...] or "
-            "kind~count/seed")
-    sep = "@" if explicit else "~"
-    kind, _, target = head.partition(sep)
-    if kind not in KINDS:
-        raise FaultSpecError(
-            f"fault clause {clause!r}: unknown kind {kind!r} "
-            f"(expected one of {', '.join(KINDS)})")
+def _clause(kind: str, indices: Optional[Tuple[int, ...]] = None,
+            count: int = 0, seed: int = 0, **params) -> FaultClause:
     action = FaultAction(kind=kind, **params)
     if kind == "kill" and action.at < 0:
-        raise FaultSpecError(
-            f"fault clause {clause!r}: kill requires at=<access index>")
-
-    if explicit:
-        try:
-            indices = tuple(int(part) for part in target.split("+"))
-        except ValueError as exc:
-            raise FaultSpecError(
-                f"fault clause {clause!r}: bad run index in "
-                f"{target!r}") from exc
-        if any(i < 0 for i in indices):
-            raise FaultSpecError(
-                f"fault clause {clause!r}: negative run index")
-        return FaultClause(action=action, indices=indices)
-
-    count_str, sep, seed_str = target.partition("/")
-    if not sep or not count_str or not seed_str:
-        raise FaultSpecError(
-            f"fault clause {clause!r}: seeded target must be "
-            "count/seed")
-    try:
-        count, seed = int(count_str), int(seed_str)
-    except ValueError as exc:
-        raise FaultSpecError(
-            f"fault clause {clause!r}: bad count/seed {target!r}") from exc
-    if count < 0:
-        raise FaultSpecError(f"fault clause {clause!r}: negative count")
-    return FaultClause(action=action, count=count, seed=seed)
+        raise ValueError("kill requires at=<access index>")
+    return FaultClause(action=action, indices=indices, count=count,
+                       seed=seed)
 
 
-def parse(spec: str) -> List[FaultClause]:
-    """Parse a fault spec string into clauses (raises FaultSpecError)."""
-    clauses = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if part:
-            clauses.append(_parse_clause(part))
-    return clauses
+PLANE = faultplan.Plane(
+    ENV_VAR, _HOOK_FOR_KIND, FaultSpecError,
+    params={"secs": ("secs", float), "first": ("first", int),
+            "at": ("at", int)},
+    target_required=True, make=_clause)
+
+parse = PLANE.parse
 
 
 @dataclass(frozen=True)
@@ -203,21 +148,23 @@ class FaultPlan:
         return tuple(a for a in self.for_run(index) if a.kind == "corrupt")
 
 
-def resolve(spec: str, n_runs: int) -> FaultPlan:
-    """Resolve a spec against a batch of *n_runs* scheduled runs."""
+def _schedule(clauses: List[FaultClause], n_runs: int) -> FaultPlan:
     actions: Dict[int, List[FaultAction]] = {}
-    for clause in parse(spec):
+    for clause in clauses:
         for index in clause.resolve(n_runs):
             actions.setdefault(index, []).append(clause.action)
     return FaultPlan({i: tuple(a) for i, a in actions.items()})
 
 
+def resolve(spec: str, n_runs: int) -> FaultPlan:
+    """Resolve a spec against a batch of *n_runs* scheduled runs."""
+    return _schedule(parse(spec), n_runs)
+
+
 def plan_from_env(n_runs: int) -> Optional[FaultPlan]:
     """The plan armed via ``REPRO_FAULTS``, or None when unset/empty."""
-    spec = os.environ.get(ENV_VAR, "").strip()
-    if not spec:
-        return None
-    return resolve(spec, n_runs)
+    clauses = PLANE.from_env()
+    return None if clauses is None else _schedule(clauses, n_runs)
 
 
 # ----------------------------------------------------------------------

@@ -3,40 +3,29 @@
 ``repro.sim.faults`` proves the *engine* degrades instead of dying; this
 module gives the same adversarial treatment to the durable state every
 layer depends on — the content-addressed run cache, the snapshot store,
-the campaign sqlite store, and the worker claim leases.  It is two
-things at once:
+the campaign sqlite store, the worker claim leases and the cluster
+member records.
 
-1. **The filesystem shim.**  Every write/fsync/rename/read on those
-   paths goes through the hooks below (:func:`write`, :func:`fsync`,
-   :func:`replace`, :func:`read_bytes`, :func:`fsync_dir`,
-   :func:`check`, and the composed :func:`publish_bytes`).  When no
-   fault plan is armed each hook is a single ``None`` check in front of
-   the real ``os`` call — the disabled overhead is bench-asserted ≤ 2%
-   (``benchmarks/bench_iofaults.py``).
-2. **The fault grammar.**  ``REPRO_IO_FAULTS`` — in the style of
-   ``faults.parse`` — describes which storage *operations* fail and how::
+Every write/fsync/rename/read on those paths goes through the hooks
+below (:func:`write`, :func:`fsync`, :func:`replace`, :func:`read_bytes`,
+:func:`fsync_dir`, :func:`check`, and the composed
+:func:`publish_bytes`).  When no fault plan is armed each hook is a
+single ``None`` check in front of the real ``os`` call — the disabled
+overhead is bench-asserted ≤ 2% (``benchmarks/bench_iofaults.py``).
 
-       spec    := clause (";" clause)*
-       clause  := kind target? (":" key "=" value)*
-       target  := "@" idx ("+" idx)*     explicit 0-based op indices
-                | "~" count "/" seed     seeded sample from a window
-       kind    := "enospc" | "torn" | "eio" | "fsync-lost"
-                | "partial-read" | "slow"
+``REPRO_IO_FAULTS`` says which storage *operations* fail and how, in
+the spec language of :mod:`repro.sim.faultplan` (grammar, seeded
+sampling, the ``site=``/``secs=``/``of=`` parameters, lazy arming and
+per-site sequencing)::
 
-   Examples::
+    REPRO_IO_FAULTS="enospc@3:site=cache"      # 4th cache write op
+    REPRO_IO_FAULTS="torn~2/7"                 # 2 seeded torn writes
+    REPRO_IO_FAULTS="eio:site=store"           # every sqlite op
+    REPRO_IO_FAULTS="fsync-lost@0:site=snapshot;slow:secs=0.01"
 
-       REPRO_IO_FAULTS="enospc@3:site=cache"      # 4th cache write op
-       REPRO_IO_FAULTS="torn~2/7"                 # 2 seeded torn writes
-       REPRO_IO_FAULTS="eio:site=store"           # every sqlite op
-       REPRO_IO_FAULTS="fsync-lost@0:site=snapshot;slow:secs=0.01"
-
-   Parameters: ``site=<prefix>`` restricts a clause to one layer or op
-   (``cache``, ``cache.write``, ``snapshot``, ``store``, ``lease``,
-   ...); ``secs=<float>`` is the ``slow`` stall (default 0.01);
-   ``of=<int>`` is the seeded-sample window (default 16 ops per site).
-
-**Sites** are dotted ``<layer>.<op>`` names; the op suffix decides which
-kinds can fire there:
+**Sites** are dotted ``<layer>.<op>`` names (layers ``cache``,
+``snapshot``, ``store``, ``lease``, ``member``); the op suffix decides
+which kinds can fire there:
 
     ========== =====================================================
     op          kinds that apply
@@ -50,39 +39,27 @@ kinds can fire there:
     commit      enospc, eio, slow        (sqlite transaction)
     ========== =====================================================
 
-**Deterministic sequencing**: each site keeps a per-process operation
-counter; clause targets index into that sequence, so a replay of the
-same workload fires the same faults at the same operations.  Error
-kinds raise :class:`InjectedIOError` (an ``OSError`` with a real
+Error kinds raise :class:`InjectedIOError` (an ``OSError`` with a real
 ``errno``) so every caller's existing ``except OSError`` degradation
 path is exercised; ``torn`` and ``fsync-lost`` instead *succeed* while
 silently losing bytes — the published file is garbled exactly like a
 torn write or a power loss after a lost fsync, and must be caught by
-the reader-side validation (quarantine), never served.
-
-The plan is armed lazily from the environment on the first hook call
-(so pool workers inherit it), or explicitly via :func:`arm`/
-:func:`disarm` in tests.  A malformed spec raises
-:class:`IOFaultSpecError`, a :class:`ConfigurationError` — an operator
-mistake, not a simulation failure.
+the reader-side validation (quarantine), never served.  ``slow`` stalls
+for ``secs``.  A malformed spec raises :class:`IOFaultSpecError`.
 """
 
 from __future__ import annotations
 
 import errno
 import os
-import random
+import tempfile
 import time
-import zlib
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Set
 
-from repro.sim.config import ConfigurationError
+from repro.sim import faultplan
 
 ENV_VAR = "REPRO_IO_FAULTS"
-
-KINDS = ("enospc", "torn", "eio", "fsync-lost", "partial-read", "slow")
 
 #: Which fault kinds can fire at which op suffix (see module docstring).
 _OPS_FOR_KIND = {
@@ -96,11 +73,10 @@ _OPS_FOR_KIND = {
              "commit"),
 }
 
-#: Default window for seeded "~count/seed" sampling (ops per site).
-DEFAULT_WINDOW = 16
+KINDS = tuple(_OPS_FOR_KIND)
 
 
-class IOFaultSpecError(ConfigurationError):
+class IOFaultSpecError(faultplan.SpecError):
     """A ``REPRO_IO_FAULTS`` spec failed to parse."""
 
 
@@ -108,186 +84,22 @@ class InjectedIOError(OSError):
     """An injected storage failure (carries a real errno)."""
 
 
-@dataclass(frozen=True)
-class IOFaultClause:
-    """One parsed spec clause: kind, site filter, and op targets."""
+PLANE = faultplan.Plane(ENV_VAR, _OPS_FOR_KIND, IOFaultSpecError)
 
-    kind: str
-    site: str = ""                              # dotted prefix filter
-    indices: Optional[Tuple[int, ...]] = None   # explicit "@" targets
-    count: int = 0                              # seeded "~" sample size
-    seed: int = 0
-    window: int = DEFAULT_WINDOW
-    secs: float = 0.01                          # slow stall duration
-
-    def matches_site(self, site: str) -> bool:
-        if not self.site:
-            return True
-        return site == self.site or site.startswith(self.site + ".")
-
-    def fires(self, site: str, index: int) -> bool:
-        """Does this clause fire for op *index* of *site*?"""
-        if site.rsplit(".", 1)[-1] not in _OPS_FOR_KIND[self.kind]:
-            return False
-        if not self.matches_site(site):
-            return False
-        if self.indices is not None:
-            return index in self.indices
-        if self.count:
-            if index >= self.window:
-                return False
-            # Seed mixed with the site so two sites fail at different
-            # offsets, deterministically across processes and replays.
-            rng = random.Random(self.seed ^ zlib.crc32(site.encode()))
-            return index in rng.sample(range(self.window),
-                                       min(self.count, self.window))
-        return True                              # bare kind: every op
+parse = PLANE.parse
+plan_from_env = PLANE.from_env
+arm = PLANE.arm
+disarm = PLANE.disarm
+reset_counters = PLANE.reset_counters
+suspended = PLANE.suspended
 
 
-def _parse_clause(clause: str) -> IOFaultClause:
-    head, *raw_params = clause.split(":")
-    params: Dict[str, object] = {}
-    for item in raw_params:
-        key, sep, value = item.partition("=")
-        if not sep or not value:
-            raise IOFaultSpecError(
-                f"{ENV_VAR} clause {clause!r}: malformed parameter "
-                f"{item!r}")
-        try:
-            if key == "site":
-                params["site"] = value
-            elif key == "secs":
-                params["secs"] = float(value)
-            elif key == "of":
-                params["window"] = int(value)
-                if params["window"] <= 0:
-                    raise IOFaultSpecError(
-                        f"{ENV_VAR} clause {clause!r}: of= must be > 0")
-            else:
-                raise IOFaultSpecError(
-                    f"{ENV_VAR} clause {clause!r}: unknown parameter "
-                    f"{key!r} (expected site=, secs= or of=)")
-        except ValueError:
-            raise IOFaultSpecError(
-                f"{ENV_VAR} clause {clause!r}: bad value for "
-                f"{key!r}: {value!r}") from None
-
-    explicit = "@" in head
-    seeded = "~" in head
-    if explicit and seeded:
-        raise IOFaultSpecError(
-            f"{ENV_VAR} clause {clause!r}: use @idx or ~count/seed, "
-            f"not both")
-    if explicit:
-        kind, _, target = head.partition("@")
-        try:
-            indices = tuple(int(part) for part in target.split("+"))
-        except ValueError:
-            raise IOFaultSpecError(
-                f"{ENV_VAR} clause {clause!r}: bad op index in "
-                f"{target!r}") from None
-        if any(i < 0 for i in indices):
-            raise IOFaultSpecError(
-                f"{ENV_VAR} clause {clause!r}: negative op index")
-        params["indices"] = indices
-    elif seeded:
-        kind, _, target = head.partition("~")
-        count_str, sep, seed_str = target.partition("/")
-        if not sep or not count_str or not seed_str:
-            raise IOFaultSpecError(
-                f"{ENV_VAR} clause {clause!r}: seeded target must be "
-                f"count/seed")
-        try:
-            params["count"], params["seed"] = int(count_str), int(seed_str)
-        except ValueError:
-            raise IOFaultSpecError(
-                f"{ENV_VAR} clause {clause!r}: bad count/seed "
-                f"{target!r}") from None
-        if params["count"] < 0:
-            raise IOFaultSpecError(
-                f"{ENV_VAR} clause {clause!r}: negative count")
-    else:
-        kind = head
-    if kind not in KINDS:
-        raise IOFaultSpecError(
-            f"{ENV_VAR} clause {clause!r}: unknown kind {kind!r} "
-            f"(expected one of {', '.join(KINDS)})")
-    return IOFaultClause(kind=kind, **params)
-
-
-def parse(spec: str) -> List[IOFaultClause]:
-    """Parse a fault spec string (raises :class:`IOFaultSpecError`)."""
-    clauses = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if part:
-            clauses.append(_parse_clause(part))
-    return clauses
-
-
-def plan_from_env() -> Optional[List[IOFaultClause]]:
-    """The clauses armed via ``REPRO_IO_FAULTS``, or None when unset."""
-    spec = os.environ.get(ENV_VAR, "").strip()
-    if not spec:
-        return None
-    return parse(spec)
-
-
-# ----------------------------------------------------------------------
-# Arming
-# ----------------------------------------------------------------------
-
-_UNINITIALIZED = object()
-
-#: The armed plan: _UNINITIALIZED until the first hook call (then read
-#: once from the environment), None when disabled, else clause list.
-_PLAN = _UNINITIALIZED
-
-#: Per-site operation counters (deterministic sequencing).
-_COUNTERS: Dict[str, int] = {}
-
-
-def arm(spec: str) -> List[IOFaultClause]:
-    """Arm a fault plan for this process (tests; resets sequencing)."""
-    global _PLAN
-    _PLAN = parse(spec)
-    _COUNTERS.clear()
-    return _PLAN
-
-
-def disarm() -> None:
-    """Disable injection and forget the cached environment read."""
-    global _PLAN
-    _PLAN = _UNINITIALIZED
-    _COUNTERS.clear()
-
-
-def reset_counters() -> None:
-    """Zero the per-site op counters (test isolation helper)."""
-    _COUNTERS.clear()
-
-
-def _plan() -> Optional[List[IOFaultClause]]:
-    global _PLAN
-    if _PLAN is _UNINITIALIZED:
-        _PLAN = plan_from_env()
-        _COUNTERS.clear()
-    return _PLAN
-
-
-def _actions(site: str) -> List[IOFaultClause]:
-    """Advance *site*'s op counter; return the clauses firing on it."""
-    plan = _plan()
-    if plan is None:
-        return ()
-    index = _COUNTERS.get(site, 0)
-    _COUNTERS[site] = index + 1
-    return [clause for clause in plan if clause.fires(site, index)]
-
-
-def _raise_for(site: str, fired: List[IOFaultClause]) -> None:
-    """Apply error/slow kinds; torn/fsync-lost are handled by callers."""
-    for clause in fired:
+def _inject(site: str) -> Set[str]:
+    """Fire *site*'s clauses: stall on ``slow``, raise the error kinds,
+    and return the kinds that fired (the silent ones are the caller's)."""
+    kinds = set()
+    for clause in PLANE.fire(site):
+        kinds.add(clause.kind)
         if clause.kind == "slow":
             time.sleep(clause.secs)
         elif clause.kind == "enospc":
@@ -295,6 +107,7 @@ def _raise_for(site: str, fired: List[IOFaultClause]) -> None:
                 errno.ENOSPC, f"injected ENOSPC at {site}")
         elif clause.kind == "eio":
             raise InjectedIOError(errno.EIO, f"injected EIO at {site}")
+    return kinds
 
 
 # ----------------------------------------------------------------------
@@ -303,9 +116,8 @@ def _raise_for(site: str, fired: List[IOFaultClause]) -> None:
 
 def check(site: str) -> None:
     """Generic fault point for ops with no data payload (open/commit)."""
-    if _PLAN is None:
-        return
-    _raise_for(site, _actions(site))
+    if PLANE.plan is not None:
+        _inject(site)
 
 
 def write(site: str, handle, data: bytes) -> None:
@@ -315,14 +127,8 @@ def write(site: str, handle, data: bytes) -> None:
     publish that follows exposes a torn file, exactly like a crashed
     writer on a non-atomic filesystem.
     """
-    if _PLAN is None:
-        handle.write(data)
-        return
-    fired = _actions(site)
-    _raise_for(site, fired)
-    if any(clause.kind == "torn" for clause in fired):
-        handle.write(data[:len(data) // 2])
-        return
+    if PLANE.plan is not None and "torn" in _inject(site):
+        data = data[:len(data) // 2]
     handle.write(data)
 
 
@@ -334,14 +140,9 @@ def fsync(site: str, handle) -> None:
     platter — implemented by truncating the still-unpublished temp file
     to half, so the subsequent rename publishes a torn entry.
     """
-    if _PLAN is None:
-        handle.flush()
-        os.fsync(handle.fileno())
-        return
-    fired = _actions(site)
-    _raise_for(site, fired)
+    lost = PLANE.plan is not None and "fsync-lost" in _inject(site)
     handle.flush()
-    if any(clause.kind == "fsync-lost" for clause in fired):
+    if lost:
         size = os.fstat(handle.fileno()).st_size
         os.ftruncate(handle.fileno(), size // 2)
         return
@@ -350,10 +151,8 @@ def fsync(site: str, handle) -> None:
 
 def replace(site: str, src, dst) -> None:
     """``os.replace`` with enospc/eio/slow injection."""
-    if _PLAN is None:
-        os.replace(src, dst)
-        return
-    _raise_for(site, _actions(site))
+    if PLANE.plan is not None:
+        _inject(site)
     os.replace(src, dst)
 
 
@@ -367,21 +166,13 @@ def read_bytes(site: str, path, limit: Optional[int] = None) -> bytes:
     """
     if not isinstance(path, Path):
         path = Path(path)
-    if _PLAN is None:
-        return _read_limited(path, limit)
-    fired = _actions(site)
-    _raise_for(site, fired)
-    data = _read_limited(path, limit)
-    if any(clause.kind == "partial-read" for clause in fired):
-        return data[:len(data) // 2]
-    return data
-
-
-def _read_limited(path: Path, limit: Optional[int]) -> bytes:
+    partial = PLANE.plan is not None and "partial-read" in _inject(site)
     if limit is None:
-        return path.read_bytes()
-    with path.open("rb") as handle:
-        return handle.read(limit)
+        data = path.read_bytes()
+    else:
+        with path.open("rb") as handle:
+            data = handle.read(limit)
+    return data[:len(data) // 2] if partial else data
 
 
 def fsync_dir(site: str, path) -> None:
@@ -390,8 +181,8 @@ def fsync_dir(site: str, path) -> None:
     Failures of the *real* dir fsync are swallowed (some filesystems
     refuse O_RDONLY dir fsync); injected eio is raised like any other.
     """
-    if _PLAN is not None:
-        _raise_for(site, _actions(site))
+    if PLANE.plan is not None:
+        _inject(site)
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:
@@ -404,19 +195,28 @@ def fsync_dir(site: str, path) -> None:
         os.close(fd)
 
 
-def publish_bytes(layer: str, path: Path, data: bytes,
-                  tmp: str) -> None:
+def publish_bytes(layer: str, path: Path, data: bytes) -> None:
     """The shared temp-fsync-rename-dirsync publish sequence.
 
-    Writes *data* to the already-created temp file *tmp*, fsyncs it,
+    Writes *data* to a fresh temp file beside *path*, fsyncs it,
     atomically renames it over *path*, and fsyncs the parent directory
     — the crash-consistent pattern every durable writer uses, with a
     fault point at each step (``<layer>.write``, ``<layer>.fsync``,
     ``<layer>.rename``, ``<layer>.dirsync``).  Raises ``OSError`` on
-    (injected or real) failure; the temp file is the caller's to clean.
+    (injected or real) failure, after removing the temp file.
     """
-    with open(tmp, "wb") as handle:
-        write(f"{layer}.write", handle, data)
-        fsync(f"{layer}.fsync", handle)
-    replace(f"{layer}.rename", tmp, path)
-    fsync_dir(f"{layer}.dirsync", path.parent)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    os.close(fd)
+    try:
+        with open(tmp, "wb") as handle:
+            write(f"{layer}.write", handle, data)
+            fsync(f"{layer}.fsync", handle)
+        replace(f"{layer}.rename", tmp, path)
+        fsync_dir(f"{layer}.dirsync", path.parent)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise

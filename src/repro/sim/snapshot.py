@@ -40,7 +40,6 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
@@ -141,17 +140,7 @@ def store(key: tuple, access_index: int, state: dict) -> bool:
     }
     data = MAGIC + json.dumps(header).encode() + b"\n" + body
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        os.close(fd)
-        try:
-            iofaults.publish_bytes("snapshot", path, data, tmp)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        iofaults.publish_bytes("snapshot", path, data)
     except OSError:
         return False
     COUNTERS["stores"] += 1

@@ -77,6 +77,24 @@ class TestFailureReporting:
         assert code == 0
         assert "IPC" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("var", ["REPRO_FAULTS", "REPRO_IO_FAULTS"])
+    def test_malformed_fault_spec_exits_2(self, capsys, monkeypatch,
+                                          tmp_path, var):
+        from repro.sim import iofaults, runner
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv(var, "bogus@1")
+        runner.clear_cache()
+        iofaults.disarm()
+        try:
+            code = main(["run", "--workload", "lbm", "--accesses", "500",
+                         "--jobs", "1"])
+        finally:
+            iofaults.disarm()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: {var} clause 'bogus@1'" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_compare_partial_results(self, capsys, monkeypatch,
                                      backoff_fast):
         monkeypatch.setenv("REPRO_FAULTS", "error@0")

@@ -11,7 +11,7 @@ from repro.serve import app as serve_app
 from repro.serve import client as serve_client
 from repro.serve import cluster as serve_cluster
 from repro.serve import netfaults
-from repro.sim import iofaults, runner, snapshot, supervisor
+from repro.sim import faults, iofaults, runner, snapshot, supervisor
 from repro.sim.config import ConfigurationError, env_float, env_int, env_str
 
 
@@ -224,6 +224,46 @@ class TestServeKnobs:
         assert serve_app.serve_port() == 0
         assert serve_app.queue_max() == 8
         assert serve_app.client_quota() == 0
+
+
+class TestEngineFaultKnobs:
+    """``REPRO_FAULTS`` follows the same contract as the storage and
+    network planes: garbage is an operator error naming the variable
+    (the CLI exits 2), never a run failure."""
+
+    @pytest.mark.parametrize("spec", [
+        "frobnicate@0",               # unknown kind
+        "crash",                      # no target
+        "crash@x",                    # non-integer index
+        "error~2",                    # seeded target missing /seed
+        "hang@0:sekonds=3",           # unknown parameter
+        "hang@0:secs=soon",           # bad float
+        "kill@0",                     # kill without at=
+    ])
+    def test_garbage_spec_is_configuration_error(self, monkeypatch, spec):
+        monkeypatch.setenv("REPRO_FAULTS", spec)
+        with pytest.raises(ConfigurationError) as excinfo:
+            faults.plan_from_env(4)
+        assert "REPRO_FAULTS" in str(excinfo.value)
+
+    def test_unset_and_blank_mean_disabled(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        assert faults.plan_from_env(4) is None
+        monkeypatch.setenv("REPRO_FAULTS", "   ")
+        assert faults.plan_from_env(4) is None
+
+    def test_valid_spec_parses(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "crash@0+2;hang~1/7:secs=5")
+        plan = faults.plan_from_env(4)
+        kinds = [[a.kind for a in plan.for_run(i)] for i in range(4)]
+        assert "crash" in kinds[0] and "crash" in kinds[2]
+        assert sum(run.count("hang") for run in kinds) == 1
+
+    def test_spec_error_is_not_a_simulation_failure(self):
+        assert issubclass(faults.FaultSpecError, ConfigurationError)
+        assert not issubclass(faults.FaultSpecError, ValueError)
+        assert faults.FaultSpecError \
+            not in supervisor.PERMANENT_EXCEPTIONS
 
 
 class TestStorageFaultKnobs:

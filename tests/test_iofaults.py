@@ -372,4 +372,4 @@ class TestDisarmedFastPath:
     def test_counters_not_tracked_when_disarmed(self):
         iofaults.reset_counters()
         cache.store(KEY, sample_metrics())
-        assert iofaults._COUNTERS == {}
+        assert iofaults.PLANE.counters == {}
