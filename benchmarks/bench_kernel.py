@@ -3,12 +3,12 @@
 
 Runs the same Fig. 9-style sweep as ``bench_engine.py`` (PSA and PSA-SD
 speedups over original SPP across the representative workload subset)
-twice, cold and serial both times:
+twice, cold and serial (``REPRO_JOBS=1``, so every run is in-process)
+both times:
 
-1. ``REPRO_KERNEL=scalar`` — the reference loop, one ``Core.step`` per
-   record;
-2. ``REPRO_KERNEL=vector`` — the columnar kernel
-   (``repro.sim.kernel``).
+1. ``scalar`` — the reference loop, one ``Core.step`` per record,
+   selected by substituting ``kernel.fused_enabled`` for the phase;
+2. ``vector`` — the columnar kernel (``repro.sim.kernel``).
 
 Both phases start from an empty disk cache and an empty trace memo, so
 the measured accesses/s are directly comparable to each other and to the
@@ -42,7 +42,7 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from bench_common import representative_workloads  # noqa: E402
 
-from repro.sim import runner  # noqa: E402
+from repro.sim import kernel, runner  # noqa: E402
 from repro.sim.config import accesses_for_scale, current_scale  # noqa: E402
 from repro.workloads import suites  # noqa: E402
 
@@ -54,20 +54,25 @@ RESULTS_PATH = REPO_ROOT / "benchmarks" / "results" / "BENCH_kernel.json"
 ARCHIVED_BASELINE_ACC_S = 14273.172
 
 
-def run_phase(kernel_mode: str, workloads, cache_dir: str) -> dict:
-    os.environ["REPRO_KERNEL"] = kernel_mode
+def run_phase(mode: str, workloads, cache_dir: str) -> dict:
     os.environ["REPRO_JOBS"] = "1"
     os.environ["REPRO_CACHE_DIR"] = cache_dir
     runner.clear_cache()
     runner.reset_engine_stats()
     suites._generate_memo.clear()   # cold: regenerate every trace
-    start = time.perf_counter()
-    values = {variant: runner.speedups_over_baseline(workloads, "spp",
-                                                     variant)
-              for variant in VARIANTS}
-    elapsed = time.perf_counter() - start
+    fused_enabled = kernel.fused_enabled
+    if mode == "scalar":
+        kernel.fused_enabled = lambda core: False
+    try:
+        start = time.perf_counter()
+        values = {variant: runner.speedups_over_baseline(workloads, "spp",
+                                                         variant)
+                  for variant in VARIANTS}
+        elapsed = time.perf_counter() - start
+    finally:
+        kernel.fused_enabled = fused_enabled
     stats = runner.engine_stats()
-    return {"kernel": kernel_mode, "seconds": round(elapsed, 3),
+    return {"kernel": mode, "seconds": round(elapsed, 3),
             "simulated_runs": stats.simulated,
             "accesses_per_sec": round(stats.accesses_per_sec, 3),
             "values": values}
@@ -81,7 +86,6 @@ def main() -> int:
             tempfile.TemporaryDirectory() as vector_dir:
         phases["scalar"] = run_phase("scalar", workloads, scalar_dir)
         phases["vector"] = run_phase("vector", workloads, vector_dir)
-    os.environ.pop("REPRO_KERNEL", None)
 
     identical = phases["scalar"]["values"] == phases["vector"]["values"]
     assert identical, "vector kernel diverged from the scalar sweep results"

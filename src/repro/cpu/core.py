@@ -94,12 +94,8 @@ class Core:
         if hasattr(self.hierarchy, "reset_stats"):
             self.hierarchy.reset_stats()
 
-    def step(self, record: Record, pre=None) -> float:
-        """Execute one trace record; return the access's completion cycle.
-
-        ``pre`` optionally carries the precomputed ``(paddr, page_size)``
-        of the record's address (columnar kernel chunk preparation).
-        """
+    def step(self, record: Record) -> float:
+        """Execute one trace record; return the access's completion cycle."""
         ip, vaddr, kind, bubble, dep = record
         entries = bubble + 1
         # Reclaim ROB space via in-order retirement.
@@ -116,16 +112,10 @@ class Core:
         if dep and self.last_load_complete > issue_at:
             issue_at = self.last_load_complete
         if kind == KIND_LOAD:
-            if pre is None:
-                complete = self.hierarchy.load(vaddr, ip, issue_at)
-            else:
-                complete = self.hierarchy.load(vaddr, ip, issue_at, pre)
+            complete = self.hierarchy.load(vaddr, ip, issue_at)
             self.last_load_complete = complete
         else:
-            if pre is None:
-                self.hierarchy.store(vaddr, ip, issue_at)
-            else:
-                self.hierarchy.store(vaddr, ip, issue_at, pre)
+            self.hierarchy.store(vaddr, ip, issue_at)
             complete = issue_at + 1.0
         self.inflight.append((complete, entries))
         self.occupancy += entries
@@ -188,13 +178,13 @@ class Core:
         core is *not* reset), and ``on_record(index)`` — called after each
         record completes — lets the snapshot machinery observe progress.
 
-        Dispatches to the columnar hot-path kernel (``repro.sim.kernel``)
-        when it is enabled and this configuration supports it; falls back
-        to the scalar reference loop otherwise.  ``barrier_every`` tells
-        the kernel at which access indices ``on_record`` must observe
-        fully consistent object state (the snapshot interval); outside
-        those barriers a kernel-mode ``on_record`` may see counters that
-        are still batched in the inner loop's locals.
+        Runs on the columnar hot-path kernel (``repro.sim.kernel``) when
+        ``kernel.fused_enabled`` admits this configuration, and on the
+        reference loop (``run_scalar``) otherwise.  ``barrier_every``
+        tells the kernel at which access indices ``on_record`` must
+        observe fully consistent object state (the snapshot interval);
+        outside those barriers a kernel ``on_record`` may see counters
+        that are still batched in the inner loop's locals.
         """
         from repro.sim.kernel import run_trace
         return run_trace(self, trace, warmup_records=warmup_records,
@@ -205,8 +195,10 @@ class Core:
                    start_index: int = 0, on_record=None) -> CoreResult:
         """The scalar reference loop (exact semantics, one step per record).
 
-        This is the behavioural ground truth the vectorized kernel is
-        verified against; ``REPRO_KERNEL=scalar`` forces it.
+        This is the behavioural ground truth the kernel is verified
+        against, and the loop every configuration the kernel does not
+        inline runs on (observers, ``REPRO_CHECK`` invariants, subclassed
+        components).
         """
         if start_index == 0:
             self.reset()

@@ -7,15 +7,15 @@ the *model* bit-for-bit identical while restructuring the *execution*:
 
 1. **Chunk preparation (vectorized).**  For each chunk of trace records
    the allocator classifies every address's page size and computes its
-   physical address, native TLB page and block number in numpy
+   native TLB page and block number in numpy
    (``PhysicalMemoryAllocator.prepare_chunk``).  Page-size decisions are
    pure hashes, so they vectorize exactly; first-touch allocations are
    replayed scalar, in access order, so allocator state (including dict
    insertion order, which pickled snapshots serialize) matches the
-   scalar path bitwise.  The kernel then derives the remaining pure
+   scalar path bitwise.  The runner then derives the remaining pure
    per-record columns — ROB entry counts, fetch-cycle increments,
-   store flags, TLB lookup keys and set indices, and L1/L2/LLC set
-   indices — in one vectorized pass per chunk.
+   store flags, TLB set indices, and L1/L2/LLC set indices — in one
+   vectorized pass per chunk.
 
 2. **Compiled per-core runner (scalar, hoisted).**  ``compile_runner``
    builds one flat loop per core whose batched counters persist in a
@@ -26,25 +26,21 @@ the *model* bit-for-bit identical while restructuring the *execution*:
    drives it one chunk at a time; ``simulate_mix`` drives each core's
    runner one same-core run of records at a time.
 
-Equivalence is enforced by the golden corpus digests (single-core and
-mixes), the differential oracle (which exercises the compat loop: the
-same chunk preparation driving the ordinary ``_access`` path with its
-full observer event stream), scalar-vs-runner state digests, and the
+One gate, ``fused_enabled``, picks the executor: the runner, or the
+``Core.step`` reference loop for every configuration the runner does
+not inline (observers, invariant checks, subclassed or non-stock
+components).  Equivalence is enforced by the golden corpus digests
+(single-core and mixes), reference-vs-runner state digests, and the
 snapshot/resume tests (chunk boundaries are clamped to snapshot
-barriers, so mid-run state dumps are bitwise identical to scalar ones).
+barriers, so mid-run state dumps are bitwise identical to reference
+ones).
 
 The prefetcher FSMs stay scalar: they mutate tables per event with
 data-dependent control flow, so vectorizing them would fork the model.
-
-Environment knobs (see README):
-
-- ``REPRO_KERNEL``  : ``auto`` (default) | ``vector`` | ``scalar``.
-- ``REPRO_CHUNK``   : records per chunk (default 4096, min 1).
 """
 
 from __future__ import annotations
 
-import os
 from types import SimpleNamespace
 
 try:
@@ -52,97 +48,57 @@ try:
 except ImportError:                            # pragma: no cover
     _np = None
 
-from repro.sim.config import ConfigurationError, env_int
 from repro.verify import invariants
 
-#: Default records per chunk: large enough to amortize the vectorized
-#: pass and the boundary flushes, small enough that first-touch
-#: pre-allocation stays a short lookahead.
-DEFAULT_CHUNK = 4096
-
-KERNEL_MODES = ("auto", "vector", "scalar")
+#: Records per chunk: large enough to amortize the vectorized pass and
+#: the boundary flushes, small enough that first-touch pre-allocation
+#: stays a short lookahead.
+CHUNK = 4096
 
 _INF = float("inf")
 
 
-def kernel_mode() -> str:
-    """The ``REPRO_KERNEL`` knob: auto (default), vector, or scalar."""
-    raw = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    if not raw:
-        return "auto"
-    if raw not in KERNEL_MODES:
-        raise ConfigurationError(
-            f"REPRO_KERNEL must be one of {KERNEL_MODES}, got {raw!r}")
-    return raw
+def fused_enabled(core) -> bool:
+    """Whether *core* may run on a compiled runner.
 
-
-def chunk_size() -> int:
-    """The ``REPRO_CHUNK`` knob: records per kernel chunk."""
-    return env_int("REPRO_CHUNK", DEFAULT_CHUNK, minimum=1)
-
-
-# ----------------------------------------------------------------------
-# Capability gates
-# ----------------------------------------------------------------------
-
-def _supports_vector(hierarchy) -> bool:
-    """Chunk pre-translation is only sound when nothing else allocates.
-
-    The TLB-prefetch extension and the L1D (virtual-address) prefetcher
+    The runner inlines specific implementations, so each one must be
+    exactly the stock class (a subclass could override behaviour the
+    loop bypasses) and every replacement policy plain LRU
+    (``FIFOPolicy`` subclasses it with a different ``on_hit``).
+    Observers and invariant checks need the un-fused event sites.
+    Chunk translation is only sound when nothing else allocates: the
+    TLB-prefetch extension and the L1D (virtual-address) prefetcher
     both call ``allocator.translate`` mid-stream, which would interleave
-    first-touch allocations with the chunk's replay and change frame
-    assignment order.  A subclassed allocator may do anything at all.
+    first-touch allocations with the chunk's replay.
     """
-    import inspect
-    from repro.memory.hierarchy import MemoryHierarchy
-    from repro.vm.allocator import PhysicalMemoryAllocator
-    # Duck-typed stand-ins (fixed-latency stubs, monkey-patched methods,
-    # subclasses) take the scalar loop: the chunked path relies on
-    # load/store honouring the ``pre`` argument.
-    if type(hierarchy) is not MemoryHierarchy:
-        return False
-    try:
-        if ("pre" not in inspect.signature(hierarchy.load).parameters
-                or "pre" not in
-                inspect.signature(hierarchy.store).parameters):
-            return False
-    except (TypeError, ValueError):               # pragma: no cover
-        return False
-    return (type(hierarchy.allocator) is PhysicalMemoryAllocator
-            and hierarchy.l1d_prefetcher is None
-            and not hierarchy.config.tlb_prefetch)
-
-
-def _supports_fast(core, hierarchy) -> bool:
-    """The fused loop mirrors specific implementations; anything it
-    inlines must be exactly the stock class (a subclass could override
-    behaviour the loop bypasses), every replacement policy must be plain
-    LRU (``FIFOPolicy`` subclasses it with a different ``on_hit``), and
-    observers/invariant checks need the un-fused event sites."""
     from repro.cpu.core import Core
+    from repro.core.ppm import PageSizePropagationModule
     from repro.memory.cache import Cache
     from repro.memory.dram import DRAM
     from repro.memory.hierarchy import MemoryHierarchy
     from repro.memory.mshr import MSHR
     from repro.memory.replacement import LRUPolicy
-    from repro.core.ppm import PageSizePropagationModule
+    from repro.vm.allocator import PhysicalMemoryAllocator
     from repro.vm.tlb import TLB
     from repro.vm.walker import AddressTranslator
-    if not (type(core) is Core
-            and type(hierarchy) is MemoryHierarchy
-            and hierarchy.observer is None
-            and not hierarchy._check
+    h = core.hierarchy
+    if not (_np is not None
+            and type(core) is Core
+            and type(h) is MemoryHierarchy
+            and type(h.allocator) is PhysicalMemoryAllocator
+            and h.l1d_prefetcher is None
+            and not h.config.tlb_prefetch
+            and h.observer is None
+            and not h._check
             and not invariants.enabled()
-            and hierarchy.llc_module is None
-            and type(hierarchy.dram) is DRAM
-            and type(hierarchy.translator) is AddressTranslator
-            and type(hierarchy.translator.dtlb) is TLB
-            and type(hierarchy.ppm) is PageSizePropagationModule):
+            and h.llc_module is None
+            and type(h.dram) is DRAM
+            and type(h.translator) is AddressTranslator
+            and type(h.translator.dtlb) is TLB
+            and type(h.ppm) is PageSizePropagationModule):
         return False
-    for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc):
-        if type(cache) is not Cache:
-            return False
-        if (type(cache.mshr) is not MSHR
+    for cache in (h.l1d, h.l2c, h.llc):
+        if (type(cache) is not Cache or type(cache.mshr) is not MSHR
                 or type(cache.pf_mshr) is not MSHR):
             return False
         for policy in cache._policies:
@@ -151,96 +107,52 @@ def _supports_fast(core, hierarchy) -> bool:
     return True
 
 
-# ----------------------------------------------------------------------
-# Drivers
-# ----------------------------------------------------------------------
-
 def run_trace(core, trace, warmup_records: int = 0, start_index: int = 0,
               on_record=None, barrier_every: int = 0):
     """Execute *trace* on *core*; the ``Core.run`` entry point.
 
-    Picks the fastest loop the configuration supports: the core's
-    compiled runner fed one prepared chunk at a time, compat vector
-    (chunk-prepared translation through the ordinary ``_access`` path —
-    used under observers/invariant checks), or the scalar reference loop.
+    Feeds the core's compiled runner one prepared chunk at a time, or
+    runs the ``Core.step`` reference loop when ``fused_enabled`` says
+    no, when ``on_record`` declares no barrier (an arbitrary per-record
+    callback must observe exact state after every record), or when the
+    addresses do not fit the columnar dtypes.
     """
-    mode = kernel_mode()
-    records = trace.records
-    n = len(records)
-    hierarchy = core.hierarchy
-    use_vector = (mode != "scalar" and _np is not None and n > 0
-                  and _supports_vector(hierarchy))
-    if use_vector and on_record is not None and barrier_every <= 0:
-        # An arbitrary per-record callback with no declared barrier must
-        # observe exact state after every record; only the scalar loop
-        # guarantees that.  (Snapshotting declares its barrier; kill
-        # faults piggyback on it or tolerate the fallback.)
-        use_vector = False
-    if not use_vector:
-        return core.run_scalar(trace, warmup_records=warmup_records,
-                               start_index=start_index, on_record=on_record)
-    try:
-        cols = trace.columns()
-    except (RuntimeError, OverflowError, TypeError, ValueError):
-        # Addresses the columnar dtypes cannot hold (synthetic tests use
-        # arbitrary ints): the scalar loop handles anything.
+    n = len(trace.records)
+    cols = None
+    if (n and (on_record is None or barrier_every > 0)
+            and fused_enabled(core)):
+        try:
+            cols = trace.columns()
+        except (RuntimeError, OverflowError, TypeError, ValueError):
+            pass    # synthetic tests use arbitrary ints
+    if cols is None:
         return core.run_scalar(trace, warmup_records=warmup_records,
                                start_index=start_index, on_record=on_record)
     addresses = cols[1]
 
     if start_index == 0:
         core.reset()
-    runner = (compile_runner(core, hierarchy, on_record)
-              if _supports_fast(core, hierarchy) else None)
-    chunk = chunk_size()
-    prepare = hierarchy.allocator.prepare_chunk
+    runner = compile_runner(core, core.hierarchy, on_record)
+    prepare = core.hierarchy.allocator.prepare_chunk
     index = start_index
     while index < n:
         if index == warmup_records:
-            (core if runner is None else runner).begin_measurement()
-        end = min(index + chunk, n)
+            runner.begin_measurement()
+        end = min(index + CHUNK, n)
         if index < warmup_records:
             end = min(end, warmup_records)
         if barrier_every > 0:
             end = min(end, ((index // barrier_every) + 1) * barrier_every)
-        pre = prepare(addresses[index:end])
-        if runner is None:
-            _run_chunk_compat(core, records, pre, index, end, on_record)
-        else:
-            runner.feed(cols, index, end, pre)
-            runner.run(index, end, _INF)
-            # Chunk ends are the barriers: object state is exact here.
-            runner.flush()
-            if on_record is not None:
-                on_record(end - 1)
+        runner.feed(cols, index, end, prepare(addresses[index:end]))
+        runner.run(index, end, _INF)
+        # Chunk ends are the barriers: object state is exact here.
+        runner.flush()
+        if on_record is not None:
+            on_record(end - 1)
         index = end
     if warmup_records >= n:
         core.begin_measurement()
     return core.finish()
-
-
-def fused_enabled(core) -> bool:
-    """Whether *core* may run a runner fed a pre-translated trace."""
-    h = core.hierarchy
-    return (kernel_mode() != "scalar" and _np is not None
-            and _supports_vector(h) and _supports_fast(core, h))
-
-
-def _run_chunk_compat(core, records, pre, lo: int, hi: int,
-                      on_record) -> None:
-    """Chunk-prepared translation through the ordinary access path.
-
-    Keeps every observer event, invariant check and statistic exactly as
-    the scalar path emits them (state lives in the objects after every
-    record), while still skipping the per-access allocator translation.
-    """
-    paddr_l, ps_l, _, _ = pre
-    step = core.step
-    for i in range(lo, hi):
-        j = i - lo
-        step(records[i], (paddr_l[j], ps_l[j]))
-        if on_record is not None:
-            on_record(i)
 
 
 def compile_runner(core, h, on_record=None):
@@ -249,17 +161,19 @@ def compile_runner(core, h, on_record=None):
     Mirrors, line for line, ``Core.step`` → ``MemoryHierarchy._access``
     → ``_l2_demand`` → ``_llc_demand`` → ``_issue_l2_prefetch`` with the
     stock ``Cache``/``MSHR``/``TLB``/``DRAM``/LRU implementations inlined
-    (guarded by ``_supports_fast``).  Escapes into un-inlined machinery
-    (page walks, writeback cascades, prefetch module callbacks) touch
-    object state only; the DTLB counters are synced around the walk
-    escape, the one that reads them.  MSHR capacity sweeps are gated on
-    each MSHR's ``_floor`` bound, as ``MSHR._expire`` gates them.
+    (guarded by ``fused_enabled``).  Escapes into un-inlined machinery
+    (page walks, writeback cascades, prefetch module callbacks, MSHR
+    capacity sweeps, posted DRAM writes, the prefetch-issue LLC merge
+    probe) touch object state only; the DTLB counters are synced around
+    the walk escape, the one that reads them.  A capacity sweep calls
+    ``MSHR._expire`` only when the MSHR's ``_floor`` bound says it will
+    retire something.
 
     Returns closures sharing one list of counter cells:
 
     - ``feed(cols, lo, hi, pre)`` loads the inputs of records
       ``[lo, hi)``; ``pre`` holds the translation lists in
-      ``prepare_chunk``'s shape;
+      ``prepare_chunk``'s shape ``(page sizes, native pages, blocks)``;
     - ``run(lo, hi, limit)`` executes records from ``lo`` until ``hi``,
       or until the core clock reaches ``limit`` (at least one record),
       and returns ``(next index, core clock)``.  It starts in O(1);
@@ -308,7 +222,7 @@ def compile_runner(core, h, on_record=None):
     def feed(cols, lo: int, hi: int, pre) -> None:
         # Pure per-record functions, derived column-wise.
         nonlocal recs, base
-        _, ps_l, nat_l, block_l = pre
+        ps_l, nat_l, block_l = pre
         entries = cols[3][lo:hi] + 1
         blocks = _np.array(block_l, dtype=_np.int64)
         natives = _np.array(nat_l, dtype=_np.int64)
@@ -362,6 +276,7 @@ def compile_runner(core, h, on_record=None):
         l3_pq = llc.pf_mshr
         l3_pents = l3_pq._entries
         l3_pq_cap = l3_pq.capacity
+        llc_inflight = llc.inflight_lookup
         translator = h.translator
         dtlb = translator.dtlb
         dtlb_sets = dtlb._sets
@@ -423,6 +338,9 @@ def compile_runner(core, h, on_record=None):
             else:
                 h_loads += 1
             # --- translate (DTLB native-key probe; walker on miss) --------
+            # TLB.fill installs an address only at its native granularity,
+            # a pure function of the allocator's region hashes, so the
+            # native key alone answers TLB.lookup's three probes.
             dt_clock += 1
             dset = dtlb_sets[dsi]
             if key in dset:
@@ -456,592 +374,421 @@ def compile_runner(core, h, on_record=None):
                     line.prefetch = False
                 if is_write:
                     line.dirty = True
-                ready = t + l1_lat
-                e = l1_ments.get(block)
-                if e is not None:
-                    if e[0] <= t:
-                        del l1_ments[block]
-                        e = None
-                    else:
-                        l1m_merges += 1
-                if e is None:
-                    e = l1_pents.get(block)
-                    if e is not None:
-                        if e[0] <= t:
-                            del l1_pents[block]
-                            e = None
-                        else:
-                            l1p_merges += 1
-                if e is not None and e[0] > ready:
-                    ready = e[0]
             else:
                 l1_miss += 1
-                e = l1_ments.get(block)
+            # Merge probe: the demand MSHR, then the prefetch queue.
+            e = l1_ments.get(block)
+            if e is not None:
+                if e[0] <= t:
+                    del l1_ments[block]
+                    e = None
+                else:
+                    l1m_merges += 1
+            if e is None:
+                e = l1_pents.get(block)
                 if e is not None:
                     if e[0] <= t:
-                        del l1_ments[block]
+                        del l1_pents[block]
                         e = None
                     else:
-                        l1m_merges += 1
+                        l1p_merges += 1
+            if line is not None:
+                ready = t + l1_lat
+                if e is not None and e[0] > ready:
+                    ready = e[0]
+            elif e is not None:
+                # Merge with the in-flight fill.
+                ready = e[0]
+                floor = t + l1_lat
+                if floor > ready:
+                    ready = floor
+            else:
+                # True L1 miss: MSHR stall, then the L2 demand path.
+                if len(l1_ments) >= l1_cap:
+                    if l1_mshr._floor <= t:
+                        l1_mshr._expire(t)
+                    if len(l1_ments) >= l1_cap:
+                        l1m_stalls += 1
+                        t = min(en[0] for en in l1_ments.values())
+                t_l2 = t + l1_lat
+                # --- _l2_demand --------------------------------------------
+                psb = ps if use_ps_bit else None
+                l2_set = l2_sets[s2]
+                line2 = l2_set.get(block)
+                hit2 = line2 is not None
+                l2_dem += 1
+                useful_issuer = None
+                if hit2:
+                    pol = l2_pols[s2]
+                    c = pol._clock + 1
+                    pol._clock = c
+                    pol._stamps[block] = c
+                    l2_hit += 1
+                    if line2.prefetch:
+                        l2_use += 1
+                        line2.prefetch = False
+                        useful_issuer = line2.issuer
+                else:
+                    l2_missc += 1
+                if useful_issuer is not None:
+                    mod_useful(block, useful_issuer)
+                requests = mod_access(block, ip, hit2, s2, psb, ps)
+                if not hit2:
+                    mod_miss(block)
+                e = l2_ments.get(block)
+                if e is not None:
+                    if e[0] <= t_l2:
+                        del l2_ments[block]
+                        e = None
+                    else:
+                        l2_mshr.merges += 1
                 if e is None:
-                    e = l1_pents.get(block)
+                    e = l2_pents.get(block)
                     if e is not None:
-                        if e[0] <= t:
-                            del l1_pents[block]
+                        if e[0] <= t_l2:
+                            del l2_pents[block]
                             e = None
                         else:
-                            l1p_merges += 1
-                if e is not None:
-                    # Merge with the in-flight fill.
-                    ready = e[0]
-                    floor = t + l1_lat
-                    if floor > ready:
-                        ready = floor
+                            l2_pq.merges += 1
+                if hit2:
+                    ready2 = t_l2 + l2_lat
+                    if e is not None and e[0] > ready2:
+                        ready2 = e[0]
+                elif e is not None:
+                    ready2 = e[0]
+                    floor = t_l2 + l2_lat
+                    if floor > ready2:
+                        ready2 = floor
                 else:
-                    # True L1 miss: MSHR stall, then the L2 demand path.
-                    if len(l1_ments) >= l1_cap:
-                        if l1_mshr._floor <= t:
-                            dead = [b for b, en in l1_ments.items()
-                                    if en[0] <= t]
-                            for b in dead:
-                                del l1_ments[b]
-                            l1_mshr._floor = min(
-                                (en[0] for en in l1_ments.values()),
-                                default=_INF)
-                        if len(l1_ments) >= l1_cap:
-                            l1m_stalls += 1
-                            t = min(en[0] for en in l1_ments.values())
-                    t_l2 = t + l1_lat
-                    # --- _l2_demand ----------------------------------------
-                    psb = ps if use_ps_bit else None
-                    l2_set = l2_sets[s2]
-                    line2 = l2_set.get(block)
-                    hit2 = line2 is not None
-                    l2_dem += 1
-                    useful_issuer = None
-                    if hit2:
-                        pol = l2_pols[s2]
+                    t_alloc = t_l2
+                    if len(l2_ments) >= l2_cap:
+                        if l2_mshr._floor <= t_l2:
+                            l2_mshr._expire(t_l2)
+                        if len(l2_ments) >= l2_cap:
+                            l2_mshr.stalls += 1
+                            t_alloc = min(en[0] for en in l2_ments.values())
+                    bit_llc = psb if ppm_to_llc else None
+                    # --- _llc_demand (count_demand=True) -------------------
+                    t3 = t_alloc + l2_lat
+                    l3_set = l3_sets[s3]
+                    line3 = l3_set.get(block)
+                    hit3 = line3 is not None
+                    l3_dem += 1
+                    ui3 = None
+                    if hit3:
+                        pol = l3_pols[s3]
                         c = pol._clock + 1
                         pol._clock = c
                         pol._stamps[block] = c
-                        l2_hit += 1
-                        if line2.prefetch:
-                            l2_use += 1
-                            line2.prefetch = False
-                            useful_issuer = line2.issuer
+                        l3_hit += 1
+                        if line3.prefetch:
+                            l3_use += 1
+                            line3.prefetch = False
+                            ui3 = line3.issuer
                     else:
-                        l2_missc += 1
-                    if useful_issuer is not None:
-                        mod_useful(block, useful_issuer)
-                    requests = mod_access(block, ip, hit2, s2, psb, ps)
-                    if hit2:
-                        ready2 = t_l2 + l2_lat
-                        e = l2_ments.get(block)
-                        if e is not None:
-                            if e[0] <= t_l2:
-                                del l2_ments[block]
-                                e = None
-                            else:
-                                l2_mshr.merges += 1
-                        if e is None:
-                            e = l2_pents.get(block)
-                            if e is not None:
-                                if e[0] <= t_l2:
-                                    del l2_pents[block]
-                                    e = None
-                                else:
-                                    l2_pq.merges += 1
-                        if e is not None and e[0] > ready2:
-                            ready2 = e[0]
-                    else:
-                        mod_miss(block)
-                        e = l2_ments.get(block)
-                        if e is not None:
-                            if e[0] <= t_l2:
-                                del l2_ments[block]
-                                e = None
-                            else:
-                                l2_mshr.merges += 1
-                        if e is None:
-                            e = l2_pents.get(block)
-                            if e is not None:
-                                if e[0] <= t_l2:
-                                    del l2_pents[block]
-                                    e = None
-                                else:
-                                    l2_pq.merges += 1
-                        if e is not None:
-                            ready2 = e[0]
-                            floor = t_l2 + l2_lat
-                            if floor > ready2:
-                                ready2 = floor
-                        else:
-                            t_alloc = t_l2
-                            if len(l2_ments) >= l2_cap:
-                                if l2_mshr._floor <= t_l2:
-                                    dead = [b for b, en in l2_ments.items()
-                                            if en[0] <= t_l2]
-                                    for b in dead:
-                                        del l2_ments[b]
-                                    l2_mshr._floor = min(
-                                        (en[0] for en in l2_ments.values()),
-                                        default=_INF)
-                                if len(l2_ments) >= l2_cap:
-                                    l2_mshr.stalls += 1
-                                    t_alloc = min(en[0]
-                                                  for en in l2_ments.values())
-                            bit_llc = psb if ppm_to_llc else None
-                            # --- _llc_demand (count_demand=True) -----------
-                            t3 = t_alloc + l2_lat
-                            l3_set = l3_sets[s3]
-                            line3 = l3_set.get(block)
-                            hit3 = line3 is not None
-                            l3_dem += 1
-                            ui3 = None
-                            if hit3:
-                                pol = l3_pols[s3]
-                                c = pol._clock + 1
-                                pol._clock = c
-                                pol._stamps[block] = c
-                                l3_hit += 1
-                                if line3.prefetch:
-                                    l3_use += 1
-                                    line3.prefetch = False
-                                    ui3 = line3.issuer
-                            else:
-                                l3_missc += 1
-                            if ui3 is not None:
-                                mod_useful(block, ui3)
-                            if hit3:
-                                ready3 = t3 + l3_lat
-                                e = l3_ments.get(block)
-                                if e is not None:
-                                    if e[0] <= t3:
-                                        del l3_ments[block]
-                                        e = None
-                                    else:
-                                        l3_mshr.merges += 1
-                                if e is None:
-                                    e = l3_pents.get(block)
-                                    if e is not None:
-                                        if e[0] <= t3:
-                                            del l3_pents[block]
-                                            e = None
-                                        else:
-                                            l3_pq.merges += 1
-                                if e is not None and e[0] > ready3:
-                                    ready3 = e[0]
-                            else:
-                                e = l3_ments.get(block)
-                                if e is not None:
-                                    if e[0] <= t3:
-                                        del l3_ments[block]
-                                        e = None
-                                    else:
-                                        l3_mshr.merges += 1
-                                if e is None:
-                                    e = l3_pents.get(block)
-                                    if e is not None:
-                                        if e[0] <= t3:
-                                            del l3_pents[block]
-                                            e = None
-                                        else:
-                                            l3_pq.merges += 1
-                                if e is not None:
-                                    ready3 = e[0]
-                                    floor = t3 + l3_lat
-                                    if floor > ready3:
-                                        ready3 = floor
-                                else:
-                                    tb = t3
-                                    if len(l3_ments) >= l3_cap:
-                                        if l3_mshr._floor <= t3:
-                                            dead = [b for b, en
-                                                    in l3_ments.items()
-                                                    if en[0] <= t3]
-                                            for b in dead:
-                                                del l3_ments[b]
-                                            l3_mshr._floor = min(
-                                                (en[0] for en
-                                                 in l3_ments.values()),
-                                                default=_INF)
-                                        if len(l3_ments) >= l3_cap:
-                                            l3_mshr.stalls += 1
-                                            tb = min(en[0] for en
-                                                     in l3_ments.values())
-                                    # DRAM read.
-                                    tq = tb + l3_lat
-                                    ch = block % n_channels
-                                    within = block // n_channels
-                                    bank = within % n_banks
-                                    row = within // bank_row_div
-                                    start = channel_free[ch]
-                                    if start < tq:
-                                        start = tq
-                                    dram.total_queue_cycles += start - tq
-                                    orow = open_rows[ch]
-                                    if orow[bank] == row:
-                                        lat = row_hit_lat
-                                        dram.row_hits += 1
-                                    else:
-                                        lat = row_miss_lat
-                                        dram.row_misses += 1
-                                        orow[bank] = row
-                                    channel_free[ch] = start + cpt
-                                    dram.reads += 1
-                                    ready3 = start + lat
-                                    # llc.mshr.insert(block, ready3)
-                                    if len(l3_ments) >= l3_cap:
-                                        if l3_mshr._floor <= ready3:
-                                            dead = [b for b, en
-                                                    in l3_ments.items()
-                                                    if en[0] <= ready3]
-                                            for b in dead:
-                                                del l3_ments[b]
-                                            l3_mshr._floor = min(
-                                                (en[0] for en
-                                                 in l3_ments.values()),
-                                                default=_INF)
-                                        if len(l3_ments) >= l3_cap:
-                                            raise RuntimeError(
-                                                f"{l3_mshr.name}: insert into "
-                                                f"full MSHR")
-                                    l3_ments[block] = (ready3, 0)
-                                    l3_mshr.inserts += 1
-                                    if ready3 < l3_mshr._floor:
-                                        l3_mshr._floor = ready3
-                                    # _fill_llc(block)
-                                    existing = l3_set.get(block)
-                                    if existing is not None:
-                                        existing.prefetch = False
-                                    else:
-                                        pol = l3_pols[s3]
-                                        st = pol._stamps
-                                        if len(l3_set) >= l3_ways:
-                                            victim = min(
-                                                st, key=st.__getitem__)
-                                            vline = l3_set.pop(victim)
-                                            del st[victim]
-                                            if vline.dirty:
-                                                llc.writebacks += 1
-                                            dirty_victim = vline.dirty
-                                        else:
-                                            victim = None
-                                            dirty_victim = False
-                                        l3_set[block] = CacheLine()
-                                        c = pol._clock + 1
-                                        pol._clock = c
-                                        st[block] = c
-                                        if dirty_victim:
-                                            # LLC eviction: posted DRAM write.
-                                            ch = victim % n_channels
-                                            within = victim // n_channels
-                                            bank = within % n_banks
-                                            row = within // bank_row_div
-                                            start = channel_free[ch]
-                                            dram.total_queue_cycles += start
-                                            orow = open_rows[ch]
-                                            if orow[bank] != row:
-                                                dram.row_misses += 1
-                                                orow[bank] = row
-                                            else:
-                                                dram.row_hits += 1
-                                            channel_free[ch] = start + cpt
-                                            dram.writes += 1
-                            l3_lat_sum += ready3 - t3
-                            l3_lat_cnt += 1
-                            # --- back in _l2_demand: allocate + fill L2 ----
-                            ready2 = ready3
-                            ps_ins = 0 if bit_llc is None else bit_llc
-                            if len(l2_ments) >= l2_cap:
-                                if l2_mshr._floor <= ready2:
-                                    dead = [b for b, en in l2_ments.items()
-                                            if en[0] <= ready2]
-                                    for b in dead:
-                                        del l2_ments[b]
-                                    l2_mshr._floor = min(
-                                        (en[0] for en in l2_ments.values()),
-                                        default=_INF)
-                                if len(l2_ments) >= l2_cap:
-                                    raise RuntimeError(
-                                        f"{l2_mshr.name}: insert into "
-                                        f"full MSHR")
-                            l2_ments[block] = (ready2, ps_ins)
-                            l2_mshr.inserts += 1
-                            if ready2 < l2_mshr._floor:
-                                l2_mshr._floor = ready2
-                            # _fill_l2(block)
-                            existing = l2_set.get(block)
-                            if existing is not None:
-                                existing.prefetch = False
-                            else:
-                                pol = l2_pols[s2]
-                                st = pol._stamps
-                                evicted_line = None
-                                if len(l2_set) >= l2_ways:
-                                    victim = min(st, key=st.__getitem__)
-                                    evicted_line = l2_set.pop(victim)
-                                    del st[victim]
-                                    if evicted_line.dirty:
-                                        l2c.writebacks += 1
-                                l2_set[block] = CacheLine()
-                                c = pol._clock + 1
-                                pol._clock = c
-                                st[block] = c
-                                if evicted_line is not None:
-                                    if evicted_line.prefetch:
-                                        mod_evict(victim, evicted_line.issuer)
-                                    if evicted_line.dirty:
-                                        writeback_llc(victim)
-                    l2_lat_sum += ready2 - t_l2
-                    l2_lat_cnt += 1
-                    # --- prefetch issue (_issue_l2_prefetch per request) --
-                    for request in requests:
-                        pb = request.block
-                        s2p = pb & l2_mask
-                        if pb in l2_sets[s2p]:
-                            pf_red += 1
-                            continue
-                        e = l2_ments.get(pb)
-                        if e is not None and e[0] <= t_l2:
-                            del l2_ments[pb]
+                        l3_missc += 1
+                    if ui3 is not None:
+                        mod_useful(block, ui3)
+                    e = l3_ments.get(block)
+                    if e is not None:
+                        if e[0] <= t3:
+                            del l3_ments[block]
                             e = None
-                        if e is None:
-                            e = l2_pents.get(pb)
-                            if e is not None and e[0] <= t_l2:
-                                del l2_pents[pb]
-                                e = None
+                        else:
+                            l3_mshr.merges += 1
+                    if e is None:
+                        e = l3_pents.get(block)
                         if e is not None:
-                            pf_red += 1
-                            continue
-                        fill_l2 = request.fill_l2
-                        if fill_l2 and len(l2_pents) >= l2_pq_cap:
-                            if l2_pq._floor <= t_l2:
-                                dead = [b for b, en in l2_pents.items()
-                                        if en[0] <= t_l2]
-                                for b in dead:
-                                    del l2_pents[b]
-                                l2_pq._floor = min(
-                                    (en[0] for en in l2_pents.values()),
-                                    default=_INF)
-                            if len(l2_pents) >= l2_pq_cap:
-                                pf_drop += 1
-                                continue
-                        # Locate the data: LLC probe (touches LRU on hit).
-                        s3p = pb & l3_mask
-                        l3p_set = l3_sets[s3p]
-                        line3 = l3p_set.get(pb)
-                        if line3 is not None:
-                            pol = l3_pols[s3p]
+                            if e[0] <= t3:
+                                del l3_pents[block]
+                                e = None
+                            else:
+                                l3_pq.merges += 1
+                    if hit3:
+                        ready3 = t3 + l3_lat
+                        if e is not None and e[0] > ready3:
+                            ready3 = e[0]
+                    elif e is not None:
+                        ready3 = e[0]
+                        floor = t3 + l3_lat
+                        if floor > ready3:
+                            ready3 = floor
+                    else:
+                        tb = t3
+                        if len(l3_ments) >= l3_cap:
+                            if l3_mshr._floor <= t3:
+                                l3_mshr._expire(t3)
+                            if len(l3_ments) >= l3_cap:
+                                l3_mshr.stalls += 1
+                                tb = min(en[0] for en in l3_ments.values())
+                        # DRAM read.
+                        tq = tb + l3_lat
+                        ch = block % n_channels
+                        within = block // n_channels
+                        bank = within % n_banks
+                        row = within // bank_row_div
+                        start = channel_free[ch]
+                        if start < tq:
+                            start = tq
+                        dram.total_queue_cycles += start - tq
+                        orow = open_rows[ch]
+                        if orow[bank] == row:
+                            lat = row_hit_lat
+                            dram.row_hits += 1
+                        else:
+                            lat = row_miss_lat
+                            dram.row_misses += 1
+                            orow[bank] = row
+                        channel_free[ch] = start + cpt
+                        dram.reads += 1
+                        ready3 = start + lat
+                        # llc.mshr.insert(block, ready3)
+                        if len(l3_ments) >= l3_cap:
+                            if l3_mshr._floor <= ready3:
+                                l3_mshr._expire(ready3)
+                            if len(l3_ments) >= l3_cap:
+                                raise RuntimeError(
+                                    f"{l3_mshr.name}: insert into full MSHR")
+                        l3_ments[block] = (ready3, 0)
+                        l3_mshr.inserts += 1
+                        if ready3 < l3_mshr._floor:
+                            l3_mshr._floor = ready3
+                        # _fill_llc(block)
+                        existing = l3_set.get(block)
+                        if existing is not None:
+                            existing.prefetch = False
+                        else:
+                            pol = l3_pols[s3]
+                            st = pol._stamps
+                            if len(l3_set) >= l3_ways:
+                                victim = min(st, key=st.__getitem__)
+                                del st[victim]
+                                if l3_set.pop(victim).dirty:
+                                    llc.writebacks += 1
+                                    # LLC eviction: posted DRAM write.
+                                    dram.access(victim, 0.0, True)
+                            l3_set[block] = CacheLine()
                             c = pol._clock + 1
                             pol._clock = c
-                            pol._stamps[pb] = c
-                            pf_ready = t_l2 + l2_lat + l3_lat
-                        else:
-                            e = l3_ments.get(pb)
-                            if e is not None:
-                                if e[0] <= t_l2:
-                                    del l3_ments[pb]
-                                    e = None
-                                else:
-                                    l3_mshr.merges += 1
-                            if e is None:
-                                e = l3_pents.get(pb)
-                                if e is not None:
-                                    if e[0] <= t_l2:
-                                        del l3_pents[pb]
-                                        e = None
-                                    else:
-                                        l3_pq.merges += 1
-                            if e is not None:
-                                pf_ready = e[0]
-                            else:
-                                if len(l3_pents) >= l3_pq_cap:
-                                    if l3_pq._floor <= t_l2:
-                                        dead = [b for b, en in l3_pents.items()
-                                                if en[0] <= t_l2]
-                                        for b in dead:
-                                            del l3_pents[b]
-                                        l3_pq._floor = min(
-                                            (en[0] for en
-                                             in l3_pents.values()),
-                                            default=_INF)
-                                    if len(l3_pents) >= l3_pq_cap:
-                                        pf_drop += 1
-                                        continue
-                                # DRAM read for the prefetch.
-                                tq = t_l2 + l2_lat + l3_lat
-                                ch = pb % n_channels
-                                within = pb // n_channels
-                                bank = within % n_banks
-                                row = within // bank_row_div
-                                start = channel_free[ch]
-                                if start < tq:
-                                    start = tq
-                                dram.total_queue_cycles += start - tq
-                                orow = open_rows[ch]
-                                if orow[bank] == row:
-                                    lat = row_hit_lat
-                                    dram.row_hits += 1
-                                else:
-                                    lat = row_miss_lat
-                                    dram.row_misses += 1
-                                    orow[bank] = row
-                                channel_free[ch] = start + cpt
-                                dram.reads += 1
-                                pf_ready = start + lat
-                                # llc.pf_mshr.insert(pb, pf_ready)
-                                if len(l3_pents) >= l3_pq_cap:
-                                    if l3_pq._floor <= pf_ready:
-                                        dead = [b for b, en in l3_pents.items()
-                                                if en[0] <= pf_ready]
-                                        for b in dead:
-                                            del l3_pents[b]
-                                        l3_pq._floor = min(
-                                            (en[0] for en
-                                             in l3_pents.values()),
-                                            default=_INF)
-                                    if len(l3_pents) >= l3_pq_cap:
-                                        raise RuntimeError(
-                                            f"{l3_pq.name}: insert into full "
-                                            f"MSHR")
-                                l3_pents[pb] = (pf_ready, 0)
-                                l3_pq.inserts += 1
-                                if pf_ready < l3_pq._floor:
-                                    l3_pq._floor = pf_ready
-                                # _fill_llc(pb, prefetch=not fill_l2, issuer)
-                                pf_flag = not fill_l2
-                                existing = l3p_set.get(pb)
-                                if existing is not None:
-                                    if not pf_flag:
-                                        existing.prefetch = False
-                                else:
-                                    pol = l3_pols[s3p]
-                                    st = pol._stamps
-                                    victim = None
-                                    dirty_victim = False
-                                    if len(l3p_set) >= l3_ways:
-                                        victim = min(st, key=st.__getitem__)
-                                        vline = l3p_set.pop(victim)
-                                        del st[victim]
-                                        if vline.dirty:
-                                            llc.writebacks += 1
-                                            dirty_victim = True
-                                    l3p_set[pb] = CacheLine(
-                                        prefetch=pf_flag,
-                                        issuer=request.issuer)
-                                    c = pol._clock + 1
-                                    pol._clock = c
-                                    st[pb] = c
-                                    if pf_flag:
-                                        llc.prefetch_fills += 1
-                                    if dirty_victim:
-                                        ch = victim % n_channels
-                                        within = victim // n_channels
-                                        bank = within % n_banks
-                                        row = within // bank_row_div
-                                        start = channel_free[ch]
-                                        dram.total_queue_cycles += start
-                                        orow = open_rows[ch]
-                                        if orow[bank] != row:
-                                            dram.row_misses += 1
-                                            orow[bank] = row
-                                        else:
-                                            dram.row_hits += 1
-                                        channel_free[ch] = start + cpt
-                                        dram.writes += 1
-                        if fill_l2:
-                            # l2c.pf_mshr.insert(pb, pf_ready)
-                            if len(l2_pents) >= l2_pq_cap:
-                                if l2_pq._floor <= pf_ready:
-                                    dead = [b for b, en in l2_pents.items()
-                                            if en[0] <= pf_ready]
-                                    for b in dead:
-                                        del l2_pents[b]
-                                    l2_pq._floor = min(
-                                        (en[0] for en in l2_pents.values()),
-                                        default=_INF)
-                                if len(l2_pents) >= l2_pq_cap:
-                                    raise RuntimeError(
-                                        f"{l2_pq.name}: insert into full MSHR")
-                            l2_pents[pb] = (pf_ready, 0)
-                            l2_pq.inserts += 1
-                            if pf_ready < l2_pq._floor:
-                                l2_pq._floor = pf_ready
-                            # _fill_l2(pb, prefetch=True, issuer)
-                            l2p_set = l2_sets[s2p]
-                            existing = l2p_set.get(pb)
-                            if existing is not None:
-                                pass  # prefetch fill merges without clearing
-                            else:
-                                pol = l2_pols[s2p]
-                                st = pol._stamps
-                                evicted_line = None
-                                if len(l2p_set) >= l2_ways:
-                                    victim = min(st, key=st.__getitem__)
-                                    evicted_line = l2p_set.pop(victim)
-                                    del st[victim]
-                                    if evicted_line.dirty:
-                                        l2c.writebacks += 1
-                                l2p_set[pb] = CacheLine(
-                                    prefetch=True, issuer=request.issuer)
-                                c = pol._clock + 1
-                                pol._clock = c
-                                st[pb] = c
-                                l2c.prefetch_fills += 1
-                                if evicted_line is not None:
-                                    if evicted_line.prefetch:
-                                        mod_evict(victim, evicted_line.issuer)
-                                    if evicted_line.dirty:
-                                        writeback_llc(victim)
-                            pf_l2 += 1
-                        else:
-                            if line3 is not None:
-                                pf_red += 1
-                            else:
-                                pf_llc += 1
-                    ready = ready2
-                    # --- PPM annotation: L1D MSHR insert -------------------
-                    bit1 = ps if ppm_enabled else 0
-                    if ppm_enabled:
-                        ppm_ann += 1
-                    if len(l1_ments) >= l1_cap:
-                        if l1_mshr._floor <= ready:
-                            dead = [b for b, en in l1_ments.items()
-                                    if en[0] <= ready]
-                            for b in dead:
-                                del l1_ments[b]
-                            l1_mshr._floor = min(
-                                (en[0] for en in l1_ments.values()),
-                                default=_INF)
-                        if len(l1_ments) >= l1_cap:
+                            st[block] = c
+                    l3_lat_sum += ready3 - t3
+                    l3_lat_cnt += 1
+                    # --- back in _l2_demand: allocate + fill L2 ------------
+                    ready2 = ready3
+                    ps_ins = 0 if bit_llc is None else bit_llc
+                    if len(l2_ments) >= l2_cap:
+                        if l2_mshr._floor <= ready2:
+                            l2_mshr._expire(ready2)
+                        if len(l2_ments) >= l2_cap:
                             raise RuntimeError(
-                                f"{l1_mshr.name}: insert into full MSHR")
-                    l1_ments[block] = (ready, bit1)
-                    l1m_ins += 1
-                    if ready < l1_mshr._floor:
-                        l1_mshr._floor = ready
-                    # --- _fill_l1(block, dirty=is_write) -------------------
-                    existing = l1_set.get(block)
+                                f"{l2_mshr.name}: insert into full MSHR")
+                    l2_ments[block] = (ready2, ps_ins)
+                    l2_mshr.inserts += 1
+                    if ready2 < l2_mshr._floor:
+                        l2_mshr._floor = ready2
+                    # _fill_l2(block)
+                    existing = l2_set.get(block)
                     if existing is not None:
-                        existing.dirty = existing.dirty or is_write
                         existing.prefetch = False
                     else:
-                        pol = l1_pols[s1]
+                        pol = l2_pols[s2]
                         st = pol._stamps
                         evicted_line = None
-                        if len(l1_set) >= l1_ways:
+                        if len(l2_set) >= l2_ways:
                             victim = min(st, key=st.__getitem__)
-                            evicted_line = l1_set.pop(victim)
+                            evicted_line = l2_set.pop(victim)
                             del st[victim]
                             if evicted_line.dirty:
-                                l1d.writebacks += 1
-                        l1_set[block] = CacheLine(dirty=is_write)
+                                l2c.writebacks += 1
+                        l2_set[block] = CacheLine()
                         c = pol._clock + 1
                         pol._clock = c
                         st[block] = c
-                        if evicted_line is not None and evicted_line.dirty:
-                            writeback_l2(victim)
+                        if evicted_line is not None:
+                            if evicted_line.prefetch:
+                                mod_evict(victim, evicted_line.issuer)
+                            if evicted_line.dirty:
+                                writeback_llc(victim)
+                l2_lat_sum += ready2 - t_l2
+                l2_lat_cnt += 1
+                # --- prefetch issue (_issue_l2_prefetch per request) ------
+                for request in requests:
+                    pb = request.block
+                    s2p = pb & l2_mask
+                    if pb in l2_sets[s2p]:
+                        pf_red += 1
+                        continue
+                    e = l2_ments.get(pb)
+                    if e is not None and e[0] <= t_l2:
+                        del l2_ments[pb]
+                        e = None
+                    if e is None:
+                        e = l2_pents.get(pb)
+                        if e is not None and e[0] <= t_l2:
+                            del l2_pents[pb]
+                            e = None
+                    if e is not None:
+                        pf_red += 1
+                        continue
+                    fill_l2 = request.fill_l2
+                    if fill_l2 and len(l2_pents) >= l2_pq_cap:
+                        if l2_pq._floor <= t_l2:
+                            l2_pq._expire(t_l2)
+                        if len(l2_pents) >= l2_pq_cap:
+                            pf_drop += 1
+                            continue
+                    # Locate the data: LLC probe (touches LRU on hit).
+                    s3p = pb & l3_mask
+                    l3p_set = l3_sets[s3p]
+                    line3 = l3p_set.get(pb)
+                    if line3 is not None:
+                        pol = l3_pols[s3p]
+                        c = pol._clock + 1
+                        pol._clock = c
+                        pol._stamps[pb] = c
+                        pf_ready = t_l2 + l2_lat + l3_lat
+                    else:
+                        e = llc_inflight(pb, t_l2)
+                        if e is not None:
+                            pf_ready = e[0]
+                        else:
+                            if len(l3_pents) >= l3_pq_cap:
+                                if l3_pq._floor <= t_l2:
+                                    l3_pq._expire(t_l2)
+                                if len(l3_pents) >= l3_pq_cap:
+                                    pf_drop += 1
+                                    continue
+                            # DRAM read for the prefetch.
+                            tq = t_l2 + l2_lat + l3_lat
+                            ch = pb % n_channels
+                            within = pb // n_channels
+                            bank = within % n_banks
+                            row = within // bank_row_div
+                            start = channel_free[ch]
+                            if start < tq:
+                                start = tq
+                            dram.total_queue_cycles += start - tq
+                            orow = open_rows[ch]
+                            if orow[bank] == row:
+                                lat = row_hit_lat
+                                dram.row_hits += 1
+                            else:
+                                lat = row_miss_lat
+                                dram.row_misses += 1
+                                orow[bank] = row
+                            channel_free[ch] = start + cpt
+                            dram.reads += 1
+                            pf_ready = start + lat
+                            # llc.pf_mshr.insert(pb, pf_ready)
+                            if len(l3_pents) >= l3_pq_cap:
+                                if l3_pq._floor <= pf_ready:
+                                    l3_pq._expire(pf_ready)
+                                if len(l3_pents) >= l3_pq_cap:
+                                    raise RuntimeError(
+                                        f"{l3_pq.name}: insert into full MSHR")
+                            l3_pents[pb] = (pf_ready, 0)
+                            l3_pq.inserts += 1
+                            if pf_ready < l3_pq._floor:
+                                l3_pq._floor = pf_ready
+                            # _fill_llc(pb, prefetch=not fill_l2, issuer)
+                            pf_flag = not fill_l2
+                            existing = l3p_set.get(pb)
+                            if existing is not None:
+                                if not pf_flag:
+                                    existing.prefetch = False
+                            else:
+                                pol = l3_pols[s3p]
+                                st = pol._stamps
+                                if len(l3p_set) >= l3_ways:
+                                    victim = min(st, key=st.__getitem__)
+                                    del st[victim]
+                                    if l3p_set.pop(victim).dirty:
+                                        llc.writebacks += 1
+                                        dram.access(victim, 0.0, True)
+                                l3p_set[pb] = CacheLine(
+                                    prefetch=pf_flag, issuer=request.issuer)
+                                c = pol._clock + 1
+                                pol._clock = c
+                                st[pb] = c
+                                if pf_flag:
+                                    llc.prefetch_fills += 1
+                    if fill_l2:
+                        # l2c.pf_mshr.insert(pb, pf_ready)
+                        if len(l2_pents) >= l2_pq_cap:
+                            if l2_pq._floor <= pf_ready:
+                                l2_pq._expire(pf_ready)
+                            if len(l2_pents) >= l2_pq_cap:
+                                raise RuntimeError(
+                                    f"{l2_pq.name}: insert into full MSHR")
+                        l2_pents[pb] = (pf_ready, 0)
+                        l2_pq.inserts += 1
+                        if pf_ready < l2_pq._floor:
+                            l2_pq._floor = pf_ready
+                        # _fill_l2(pb, prefetch=True, issuer)
+                        l2p_set = l2_sets[s2p]
+                        if pb not in l2p_set:
+                            # (a present line would merge without clearing)
+                            pol = l2_pols[s2p]
+                            st = pol._stamps
+                            evicted_line = None
+                            if len(l2p_set) >= l2_ways:
+                                victim = min(st, key=st.__getitem__)
+                                evicted_line = l2p_set.pop(victim)
+                                del st[victim]
+                                if evicted_line.dirty:
+                                    l2c.writebacks += 1
+                            l2p_set[pb] = CacheLine(
+                                prefetch=True, issuer=request.issuer)
+                            c = pol._clock + 1
+                            pol._clock = c
+                            st[pb] = c
+                            l2c.prefetch_fills += 1
+                            if evicted_line is not None:
+                                if evicted_line.prefetch:
+                                    mod_evict(victim, evicted_line.issuer)
+                                if evicted_line.dirty:
+                                    writeback_llc(victim)
+                        pf_l2 += 1
+                    elif line3 is not None:
+                        pf_red += 1
+                    else:
+                        pf_llc += 1
+                ready = ready2
+                # --- PPM annotation: L1D MSHR insert -----------------------
+                bit1 = ps if ppm_enabled else 0
+                if ppm_enabled:
+                    ppm_ann += 1
+                if len(l1_ments) >= l1_cap:
+                    if l1_mshr._floor <= ready:
+                        l1_mshr._expire(ready)
+                    if len(l1_ments) >= l1_cap:
+                        raise RuntimeError(
+                            f"{l1_mshr.name}: insert into full MSHR")
+                l1_ments[block] = (ready, bit1)
+                l1m_ins += 1
+                if ready < l1_mshr._floor:
+                    l1_mshr._floor = ready
+                # --- _fill_l1(block, dirty=is_write) -----------------------
+                existing = l1_set.get(block)
+                if existing is not None:
+                    existing.dirty = existing.dirty or is_write
+                    existing.prefetch = False
+                else:
+                    pol = l1_pols[s1]
+                    st = pol._stamps
+                    evicted_line = None
+                    if len(l1_set) >= l1_ways:
+                        victim = min(st, key=st.__getitem__)
+                        evicted_line = l1_set.pop(victim)
+                        del st[victim]
+                        if evicted_line.dirty:
+                            l1d.writebacks += 1
+                    l1_set[block] = CacheLine(dirty=is_write)
+                    c = pol._clock + 1
+                    pol._clock = c
+                    st[block] = c
+                    if evicted_line is not None and evicted_line.dirty:
+                        writeback_l2(victim)
             # --- Core.step epilogue ---------------------------------------
             if is_write:
                 complete = issue_at + 1.0

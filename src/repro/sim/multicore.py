@@ -165,7 +165,7 @@ class _FusedCore:
                 natives.append(vaddr >> _NATIVE_BITS[size])
                 blocks.append(paddr >> BLOCK_BITS)
             self.runner.feed(self.cols, index, self.fed,
-                             (None, sizes, natives, blocks))
+                             (sizes, natives, blocks))
         return self.runner.run(index, min(hi, self.fed), limit)
 
 

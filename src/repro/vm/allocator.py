@@ -218,14 +218,14 @@ class PhysicalMemoryAllocator:
     # ------------------------------------------------------------------
     # Columnar translation (hot-path kernel)
     # ------------------------------------------------------------------
-    def prepare_chunk(self, vaddrs) -> Tuple[list, list, list, list]:
+    def prepare_chunk(self, vaddrs) -> Tuple[list, list, list]:
         """Translate one chunk of accesses up front.
 
         ``vaddrs`` is a ``uint64`` numpy array of virtual byte addresses
-        in access order.  Returns four plain lists aligned with it:
-        ``(paddrs, page_sizes, native_pages, blocks)`` where
-        ``native_pages`` is the page number at each address's native
-        granularity (the TLB key page).
+        in access order.  Returns three plain lists aligned with it:
+        ``(page_sizes, native_pages, blocks)`` where ``native_pages`` is
+        the page number at each address's native granularity (the TLB
+        key page) and ``blocks`` the physical block numbers.
 
         Equivalence contract: after this call the allocator state is
         *bitwise identical* (including dict insertion order, which pickle
@@ -272,12 +272,10 @@ class PhysicalMemoryAllocator:
         va_l = vaddrs.tolist()
         ps_l = sizes.tolist()
         nat_l = natives.tolist()
-        n = len(va_l)
-        paddr_l = [0] * n
-        block_l = [0] * n
+        block_l = [0] * len(va_l)
         m4, m2, m1 = self._map_4k, self._map_2m, self._map_1g
         translate = self.translate
-        for i in range(n):
+        for i in range(len(va_l)):
             va = va_l[i]
             size = ps_l[i]
             page = nat_l[i]
@@ -299,9 +297,8 @@ class PhysicalMemoryAllocator:
                     translate(va)
                     frame = m1[page]
                 pa = (frame << PAGE_1G_BITS) | (va & (PAGE_1G_SIZE - 1))
-            paddr_l[i] = pa
             block_l[i] = pa >> BLOCK_BITS
-        return paddr_l, ps_l, nat_l, block_l
+        return ps_l, nat_l, block_l
 
     def physical_window_of_block(self, block: int):
         """Ground truth for a *physical* cache block: its page's block span.

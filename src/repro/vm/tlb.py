@@ -45,37 +45,9 @@ class TLB:
     def _set_index(self, page: int) -> int:
         return page % self.num_sets
 
-    def lookup(self, vaddr: int,
-               page_size: Optional[int] = None) -> Optional[int]:
-        """Return the page size of a cached translation, or None on miss.
-
-        When the caller already knows the address's true ``page_size``
-        (the hot-path kernel precomputes it), only the native-granularity
-        key is probed.  This is *exactly* equivalent to the full probe:
-        entries are only ever installed via :meth:`fill` at an address's
-        native granularity, and the native granularity of a virtual
-        address is a pure function of the allocator's deterministic
-        region decisions — so a key of any other size for this address
-        cannot exist.  Statistics (one clock tick, one hit or miss, the
-        ``hits_2m`` split) and LRU stamping are identical either way.
-        """
+    def lookup(self, vaddr: int) -> Optional[int]:
+        """Return the page size of a cached translation, or None on miss."""
         self._clock += 1
-        if page_size is not None:
-            if page_size == PAGE_SIZE_1G:
-                key = (PAGE_SIZE_1G, vaddr >> PAGE_1G_BITS)
-            elif page_size == PAGE_SIZE_2M:
-                key = (PAGE_SIZE_2M, vaddr >> PAGE_2M_BITS)
-            else:
-                key = (PAGE_SIZE_4K, vaddr >> PAGE_4K_BITS)
-            tlb_set = self._sets[self._set_index(key[1])]
-            if key in tlb_set:
-                tlb_set[key] = self._clock
-                self.hits += 1
-                if page_size == PAGE_SIZE_2M:
-                    self.hits_2m += 1
-                return page_size
-            self.misses += 1
-            return None
         key4k = (PAGE_SIZE_4K, vaddr >> PAGE_4K_BITS)
         set4k = self._sets[self._set_index(key4k[1])]
         if key4k in set4k:

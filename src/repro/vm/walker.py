@@ -108,21 +108,6 @@ class AddressTranslator:
                                                 walk_fn),
                 page_size)
 
-    def translate_cached(self, vaddr: int, page_size: int, now: float,
-                         walk_fn: WalkFn) -> float:
-        """Latency of a translation whose (paddr, page size) the caller
-        already precomputed; returns the extra latency in cycles.
-
-        Used by the hot-path kernel: the allocator side effects happened
-        during chunk preparation (``PhysicalMemoryAllocator.translate``
-        is a pure read once the page is mapped), so only the TLB/walk
-        machinery — with all its statistics and fills — runs here.
-        """
-        if self.dtlb.lookup(vaddr, page_size) is not None:
-            return 0.0
-        return self._translate_after_dtlb_miss(vaddr, page_size, now,
-                                               walk_fn)
-
     def _translate_after_dtlb_miss(self, vaddr: int, page_size: int,
                                    now: float, walk_fn: WalkFn) -> float:
         """STLB probe, page walk and TLB fills after a DTLB miss."""

@@ -1,5 +1,6 @@
 """Shared test fixtures and helpers."""
 
+import contextlib
 import os
 from typing import Optional
 
@@ -8,6 +9,7 @@ from hypothesis import settings as hypothesis_settings
 
 from repro.memory.address import BLOCKS_PER_2M, BLOCKS_PER_4K, PAGE_SIZE_4K
 from repro.prefetch.base import BoundaryStats, PrefetchContext
+from repro.sim import kernel
 
 # Shared hypothesis profiles, selected via HYPOTHESIS_PROFILE.  Individual
 # test files must not carry their own @settings: per-file drift is exactly
@@ -65,3 +67,28 @@ def make_ctx(block: int, ip: int = 0x400, hit: bool = False,
 @pytest.fixture
 def ctx_factory():
     return make_ctx
+
+
+@contextlib.contextmanager
+def reference_loop():
+    """Run the body on the ``Core.step`` reference loop.
+
+    ``Core.run`` and ``simulate_mix`` ask ``kernel.fused_enabled`` which
+    executor to take; answering no makes them compile no runner.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "fused_enabled", lambda core: False)
+        yield
+
+
+def count_runners(monkeypatch) -> list:
+    """Record each core ``kernel.compile_runner`` compiles a runner for."""
+    built = []
+    compile_runner = kernel.compile_runner
+
+    def counting(core, h, on_record=None):
+        built.append(core)
+        return compile_runner(core, h, on_record)
+
+    monkeypatch.setattr(kernel, "compile_runner", counting)
+    return built

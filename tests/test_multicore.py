@@ -1,9 +1,11 @@
 """Tests for repro.sim.multicore — shared-LLC/DRAM mixes."""
 
+import contextlib
 import dataclasses
 import pickle
 
 import pytest
+from conftest import count_runners, reference_loop
 
 from repro.sim import kernel, multicore, runner
 from repro.sim.config import SCALE_ACCESSES, SystemConfig
@@ -88,19 +90,11 @@ class TestSimulateMix:
         assert a.ipcs == b.ipcs
 
 
-def _mix_state(cores, variant, monkeypatch, mode, prefetcher="spp",
+def _mix_state(cores, variant, monkeypatch, prefetcher="spp",
                warmup_fraction=0.5, n_accesses=900):
-    """Run one mix under one kernel mode; return (ipcs, pickled state of
-    every core and hierarchy, shared LLC/DRAM included, runners built)."""
-    monkeypatch.setenv("REPRO_KERNEL", mode)
-    built = []
-    compile_runner = kernel.compile_runner
-
-    def counting(core, h, on_record=None):
-        built.append(core)
-        return compile_runner(core, h, on_record)
-
-    monkeypatch.setattr(kernel, "compile_runner", counting)
+    """Run one mix; return (ipcs, pickled state of every core and
+    hierarchy, shared LLC/DRAM included, runners built)."""
+    built = count_runners(monkeypatch)
     specs = [catalog()[name] for name in MIXES[cores]]
     mixed, results = multicore._run_mix(
         specs, multicore_config(SystemConfig(), len(specs)), prefetcher,
@@ -114,13 +108,19 @@ def _mix_state(cores, variant, monkeypatch, mode, prefetcher="spp",
 class TestFusedMixEquivalence:
     """The per-core compiled runners reproduce ``Core.step`` exactly."""
 
+    @pytest.fixture(autouse=True)
+    def no_invariants(self, monkeypatch):
+        # Invariant checks take the reference loop, so they stay off here
+        # even in a REPRO_CHECK=1 session.
+        monkeypatch.delenv("REPRO_CHECK", raising=False)
+
     def check(self, monkeypatch, cores, variant, **kwargs):
-        ipcs, state, built = _mix_state(cores, variant, monkeypatch,
-                                        "scalar", **kwargs)
+        with reference_loop():
+            ipcs, state, built = _mix_state(cores, variant, monkeypatch,
+                                            **kwargs)
         assert built == 0
         fused_ipcs, fused_state, built = _mix_state(cores, variant,
-                                                    monkeypatch, "auto",
-                                                    **kwargs)
+                                                    monkeypatch, **kwargs)
         assert built == len(MIXES[cores]), "the mix took Core.step"
         assert fused_ipcs == ipcs
         assert fused_state == state, "model state diverged"
@@ -151,7 +151,6 @@ class TestFusedMixEquivalence:
         self.check(monkeypatch, "twins", variant)
 
     def test_unsupported_core_falls_back_to_step(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "auto")
         specs = [catalog()[name] for name in MIXES[2]]
         config = multicore_config(SystemConfig(), 2)
         config = dataclasses.replace(config, tlb_prefetch=True)
@@ -161,17 +160,18 @@ class TestFusedMixEquivalence:
 
 
 class TestMixWarmup:
-    @pytest.mark.parametrize("mode", ["scalar", "auto"])
+    @pytest.mark.parametrize("reference", [True, False],
+                             ids=["scalar", "auto"])
     @pytest.mark.parametrize("warmup_fraction", [1.0, 1.5])
-    def test_warmup_past_the_end_measures_nothing(self, monkeypatch, mode,
+    def test_warmup_past_the_end_measures_nothing(self, reference,
                                                   warmup_fraction):
         """As ``Core.run``: a warmup covering the whole trace leaves no
         measured instructions."""
-        monkeypatch.setenv("REPRO_KERNEL", mode)
         specs = [catalog()[name] for name in MIXES[2]]
-        _, results = multicore._run_mix(
-            specs, multicore_config(SystemConfig(), 2), "spp", "psa", 300,
-            warmup_fraction)
+        with reference_loop() if reference else contextlib.nullcontext():
+            _, results = multicore._run_mix(
+                specs, multicore_config(SystemConfig(), 2), "spp", "psa",
+                300, warmup_fraction)
         assert [(r.instructions, r.memory_accesses, r.ipc)
                 for r in results] == [(0, 0, 0.0)] * 2
 
