@@ -226,6 +226,16 @@ class CampaignStore:
         return [{"campaign_id": r[0], "name": r[1], "created_at": r[2]}
                 for r in rows]
 
+    def campaign(self, campaign_id: str) -> Campaign:
+        """A registered campaign rebuilt from its stored spec (KeyError
+        when unknown, ValueError when the spec no longer parses)."""
+        row = self._conn.execute(
+            "SELECT spec_json FROM campaigns WHERE campaign_id = ?",
+            (campaign_id,)).fetchone()
+        if row is None:
+            raise KeyError(campaign_id)
+        return Campaign.from_dict(json.loads(row[0]))
+
     # -- recording -----------------------------------------------------
 
     def record(self, campaign_id: str, cell: CampaignCell, status: str,

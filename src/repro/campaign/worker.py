@@ -12,9 +12,9 @@ content-addressed cache directory:
   hosts sharing the directory.
 - **Stale leases** (holder SIGKILLed mid-cell) are reclaimed once older
   than the TTL (``REPRO_LEASE_TTL``, default 300s — set it above your
-  longest cell).  Reclamation renames the lease to a unique takeover
-  name first; ``os.replace`` is atomic, so concurrent reclaimers
-  resolve to exactly one winner.
+  longest cell).  Reclamation follows :mod:`repro.sim.records`: the
+  lease is renamed to a unique takeover name first (``os.replace`` is
+  atomic), so concurrent reclaimers resolve to exactly one winner.
 - **Results** land in the content-addressed run cache keyed by the cell
   fingerprint, so even the worst race — a lease wrongly reclaimed while
   its holder still lives — costs only a duplicate simulation of a
@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.sim import cache as disk_cache
-from repro.sim import iofaults
+from repro.sim import iofaults, records
 from repro.sim.config import ConfigurationError, env_float, env_str
 from repro.sim.runner import engine_stats, run_batch
 from repro.campaign.grid import Campaign, CampaignCell
@@ -117,35 +117,24 @@ def release(path: Path) -> None:
 
 def lease_age_s(path: Path) -> Optional[float]:
     """Seconds since the lease was written, or None when absent."""
-    try:
-        iofaults.check("lease.read")
-        return max(0.0, time.time() - path.stat().st_mtime)
-    except OSError:
-        return None
+    return records.age_s(path, "lease.read")
 
 
 def reclaim_if_stale(path: Path, ttl: float, worker: str) -> bool:
-    """Remove a lease whose holder is presumed dead.
+    """Reap a lease whose holder is presumed dead (:func:`records.reap`:
+    of concurrent reclaimers exactly one wins); True when this worker
+    freed the slot."""
+    lease = records.classify(path, ttl, site="lease.read")
+    return (lease is not None and lease.status == "stale"
+            and records.reap(path, f"{worker}.{os.getpid()}"))
 
-    The stale lease is atomically renamed to a unique takeover name
-    before deletion, so of any number of concurrent reclaimers exactly
-    one succeeds (the others lose the ``os.replace`` race and report
-    False).  Returns True when this worker freed the slot.
-    """
-    age = lease_age_s(path)
-    if age is None or age <= ttl:
-        return False
-    takeover = path.with_name(
-        f"{path.name}.stale.{worker}.{os.getpid()}")
-    try:
-        os.replace(path, takeover)
-    except OSError:
-        return False            # another reclaimer won, or lease vanished
-    try:
-        takeover.unlink()
-    except OSError:
-        pass
-    return True
+
+def lease_records(ttl: Optional[float] = None) -> records.RecordSet:
+    """Every campaign's leases, as TTL records (``repro doctor``'s view)."""
+    return records.RecordSet(disk_cache.cache_dir() / "campaigns",
+                             "*/leases/*.lease",
+                             ttl if ttl is not None else lease_ttl(),
+                             site="lease.read")
 
 
 def active_leases(campaign: Campaign) -> List[Path]:

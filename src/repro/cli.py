@@ -257,8 +257,9 @@ def cmd_snapshot(args) -> int:
         return 0
     # prune
     removed = snapshot_store.prune(all_entries=args.all)
-    scope = "all" if args.all else "stale"
-    print(f"removed {removed} {scope} snapshot(s) from "
+    scope = ("" if args.all else
+             "stale, corrupt (quarantined) or orphaned ")
+    print(f"removed {removed} {scope}snapshot file(s) from "
           f"{snapshot_store.snapshot_dir()}")
     return 0
 
@@ -710,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "REPRO_SNAPSHOT_DIR or <cache>/snapshots)")
     p_snap.add_argument("--all", action="store_true",
                         help="with prune: remove every snapshot, not just "
-                             "stale-version ones")
+                             "stale (unlinked) and corrupt (quarantined) ones")
     p_snap.set_defaults(func=cmd_snapshot)
 
     p_doc = sub.add_parser(
@@ -728,10 +729,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_doc.add_argument("--dir", default=None,
                        help="cache directory (default: REPRO_CACHE_DIR "
                             "or ~/.cache/repro)")
-    p_doc.add_argument("--lease-ttl", type=float, default=300.0,
+    p_doc.add_argument("--lease-ttl", type=float, default=None,
                        help="age in seconds past which a claim lease "
-                            "is stale (default 300)")
-    p_doc.add_argument("--tmp-age", type=float, default=60.0,
+                            "is stale (default: REPRO_LEASE_TTL, else 300)")
+    p_doc.add_argument("--tmp-age", type=float, default=None,
                        help="age in seconds past which a writer temp "
                             "file is an orphan (default 60)")
     p_doc.set_defaults(func=cmd_doctor)

@@ -12,9 +12,9 @@ result identically**.  What is left to coordinate is tiny:
   same crash-consistent temp-fsync-rename publish as every other
   durable file (``iofaults.publish_bytes``, layer ``member`` — so the
   registry is wreckable by ``REPRO_IO_FAULTS`` and healable by
-  ``repro doctor``).  Staleness is judged by file mtime against
-  ``REPRO_MEMBER_TTL`` exactly like campaign worker leases; any
-  replica (or the doctor) reaps records whose owner stopped renewing.
+  ``repro doctor``).  Like campaign worker leases these are TTL
+  records (:mod:`repro.sim.records`) judged against ``REPRO_MEMBER_TTL``;
+  any replica (or the doctor) reaps records whose owner stopped renewing.
 * **Placement** — :class:`ClusterClient` ranks replicas per run key
   with rendezvous (highest-random-weight) hashing, so every client
   sends the same key to the same replica while it is alive — in-flight
@@ -46,7 +46,7 @@ from repro.serve.client import (
     ServeClientError,
 )
 from repro.sim import cache as disk_cache
-from repro.sim import iofaults
+from repro.sim import iofaults, records
 from repro.sim.config import env_float
 
 #: Heartbeat-renewed member records older than this are stale.
@@ -129,53 +129,49 @@ def deregister(record: MemberRecord) -> None:
         pass
 
 
-def _load_record(path: Path, ttl_s: float) -> Optional[MemberRecord]:
-    try:
-        age_s = time.time() - path.stat().st_mtime
-        data = json.loads(path.read_bytes().decode())
-        return MemberRecord(
-            member_id=str(data["member_id"]), host=str(data["host"]),
-            port=int(data["port"]), pid=int(data.get("pid", 0)),
-            started_at=float(data.get("started_at", 0.0)),
-            age_s=age_s, stale=age_s > ttl_s)
-    except (OSError, ValueError, KeyError, TypeError):
-        return None                  # torn/corrupt: doctor's to repair
+def parse_record(raw: bytes) -> MemberRecord:
+    """The one parser of a member record; raises ValueError, KeyError or
+    TypeError on bytes no reader may trust (clients skip such a record,
+    ``repro doctor`` reaps it as corrupt)."""
+    data = json.loads(raw.decode())
+    return MemberRecord(
+        member_id=str(data["member_id"]), host=str(data["host"]),
+        port=int(data["port"]), pid=int(data.get("pid", 0)),
+        started_at=float(data.get("started_at", 0.0)))
+
+
+def member_records(ttl_s: Optional[float] = None) -> records.RecordSet:
+    """The registry as TTL records (:mod:`repro.sim.records`)."""
+    return records.RecordSet(
+        members_dir(), "*.json",
+        ttl_s if ttl_s is not None else member_ttl(), parse_record)
 
 
 def load_members(include_stale: bool = False,
                  ttl_s: Optional[float] = None) -> List[MemberRecord]:
     """All parseable member records, stalest last; corrupt files are
     skipped here and repaired by ``repro doctor``."""
-    ttl = ttl_s if ttl_s is not None else member_ttl()
-    records = []
-    root = members_dir()
-    if not root.is_dir():
-        return records
-    for path in sorted(root.glob("*.json")):
-        record = _load_record(path, ttl)
-        if record is not None and (include_stale or not record.stale):
-            records.append(record)
-    records.sort(key=lambda r: (r.age_s, r.member_id))
-    return records
+    members = []
+    for record in member_records(ttl_s).scan():
+        stale = record.status == "stale"
+        if record.status == "ok" or (include_stale and stale):
+            record.value.age_s, record.value.stale = record.age_s, stale
+            members.append(record.value)
+    members.sort(key=lambda r: (r.age_s, r.member_id))
+    return members
 
 
 def reap_stale(ttl_s: Optional[float] = None) -> List[str]:
-    """Unlink records whose owner stopped renewing; returns their ids.
+    """Reap records whose owner stopped renewing; returns their ids.
 
-    Safe from any process — like stale campaign leases, a record that
-    outlived its TTL belongs to a daemon that is gone (or wedged past
-    usefulness), and a live daemon simply re-registers on its next
-    heartbeat.
+    Safe from any process: a record that outlived its TTL belongs to a
+    daemon that is gone (or wedged), and a live daemon re-registers on
+    its next heartbeat.
     """
-    reaped = []
-    for record in load_members(include_stale=True, ttl_s=ttl_s):
-        if record.stale:
-            try:
-                record.path.unlink()
-                reaped.append(record.member_id)
-            except OSError:
-                pass
-    return reaped
+    tag = f"reaper.{os.getpid()}"
+    return [record.value.member_id
+            for record in member_records(ttl_s).scan()
+            if record.status == "stale" and records.reap(record.path, tag)]
 
 
 def cluster_status(ttl_s: Optional[float] = None,

@@ -33,10 +33,9 @@ import dataclasses
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.prefetch.base import BoundaryStats
 from repro.sim import iofaults
@@ -81,25 +80,23 @@ def entry_path(key: tuple) -> Path:
 
 def quarantine_dir() -> Path:
     """Where unreadable/stale entries are moved instead of deleted."""
-    return cache_dir() / "quarantine"
+    return OBJECTS.quarantine
 
 
-def _quarantine(path: Path) -> Optional[Path]:
-    """Move a bad entry into the quarantine directory.
+def quarantine_into(directory: Path, path: Path) -> Optional[Path]:
+    """Move a bad file into *directory*, never over earlier evidence.
 
     Falls back to unlinking when the move itself fails (e.g. read-only
-    quarantine dir), so a bad entry can never keep poisoning lookups.
-    Returns the quarantined path, or None when the entry was unlinked.
+    quarantine dir), so a bad file can never keep poisoning lookups.
+    Returns the quarantined path, or None when the file was unlinked.
     """
     try:
-        quarantine_dir().mkdir(parents=True, exist_ok=True)
-        dest = quarantine_dir() / path.name
+        directory.mkdir(parents=True, exist_ok=True)
+        dest = directory / path.name
         serial = 0
         while dest.exists():
-            # Never overwrite earlier quarantined evidence: probe
-            # pid-and-serial suffixes until a free name is found.
             serial += 1
-            dest = (quarantine_dir()
+            dest = (directory
                     / f"{path.stem}.{os.getpid()}.{serial}{path.suffix}")
         os.replace(path, dest)
         return dest
@@ -109,6 +106,10 @@ def _quarantine(path: Path) -> Optional[Path]:
         except OSError:
             pass
         return None
+
+
+def _quarantine(path: Path) -> Optional[Path]:
+    return quarantine_into(quarantine_dir(), path)
 
 
 # ----------------------------------------------------------------------
@@ -246,51 +247,75 @@ class CacheEntry:
                 "variant": self.variant, "current": self.current}
 
 
-def list_entries() -> "list[CacheEntry]":
-    """Enumerate every readable cache entry, newest first.
-
-    Corrupt entries are skipped (``load`` heals them lazily); entries
-    written by older code versions are listed with ``current=False`` so
-    stale bulk can be spotted before a ``clear``.
+@dataclass(frozen=True)
+class ObjectTree:
+    """A content-addressed store, ``<root>/objects/<2-hex>/<digest><suffix>``
+    plus ``<root>/quarantine/``, with its owner's rules: the run cache
+    and the snapshot store are both one, and their commands and ``repro
+    doctor`` all judge a file by ``check`` and fix it by :meth:`repair`.
     """
-    objects = cache_dir() / "objects"
-    entries: list[CacheEntry] = []
-    if not objects.is_dir():
-        return entries
-    stamped = []
-    for path in objects.glob("*/*.json"):
-        try:
-            stat_result = path.stat()
-            payload = json.loads(path.read_text())
-            metrics = payload.get("metrics", {})
-            entry = CacheEntry(
-                path=path, size_bytes=stat_result.st_size,
-                workload=str(metrics.get("workload", "?")),
-                prefetcher=str(metrics.get("prefetcher", "?")),
-                variant=str(metrics.get("variant", "?")),
-                current=payload.get("salt") == _salt())
-            stamped.append((stat_result.st_mtime, entry))
-        except (OSError, ValueError, TypeError):
-            continue
-    stamped.sort(key=lambda pair: pair[0], reverse=True)
-    return [entry for _, entry in stamped]
+
+    root: Callable[[], Path]
+    suffix: str
+    check: Callable[[Path], str]        # ok | stale | corrupt
+    quarantine_stale: bool              # else a stale file is unlinked
+
+    @property
+    def objects(self) -> Path:
+        return self.root() / "objects"
+
+    @property
+    def quarantine(self) -> Path:
+        return self.root() / "quarantine"
+
+    @property
+    def held(self) -> int:
+        """Number of files held in quarantine."""
+        return sum(path.is_file() for path in self.quarantine.glob("*"))
+
+    def files(self) -> "list[tuple[Path, os.stat_result]]":
+        """Every stored file with its stat, newest first."""
+        found = []
+        for path in sorted(self.objects.glob(f"*/*{self.suffix}")):
+            try:
+                found.append((path, path.stat()))
+            except OSError:
+                continue
+        return sorted(found, key=lambda item: item[1].st_mtime, reverse=True)
+
+    def remove_all(self) -> int:
+        """Unlink every file in the tree (and the emptied fan-out dirs)."""
+        removed = 0
+        for path in self.objects.glob("*/*"):
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                continue
+        for sub in self.objects.glob("*"):
+            try:
+                sub.rmdir()
+            except OSError:
+                continue
+        return removed
+
+    def disposal(self, status: str) -> str:
+        """A corrupt file is evidence: quarantined.  A stale one is
+        quarantined too if so declared, else unlinked."""
+        return ("quarantine" if status == "corrupt" or self.quarantine_stale
+                else "unlink")
+
+    def repair(self, path: Path, status: str) -> str:
+        """Dispose of one bad file; returns what was done."""
+        if self.disposal(status) == "unlink":
+            path.unlink()
+            return "unlinked"
+        dest = quarantine_into(self.quarantine, path)
+        return (f"quarantined to {dest}" if dest
+                else "unlinked (quarantine failed)")
 
 
-def stats() -> CacheStats:
-    result = CacheStats(directory=cache_dir())
-    objects = cache_dir() / "objects"
-    if not objects.is_dir():
-        return result
-    for path in objects.glob("*/*.json"):
-        try:
-            result.total_bytes += path.stat().st_size
-            result.entries += 1
-        except OSError:
-            continue
-    return result
-
-
-def _entry_status(path: Path) -> str:
+def check(path: Path) -> str:
     """Classify one entry: ``ok`` | ``stale`` (old version) | ``corrupt``."""
     try:
         payload = json.loads(path.read_text())
@@ -301,6 +326,39 @@ def _entry_status(path: Path) -> str:
         return "ok"
     except (OSError, ValueError, TypeError, KeyError, AttributeError):
         return "corrupt"
+
+
+#: The run cache: stale entries are quarantined like corrupt ones.
+OBJECTS = ObjectTree(cache_dir, ".json", check, quarantine_stale=True)
+
+
+def list_entries() -> "list[CacheEntry]":
+    """Enumerate every readable cache entry, newest first.
+
+    Corrupt entries are skipped (``load`` heals them lazily); entries
+    written by older code versions are listed with ``current=False`` so
+    stale bulk can be spotted before a ``clear``.
+    """
+    entries = []
+    for path, stat_result in OBJECTS.files():
+        try:
+            payload = json.loads(path.read_text())
+            metrics = payload.get("metrics", {})
+            entries.append(CacheEntry(
+                path=path, size_bytes=stat_result.st_size,
+                workload=str(metrics.get("workload", "?")),
+                prefetcher=str(metrics.get("prefetcher", "?")),
+                variant=str(metrics.get("variant", "?")),
+                current=payload.get("salt") == _salt()))
+        except (OSError, ValueError, TypeError, AttributeError):
+            continue
+    return entries
+
+
+def stats() -> CacheStats:
+    files = OBJECTS.files()
+    return CacheStats(directory=cache_dir(), entries=len(files),
+                      total_bytes=sum(st.st_size for _, st in files))
 
 
 @dataclass
@@ -345,90 +403,31 @@ class CacheVerifyReport:
 TMP_ORPHAN_AGE_S = 60.0
 
 
-def iter_tmp_orphans(objects: Path,
-                     min_age_s: float = TMP_ORPHAN_AGE_S,
-                     pattern: str = "*/*.tmp") -> "list[Path]":
-    """Leaked temp files matching *pattern* under *objects*, oldest-first.
-
-    The default *pattern* walks a fanned-out objects tree; a flat
-    directory passes ``"*.tmp"``.  Only files older than *min_age_s*
-    are reported so a concurrent writer's still-open temp file is never
-    mistaken for a leak.
-    """
-    orphans = []
-    now = time.time()
-    for path in sorted(objects.glob(pattern)):
-        try:
-            if now - path.stat().st_mtime >= min_age_s:
-                orphans.append(path)
-        except OSError:
-            continue
-    return orphans
-
-
-def count_quarantine(directory: Path) -> int:
-    """Number of files held in a quarantine directory."""
-    if not directory.is_dir():
-        return 0
-    return sum(1 for path in directory.iterdir() if path.is_file())
-
-
 def verify(prune: bool = False,
            tmp_age_s: float = TMP_ORPHAN_AGE_S) -> CacheVerifyReport:
-    """Scan every cache entry, classifying it as ok/stale/corrupt.
-
-    Also reports orphaned writer temp files (leaked by crashed stores)
-    and the size of the quarantine.  With ``prune=True``, corrupt and
-    stale entries are moved to the quarantine directory (not deleted)
-    so they stop serving lookups but remain available for inspection,
-    and orphaned temp files — which never held publishable data — are
-    unlinked outright.
+    """Counts of ``repro doctor``'s cache layer: ok/stale/corrupt
+    entries, orphaned writer temp files and the quarantine size.  With
+    ``prune=True`` corrupt and stale entries are moved to quarantine
+    (not deleted, so they stay auditable) and orphaned temp files,
+    which never held publishable data, are unlinked.
     """
-    report = CacheVerifyReport(directory=cache_dir())
-    objects = cache_dir() / "objects"
-    report.quarantine_entries = count_quarantine(quarantine_dir())
-    if not objects.is_dir():
-        return report
-    for path in sorted(objects.glob("*/*.json")):
-        report.scanned += 1
-        status = _entry_status(path)
-        if status == "ok":
-            report.ok += 1
-            continue
-        if status == "stale":
-            report.stale += 1
-        else:
-            report.corrupt += 1
-        if prune:
-            dest = _quarantine(path)
-            if dest is not None:
-                report.quarantined.append(dest)
-    for path in iter_tmp_orphans(objects, tmp_age_s):
-        report.tmp_orphans += 1
-        if prune:
-            try:
-                path.unlink()
-                report.tmp_removed += 1
-            except OSError:
-                continue
+    from repro.sim import doctor
+
+    scan = doctor.diagnose(repair=prune, tmp_age_s=tmp_age_s,
+                           layers=("cache",))
+    fixed = [f for f in scan.findings if f.repaired]
+    report = CacheVerifyReport(
+        directory=cache_dir(), scanned=scan.scanned["cache"],
+        corrupt=scan.count("cache", "corrupt"),
+        stale=scan.count("cache", "stale"),
+        tmp_orphans=scan.count("cache", "tmp-orphan"),
+        tmp_removed=sum(f.kind == "tmp-orphan" for f in fixed),
+        quarantine_entries=scan.quarantine["cache"],
+        quarantined=[Path(f.path) for f in fixed if f.kind != "tmp-orphan"])
+    report.ok = report.scanned - report.corrupt - report.stale
     return report
 
 
 def clear() -> int:
     """Delete every cache entry; returns the number removed."""
-    objects = cache_dir() / "objects"
-    removed = 0
-    if not objects.is_dir():
-        return removed
-    for path in objects.glob("*/*"):
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:
-            continue
-    for sub in objects.glob("*"):
-        try:
-            sub.rmdir()
-        except OSError:
-            continue
-    return removed
+    return OBJECTS.remove_all()

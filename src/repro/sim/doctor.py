@@ -6,26 +6,29 @@ the store never downgrades an ok row, stale leases get reclaimed — but
 each of those heals lazily, on the next unlucky reader.  The doctor
 makes healing eager and global: one command (or one daemon startup)
 walks the whole durable state, reports every finding, and with
-``repair=True`` fixes what has a safe fix:
+``repair=True`` fixes what has a safe fix.  What "valid" means for a
+file, and how a bad one is repaired, is its format owner's rule (named
+below); the doctor only walks the layers and reports:
 
-====================  ==========================  ======================
-layer                 finding                     repair
-====================  ==========================  ======================
-cache                 corrupt entry               quarantine
-cache                 stale entry (old salt)      quarantine
-cache                 orphaned writer ``*.tmp``   unlink
-snapshot              corrupt/truncated file      quarantine
-snapshot              stale file (old salt)       unlink (unresumable)
-snapshot              orphaned writer ``*.tmp``   unlink
-store                 sqlite integrity failure    move DB aside (rebuilt
-                                                  from cache by sync)
-store                 rows missing vs. cache      ``sync_from_cache``
-lease                 stale claim (> TTL)         unlink
-member                corrupt cluster record      unlink (re-published
-                                                  on next heartbeat)
-member                stale cluster record        unlink
-member                orphaned writer ``*.tmp``   unlink
-====================  ==========================  ======================
+=============  ======================================  ===================
+layer          finding (rule owner)                    repair
+=============  ======================================  ===================
+cache          corrupt or stale entry                  quarantine
+               (``cache.check``, ``cache.OBJECTS``)
+snapshot       corrupt file (``snapshot.check``)       quarantine
+snapshot       stale file (old salt, unresumable)      unlink
+store          sqlite integrity failure                move DB aside
+                                                       (rebuilt by sync)
+store          rows missing vs. cache                  ``sync_from_cache``
+lease          claim older than ``REPRO_LEASE_TTL``    reap
+               (``worker.lease_records``)
+member         record older than ``REPRO_MEMBER_TTL``  reap (re-published
+               or corrupt (``cluster.parse_record``)   on next heartbeat)
+lease, member  a crashed reaper's takeover tombstone   unlink
+               (``repro.sim.records``)
+cache, snap-   orphaned writer ``*.tmp``               unlink
+shot, member
+=============  ======================================  ===================
 
 Nothing is ever deleted that could hold evidence (corrupt bytes go to
 quarantine; a broken database is renamed ``*.corrupt.<pid>``, not
@@ -39,21 +42,19 @@ heal the damage an armed plan created without tripping over it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import hashlib
-import json
+import functools
 import os
 import sqlite3
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.sim import cache as disk_cache
-from repro.sim import iofaults
+from repro.sim import iofaults, records
 from repro.sim import snapshot as snapshot_store
-
-DEFAULT_LEASE_TTL_S = 300.0
 
 
 @dataclass
@@ -146,148 +147,108 @@ class DoctorReport:
 # Layer scans
 # ----------------------------------------------------------------------
 
-def _unlink(report: DoctorReport, repair: bool, layer: str, kind: str,
-            path: Path, detail: str) -> None:
-    """Report one finding whose safe repair is unlinking *path*."""
+def _fix(report: DoctorReport, repair: bool, layer: str, kind: str,
+         path: Path, action: str, fix: Optional[Callable[[Path], str]],
+         detail: str = "") -> None:
+    """Report one finding; with *repair*, apply *fix* (None: there is no
+    safe one), which returns what it did or raises OSError."""
     finding = DoctorFinding(layer=layer, kind=kind, path=str(path),
-                            detail=detail, action="unlink")
-    if repair:
+                            detail=detail, action=action)
+    if repair and fix is not None:
         try:
-            path.unlink()
+            finding.action = fix(path)
             finding.repaired = True
-            finding.action = "unlinked"
         except OSError as exc:
-            finding.detail = str(exc)
+            finding.detail = f"{detail}; {exc}" if detail else str(exc)
     report.findings.append(finding)
 
 
-def _scan_cache(report: DoctorReport, repair: bool,
-                tmp_age_s: float) -> None:
-    objects = disk_cache.cache_dir() / "objects"
-    report.quarantine["cache"] = disk_cache.count_quarantine(
-        disk_cache.quarantine_dir())
-    scanned = 0
-    if objects.is_dir():
-        for path in sorted(objects.glob("*/*.json")):
-            scanned += 1
-            status = disk_cache._entry_status(path)
-            if status == "ok":
-                continue
-            finding = DoctorFinding(
-                layer="cache", kind=status, path=str(path),
-                action="quarantine")
-            if repair:
-                dest = disk_cache._quarantine(path)
-                finding.repaired = True
-                finding.action = (f"quarantined to {dest}" if dest
-                                  else "unlinked (quarantine failed)")
-            report.findings.append(finding)
-        for path in disk_cache.iter_tmp_orphans(objects, tmp_age_s):
-            _unlink(report, repair, "cache", "tmp-orphan", path,
-                    "leaked by a crashed writer")
-    report.scanned["cache"] = scanned
+def _unlink(path: Path) -> str:
+    path.unlink()
+    return "unlinked"
 
 
-def _snapshot_status(path: Path) -> str:
-    """Classify one snapshot: ok | stale | corrupt (full body check)."""
-    header = snapshot_store.read_header(path)
-    if header is None:
-        return "corrupt"
-    if (header.get("version") != snapshot_store.SNAPSHOT_VERSION
-            or header.get("salt") != snapshot_store._salt()):
-        return "stale"
-    if (not isinstance(header.get("access_index"), int)
-            or not isinstance(header.get("length"), int)):
-        return "corrupt"
-    try:
-        raw = path.read_bytes()
-        newline = raw.index(b"\n", len(snapshot_store.MAGIC))
-        body = raw[newline + 1:]
-    except (OSError, ValueError):
-        return "corrupt"
-    if (len(body) != header["length"]
-            or hashlib.sha256(body).hexdigest() != header.get("sha256")):
-        return "corrupt"
-    return "ok"
+def _reap(path: Path) -> str:
+    if records.reap(path, f"doctor.{os.getpid()}") or not path.exists():
+        return "reaped"
+    raise OSError(f"takeover rename of {path.name} failed")
 
 
-def _scan_snapshots(report: DoctorReport, repair: bool,
-                    tmp_age_s: float) -> None:
-    objects = snapshot_store.snapshot_dir() / "objects"
-    report.quarantine["snapshot"] = disk_cache.count_quarantine(
-        snapshot_store.quarantine_dir())
-    scanned = 0
-    if objects.is_dir():
-        for path in sorted(objects.glob("*/*.snap")):
-            scanned += 1
-            status = _snapshot_status(path)
-            if status == "ok":
-                continue
-            # A torn snapshot is evidence -> quarantine; a stale one is
-            # merely unresumable re-computable state -> unlink.
-            if status == "stale":
-                _unlink(report, repair, "snapshot", "stale", path, "")
-                continue
-            finding = DoctorFinding(
-                layer="snapshot", kind=status, path=str(path),
-                action="quarantine")
-            if repair:
-                dest = snapshot_store._quarantine(path)
-                finding.repaired = True
-                finding.action = (f"quarantined to {dest}" if dest
-                                  else "unlinked (quarantine failed)")
-            report.findings.append(finding)
-        for path in disk_cache.iter_tmp_orphans(objects, tmp_age_s):
-            _unlink(report, repair, "snapshot", "tmp-orphan", path,
-                    "leaked by a crashed writer")
-    report.scanned["snapshot"] = scanned
+def _scan_temps(report: DoctorReport, repair: bool, layer: str,
+                root: Path, pattern: str, tmp_age_s: float) -> None:
+    """Writer temp files are TTL records: stale ones leaked from a crash."""
+    for temp in records.RecordSet(root, pattern, tmp_age_s).scan():
+        if temp.status == "stale":
+            _fix(report, repair, layer, "tmp-orphan", temp.path, "unlink",
+                 _unlink, "leaked by a crashed writer")
+
+
+def _scan_objects(report: DoctorReport, repair: bool, layer: str,
+                  tree: disk_cache.ObjectTree, tmp_age_s: float) -> None:
+    """A content-addressed objects tree, judged by its owner's rules."""
+    files = tree.files()
+    for path, _ in files:
+        status = tree.check(path)
+        if status != "ok":
+            _fix(report, repair, layer, status, path, tree.disposal(status),
+                 functools.partial(tree.repair, status=status))
+    _scan_temps(report, repair, layer, tree.objects, "*/*.tmp", tmp_age_s)
+    report.scanned[layer] = len(files)
+    report.quarantine[layer] = tree.held
+
+
+def _scan_records(report: DoctorReport, repair: bool, layer: str,
+                  kind: records.RecordSet, tmp_age_s: float) -> None:
+    """TTL records: a stale or unparseable one is reaped (its live
+    owner, if any, re-publishes), as are crashed reapers' takeover
+    tombstones and crashed publishers' temp files."""
+    found = kind.scan()
+    tombstones = kind.tombstones()
+    for record in found:
+        if record.status != "ok":
+            _fix(report, repair, layer, record.status, record.path,
+                 "reap", _reap, record.detail)
+    for path in tombstones:
+        _fix(report, repair, layer, "tombstone", path, "unlink", _unlink,
+             "leftover takeover marker")
+    _scan_temps(report, repair, layer, kind.root, "*.tmp", tmp_age_s)
+    report.scanned[layer] = len(found) + len(tombstones)
+
+
+def _move_aside(db: Path) -> str:
+    """Rename (never delete) a database sqlite cannot read; the next
+    writer recreates the schema and sync refills it from the cache."""
+    aside = db.with_name(f"{db.name}.corrupt.{os.getpid()}")
+    os.replace(db, aside)
+    for suffix in ("-wal", "-shm"):
+        try:
+            os.unlink(str(db) + suffix)
+        except OSError:
+            pass
+    return f"moved aside to {aside}"
 
 
 def _scan_store(report: DoctorReport, repair: bool) -> None:
     """sqlite integrity + store-vs-cache divergence, per campaign."""
-    from repro.campaign.grid import Campaign, CampaignSpecError
     from repro.campaign.store import CampaignStore, store_path
 
     path = store_path()
-    scanned = 0
+    report.scanned["store"] = 0
     if not path.exists():
-        report.scanned["store"] = scanned
         return
-    scanned += 1
-
-    # Integrity first: a database sqlite itself cannot read is moved
-    # aside (never deleted); the next healthy writer recreates the
-    # schema and sync repopulates every row from the cache.
+    report.scanned["store"] += 1
     try:
-        conn = sqlite3.connect(str(path), timeout=30.0)
-        try:
+        with contextlib.closing(sqlite3.connect(str(path),
+                                                timeout=30.0)) as conn:
             row = conn.execute("PRAGMA quick_check").fetchone()
-        finally:
-            conn.close()
-        intact = row is not None and row[0] == "ok"
-        detail = "" if intact else f"quick_check: {row[0] if row else '?'}"
+        detail = "" if row and row[0] == "ok" else (
+            f"quick_check: {row[0] if row else '?'}")
     except sqlite3.Error as exc:
-        intact = False
         detail = f"unreadable: {exc}"
-    if not intact:
-        finding = DoctorFinding(
-            layer="store", kind="corrupt", path=str(path), detail=detail,
-            action="move aside; rebuilt from cache on next sync")
-        if repair:
-            aside = path.with_name(f"{path.name}.corrupt.{os.getpid()}")
-            try:
-                os.replace(path, aside)
-                for suffix in ("-wal", "-shm"):
-                    try:
-                        os.unlink(str(path) + suffix)
-                    except OSError:
-                        pass
-                finding.repaired = True
-                finding.action = f"moved aside to {aside}"
-            except OSError as exc:
-                finding.detail = f"{detail}; move failed: {exc}"
-        report.findings.append(finding)
-        report.scanned["store"] = scanned
+    if detail:
+        _fix(report, repair, "store", "corrupt", path,
+             "move aside; rebuilt from cache on next sync", _move_aside,
+             detail)
         return
 
     # Divergence: any registered campaign whose cache-resident results
@@ -296,140 +257,70 @@ def _scan_store(report: DoctorReport, repair: bool) -> None:
     try:
         with CampaignStore(path) as store:
             for meta in store.campaigns():
-                scanned += 1
-                spec_row = store._conn.execute(
-                    "SELECT spec_json FROM campaigns "
-                    "WHERE campaign_id = ?",
-                    (meta["campaign_id"],)).fetchone()
-                if spec_row is None:
-                    continue
+                report.scanned["store"] += 1
                 try:
-                    campaign = Campaign.from_dict(
-                        json.loads(spec_row[0]))
-                except (CampaignSpecError, ValueError, TypeError, KeyError):
-                    report.findings.append(DoctorFinding(
-                        layer="store", kind="bad-spec",
-                        path=str(path),
-                        detail=f"campaign {meta['campaign_id']}: "
-                               f"unparseable spec_json",
-                        action="no safe repair (rows kept)"))
+                    campaign = store.campaign(meta["campaign_id"])
+                except (ValueError, TypeError, KeyError):
+                    _fix(report, repair, "store", "bad-spec", path,
+                         "no safe repair (rows kept)", None,
+                         f"campaign {meta['campaign_id']}: "
+                         f"unparseable spec_json")
                     continue
                 divergent = [
                     cell for cell in store.missing(campaign)
                     if disk_cache.load(cell.key) is not None]
-                if not divergent:
-                    continue
-                finding = DoctorFinding(
-                    layer="store", kind="divergence", path=str(path),
-                    detail=(f"campaign {campaign.name}: "
-                            f"{len(divergent)} cache-resident cells "
-                            f"missing from the store"),
-                    action="sync_from_cache")
-                if repair:
-                    ingested = store.sync_from_cache(campaign)
-                    finding.repaired = True
-                    finding.action = (f"sync_from_cache ingested "
-                                      f"{ingested} rows")
-                report.findings.append(finding)
+                if divergent:       # _fix calls the repair right away
+                    _fix(report, repair, "store", "divergence", path,
+                         "sync_from_cache",
+                         lambda _: f"sync_from_cache ingested "
+                                   f"{store.sync_from_cache(campaign)} rows",
+                         f"campaign {campaign.name}: {len(divergent)} "
+                         f"cache-resident cells missing from the store")
     except (sqlite3.Error, OSError) as exc:
-        report.findings.append(DoctorFinding(
-            layer="store", kind="scan-error", path=str(path),
-            detail=str(exc), action="no repair"))
-    report.scanned["store"] = scanned
-
-
-def _scan_leases(report: DoctorReport, repair: bool,
-                 lease_ttl_s: float) -> None:
-    campaigns_root = disk_cache.cache_dir() / "campaigns"
-    scanned = 0
-    now = time.time()
-    if campaigns_root.is_dir():
-        for path in sorted(campaigns_root.glob("*/leases/*.lease")):
-            scanned += 1
-            try:
-                age = now - path.stat().st_mtime
-            except OSError:
-                continue            # vanished mid-scan: released by owner
-            if age > lease_ttl_s:
-                _unlink(report, repair, "lease", "stale", path,
-                        f"age {age:.0f}s > ttl {lease_ttl_s:.0f}s")
-        # Takeover tombstones a crashed reclaimer left behind.
-        for path in sorted(campaigns_root.glob("*/leases/*.stale.*")):
-            scanned += 1
-            _unlink(report, repair, "lease", "tombstone", path,
-                    "leftover takeover marker")
-    report.scanned["lease"] = scanned
-
-
-def _scan_members(report: DoctorReport, repair: bool,
-                  tmp_age_s: float) -> None:
-    """Cluster membership records in ``<cache>/cluster/members``.
-
-    A record a replica stopped renewing (SIGKILL, wedge) or tore
-    mid-publish is pure liveness metadata: unlinking is always safe
-    because a live daemon re-publishes on its next heartbeat.
-    """
-    from repro.serve import cluster as cluster_mod
-
-    root = cluster_mod.members_dir()
-    ttl_s = cluster_mod.member_ttl()
-    scanned = 0
-    now = time.time()
-    if root.is_dir():
-        for path in sorted(root.glob("*.json")):
-            scanned += 1
-            kind = detail = None
-            try:
-                age = now - path.stat().st_mtime
-                data = json.loads(path.read_bytes().decode())
-                int(data["port"]), str(data["host"])
-            except OSError:
-                continue            # vanished mid-scan: clean shutdown
-            except (ValueError, KeyError, TypeError) as exc:
-                kind = "corrupt"
-                detail = f"unparseable member record: {exc}"
-            else:
-                if age > ttl_s:
-                    kind = "stale"
-                    detail = f"age {age:.0f}s > ttl {ttl_s:.0f}s"
-            if kind is not None:
-                _unlink(report, repair, "member", kind, path, detail)
-        for path in disk_cache.iter_tmp_orphans(root, tmp_age_s,
-                                                pattern="*.tmp"):
-            _unlink(report, repair, "member", "tmp-orphan", path,
-                    "leaked by a crashed heartbeat")
-    report.scanned["member"] = scanned
+        _fix(report, repair, "store", "scan-error", path, "no repair", None,
+             str(exc))
 
 
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
 
-def diagnose(repair: bool = False,
-             lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-             tmp_age_s: float = disk_cache.TMP_ORPHAN_AGE_S
-             ) -> DoctorReport:
-    """Scan (and with ``repair=True`` heal) the whole durable state.
+#: Every layer, in scan order.
+LAYERS = ("cache", "snapshot", "store", "lease", "member")
+_TREES = {"cache": disk_cache.OBJECTS, "snapshot": snapshot_store.OBJECTS}
 
-    Covers the run cache, the snapshot store, the campaign sqlite store
-    (integrity + divergence from the cache), claim leases, and cluster
-    membership records.  The IO fault shim is disarmed for the duration
-    so an armed ``REPRO_IO_FAULTS`` plan cannot sabotage its own
-    cleanup; the previous arming (including lazy re-arming from the
-    environment) is restored afterwards.
+
+def diagnose(repair: bool = False,
+             lease_ttl_s: Optional[float] = None,
+             tmp_age_s: Optional[float] = None,
+             layers: Sequence[str] = LAYERS) -> DoctorReport:
+    """Scan (and with ``repair=True`` heal) *layers* of the durable state.
+
+    A lease is stale past ``lease_ttl_s`` (default: the workers' own
+    TTL, ``REPRO_LEASE_TTL``), a writer temp file an orphan past
+    ``tmp_age_s`` (default ``cache.TMP_ORPHAN_AGE_S``).  The IO fault
+    shim is disarmed for the duration so an armed ``REPRO_IO_FAULTS``
+    plan cannot sabotage its own cleanup; the previous arming (even a
+    lazy one from the environment) is restored afterwards.
     """
     begin = time.perf_counter()
+    if tmp_age_s is None:
+        tmp_age_s = disk_cache.TMP_ORPHAN_AGE_S
     report = DoctorReport(cache_dir=str(disk_cache.cache_dir()),
                           repair=repair)
     with iofaults.suspended():
-        _scan_cache(report, repair, tmp_age_s)
-        _scan_snapshots(report, repair, tmp_age_s)
-        _scan_store(report, repair)
-        _scan_leases(report, repair, lease_ttl_s)
-        _scan_members(report, repair, tmp_age_s)
-    report.quarantine["cache"] = disk_cache.count_quarantine(
-        disk_cache.quarantine_dir())
-    report.quarantine["snapshot"] = disk_cache.count_quarantine(
-        snapshot_store.quarantine_dir())
+        for layer in layers:
+            if layer == "store":
+                _scan_store(report, repair)
+            elif layer == "lease":
+                from repro.campaign import worker
+                _scan_records(report, repair, layer,
+                              worker.lease_records(lease_ttl_s), tmp_age_s)
+            elif layer == "member":
+                from repro.serve import cluster
+                _scan_records(report, repair, layer,
+                              cluster.member_records(), tmp_age_s)
+            else:
+                _scan_objects(report, repair, layer, _TREES[layer], tmp_age_s)
     report.elapsed_s = time.perf_counter() - begin
     return report

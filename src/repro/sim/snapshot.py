@@ -35,7 +35,6 @@ runs that never finished.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -45,7 +44,8 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from repro.sim import iofaults
-from repro.sim.cache import CACHE_VERSION, CODE_VERSION, cache_dir
+from repro.sim.cache import (CACHE_VERSION, CODE_VERSION, ObjectTree,
+                             cache_dir, quarantine_into)
 from repro.sim.config import env_int
 
 MAGIC = b"repro-snapshot\n"
@@ -90,30 +90,13 @@ def snapshot_path(key: tuple) -> Path:
 
 
 def quarantine_dir() -> Path:
-    return snapshot_dir() / "quarantine"
+    return OBJECTS.quarantine
 
 
 def _quarantine(path: Path) -> Optional[Path]:
-    """Move a bad snapshot aside (pid/serial-probed name, never overwrite);
-    fall back to unlinking so bad bytes can never poison later resumes."""
-    try:
-        quarantine_dir().mkdir(parents=True, exist_ok=True)
-        dest = quarantine_dir() / path.name
-        serial = 0
-        while dest.exists():
-            serial += 1
-            dest = (quarantine_dir()
-                    / f"{path.stem}.{os.getpid()}.{serial}{path.suffix}")
-        os.replace(path, dest)
-        COUNTERS["quarantined"] += 1
-        return dest
-    except OSError:
-        try:
-            path.unlink()
-            COUNTERS["quarantined"] += 1
-        except OSError:
-            pass
-        return None
+    """Move a bad snapshot aside so it can never poison later resumes."""
+    COUNTERS["quarantined"] += 1
+    return quarantine_into(quarantine_dir(), path)
 
 
 # ----------------------------------------------------------------------
@@ -152,83 +135,74 @@ def store(key: tuple, access_index: int, state: dict) -> bool:
 _HEADER_READ_LIMIT = 1 << 16
 
 
-def read_header(path: Path) -> Optional[dict]:
-    """Parse and sanity-check a snapshot's header line (not the body).
+def check(path: Path, header_only: bool = False
+          ) -> Tuple[str, Optional[dict], bytes]:
+    """The one definition of a valid snapshot: ``(status, header, body)``.
 
-    Goes through ``iofaults.read_bytes`` (site ``snapshot.read``) so a
-    torn or partially-read header under ``REPRO_IO_FAULTS`` degrades to
-    ``None`` — the progress path reports "no progress yet" instead of
-    crashing or trusting doubtful bytes.
+    *status* is ``ok``, ``stale`` (other version or code salt) or
+    ``corrupt`` (unreadable, torn, failing the header, length or sha256
+    check); *header* is None when it does not parse.  *header_only*
+    reads just the header line (through site ``snapshot.read``, like
+    every read here) and skips the body checks.
     """
     try:
-        raw = iofaults.read_bytes("snapshot.read", path,
-                                  limit=_HEADER_READ_LIMIT)
+        raw = iofaults.read_bytes(
+            "snapshot.read", path,
+            limit=_HEADER_READ_LIMIT if header_only else None)
     except OSError:
-        return None
-    if not raw.startswith(MAGIC):
-        return None
-    newline = raw.find(b"\n", len(MAGIC))
-    if newline < 0:
-        return None
+        return "corrupt", None, b""
+    newline = raw.find(b"\n", len(MAGIC)) if raw.startswith(MAGIC) else -1
     try:
-        header = json.loads(raw[len(MAGIC):newline].decode())
-    except (ValueError, UnicodeDecodeError):
-        return None
+        header = (json.loads(raw[len(MAGIC):newline].decode())
+                  if newline >= 0 else None)
+    except ValueError:
+        header = None
     if not isinstance(header, dict):
-        return None
-    return header
+        return "corrupt", None, b""
+    if (header.get("version") != SNAPSHOT_VERSION
+            or header.get("salt") != _salt()):
+        return "stale", header, b""
+    if (not isinstance(header.get("access_index"), int)
+            or not isinstance(header.get("length"), int)):
+        return "corrupt", header, b""
+    if header_only:
+        return "ok", header, b""
+    body = raw[newline + 1:]
+    if (len(body) != header["length"]
+            or hashlib.sha256(body).hexdigest() != header.get("sha256")):
+        return "corrupt", header, body
+    return "ok", header, body
 
 
 def peek(key: tuple) -> Optional[dict]:
-    """Header-only progress probe for one run key (no body unpickle).
+    """Header of the run's current-version snapshot, else ``None``.
 
-    Returns the snapshot's header dict (``access_index``, ``length``,
-    ...) when a current-version snapshot exists, else ``None``.  This is
-    the serving layer's progress path: it costs one small read, never
-    deserializes simulator state, and never quarantines — a torn file
-    simply reads as "no progress yet".
+    The serving layer's progress path: one small read, no unpickling,
+    no quarantine — a torn file simply reads as "no progress yet".
     """
-    path = snapshot_path(key)
-    header = read_header(path)
-    if (header is None
-            or header.get("version") != SNAPSHOT_VERSION
-            or header.get("salt") != _salt()
-            or not isinstance(header.get("access_index"), int)):
-        return None
-    return header
+    status, header, _ = check(snapshot_path(key), header_only=True)
+    return header if status == "ok" else None
 
 
 def load(key: tuple) -> Optional[Tuple[int, dict]]:
     """Fetch the latest valid snapshot; return (access_index, state).
 
-    Any failure — missing magic, wrong version/salt, short body, checksum
-    mismatch, unpicklable payload — quarantines the file and reports a
-    miss, so a resume can never start from doubtful state.
+    A file :func:`check` does not pass (even a wrong salt at this key's
+    own path) or an unpicklable payload is quarantined and reported as
+    a miss, so a resume can never start from doubtful state.
     """
     path = snapshot_path(key)
     if not path.exists():
         COUNTERS["misses"] += 1
         return None
-    header = read_header(path)
-    if (header is None
-            or header.get("version") != SNAPSHOT_VERSION
-            or header.get("salt") != _salt()
-            or not isinstance(header.get("access_index"), int)
-            or not isinstance(header.get("length"), int)):
-        _quarantine(path)
-        COUNTERS["misses"] += 1
-        return None
+    status, header, body = check(path)
     try:
-        raw = iofaults.read_bytes("snapshot.read", path)
-        newline = raw.index(b"\n", len(MAGIC))
-        body = raw[newline + 1:]
-        if (len(body) != header["length"]
-                or hashlib.sha256(body).hexdigest() != header.get("sha256")):
-            raise ValueError("snapshot body failed validation")
+        if status != "ok":
+            raise ValueError(f"{status} snapshot")
         state = pickle.loads(body)
         if not isinstance(state, dict):
             raise ValueError("snapshot payload is not a state dict")
-    except (OSError, ValueError, TypeError, KeyError, EOFError,
+    except (ValueError, TypeError, KeyError, EOFError,
             pickle.UnpicklingError, AttributeError, ImportError,
             IndexError, MemoryError):
         _quarantine(path)
@@ -283,72 +257,46 @@ class SnapshotStats:
                 f"version      : {_salt()}")
 
 
+#: The snapshot store: a stale snapshot is only unresumable,
+#: re-computable state, so it is unlinked rather than quarantined.
+OBJECTS = ObjectTree(snapshot_dir, ".snap", lambda path: check(path)[0],
+                     quarantine_stale=False)
+
+
 def list_entries() -> "list[SnapshotEntry]":
-    """Enumerate every snapshot, newest first; unreadable ones skipped."""
-    objects = snapshot_dir() / "objects"
-    entries: "list[SnapshotEntry]" = []
-    if not objects.is_dir():
-        return entries
-    stamped = []
-    for path in objects.glob("*/*.snap"):
-        try:
-            stat_result = path.stat()
-        except OSError:
-            continue
-        header = read_header(path)
-        if header is None:
-            header = {}
-        entry = SnapshotEntry(
+    """Enumerate every snapshot, newest first (header-only reads)."""
+    entries = []
+    for path, stat_result in OBJECTS.files():
+        status, header, _ = check(path, header_only=True)
+        header = header or {}
+        entries.append(SnapshotEntry(
             path=path, size_bytes=stat_result.st_size,
             access_index=header.get("access_index", -1),
-            key=str(header.get("key", "?")),
-            current=header.get("salt") == _salt())
-        stamped.append((stat_result.st_mtime, entry))
-    stamped.sort(key=lambda pair: pair[0], reverse=True)
-    return [entry for _, entry in stamped]
+            key=str(header.get("key", "?")), current=status == "ok"))
+    return entries
 
 
 def stats() -> SnapshotStats:
-    result = SnapshotStats(directory=snapshot_dir())
-    objects = snapshot_dir() / "objects"
-    if not objects.is_dir():
-        return result
-    for path in objects.glob("*/*.snap"):
-        try:
-            result.total_bytes += path.stat().st_size
-            result.entries += 1
-        except OSError:
-            continue
-    return result
+    files = OBJECTS.files()
+    return SnapshotStats(directory=snapshot_dir(), entries=len(files),
+                         total_bytes=sum(st.st_size for _, st in files))
 
 
 def prune(all_entries: bool = False) -> int:
-    """Remove leftover snapshots; returns the number removed.
+    """Remove leftover snapshots; returns the number of files removed.
 
-    By default only snapshots whose salt no longer matches the running
-    code (unresumable) are removed; ``all_entries=True`` sweeps everything
-    — safe because snapshots only ever save re-computable work.
+    By default this is ``repro doctor``'s snapshot layer: stale
+    (unresumable) snapshots and aged writer temp files are unlinked,
+    corrupt snapshots are quarantined.  ``all_entries=True`` sweeps
+    every file — safe because snapshots only ever save re-computable
+    work.
     """
-    objects = snapshot_dir() / "objects"
-    removed = 0
-    if not objects.is_dir():
-        return removed
-    for path in objects.glob("*/*.snap"):
-        header = read_header(path)
-        stale = header is None or header.get("salt") != _salt()
-        if not (all_entries or stale):
-            continue
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:
-            continue
-    for sub in objects.glob("*"):
-        try:
-            sub.rmdir()
-        except OSError:
-            continue
-    return removed
+    if all_entries:
+        return OBJECTS.remove_all()
+    from repro.sim import doctor
+
+    report = doctor.diagnose(repair=True, layers=("snapshot",))
+    return sum(finding.repaired for finding in report.findings)
 
 
 def reset_counters() -> None:

@@ -279,6 +279,24 @@ class TestDoctorMembers:
         assert survivors == [cluster.member_id_for("127.0.0.1", 9001)]
         assert not orphan.exists()
 
+    def test_records_clients_skip_are_reaped_as_corrupt(self):
+        live = cluster.register("127.0.0.1", 9001)
+        root = cluster.members_dir()
+        payload = live.to_payload()
+        bad_pid = root / "bad-pid.json"
+        bad_pid.write_text(json.dumps(dict(payload, pid="not-a-pid")))
+        no_id = root / "no-id.json"
+        no_id.write_text(json.dumps(
+            {k: v for k, v in payload.items() if k != "member_id"}))
+        assert [m.member_id for m in
+                cluster.load_members(include_stale=True)] == [
+                    live.member_id]
+
+        report = doctor.diagnose(repair=True)
+        assert report.count("member", "corrupt") == 2 and report.healthy
+        assert not bad_pid.exists() and not no_id.exists()
+        assert live.path.exists()
+
     def test_doctor_clean_on_healthy_registry(self):
         cluster.register("127.0.0.1", 9001)
         report = doctor.diagnose(repair=True)

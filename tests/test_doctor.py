@@ -188,6 +188,88 @@ class TestLeaseHealing:
         assert not stale.exists() and not tombstone.exists()
         assert fresh.exists()
 
+    def test_default_ttl_is_the_workers_own(self, tmp_path, monkeypatch):
+        # A peer worker refuses to reclaim a lease younger than
+        # REPRO_LEASE_TTL; the doctor (and the serve daemon's startup
+        # repair) must not reap it either, or a peer re-simulates a
+        # cell that is still running.
+        from repro.campaign import worker
+        from repro.cli import main
+        monkeypatch.setenv("REPRO_LEASE_TTL", "3600")
+        lease = tmp_path / "campaigns" / "deadbeef" / "leases" / "c.lease"
+        assert worker.try_claim(lease, "holder")
+        _age(lease, 1000)
+        assert not worker.reclaim_if_stale(lease, worker.lease_ttl(),
+                                           "peer")
+        report = doctor.diagnose(repair=True)
+        assert report.count("lease") == 0 and lease.exists()
+        assert main(["doctor", "--repair"]) == 0
+        assert lease.exists()
+        assert main(["doctor", "--repair", "--lease-ttl", "500"]) == 0
+        assert not lease.exists()
+
+
+def damage_universe():
+    """Torn, stale-salt and body-corrupt files in both the cache and
+    the snapshot store, plus an aged writer temp file in each."""
+    damage_cache(cache.cache_dir())
+    cache.store(("run", "body"), sample_metrics())
+    body = cache.entry_path(("run", "body"))
+    payload = json.loads(body.read_text())
+    payload["metrics"] = ["not", "a", "metrics", "dict"]
+    body.write_text(json.dumps(payload))
+
+    magic = snapshot_store.MAGIC
+    for name in ("good", "torn", "stale", "body"):
+        snapshot_store.store(("run", name), 5, {"c": name})
+    torn = snapshot_store.snapshot_path(("run", "torn"))
+    raw = torn.read_bytes()
+    torn.write_bytes(raw[:raw.index(b"\n", len(magic)) - 5])
+    stale = snapshot_store.snapshot_path(("run", "stale"))
+    raw = stale.read_bytes()
+    newline = raw.index(b"\n", len(magic))
+    header = json.loads(raw[len(magic):newline])
+    header["salt"] = "0:ancient:0"
+    stale.write_bytes(magic + json.dumps(header).encode()
+                      + raw[newline:])
+    body = snapshot_store.snapshot_path(("run", "body"))
+    data = bytearray(body.read_bytes())
+    data[-1] ^= 0xFF
+    body.write_bytes(bytes(data))
+    orphan = torn.parent / "leak.tmp"
+    orphan.write_bytes(b"half a snap")
+    _age(orphan)
+
+
+def universe_files(root):
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestOneDamageOneDisposition:
+    def test_verify_and_prune_match_the_doctor(self, tmp_path,
+                                               monkeypatch):
+        by_commands, by_doctor = tmp_path / "commands", tmp_path / "doctor"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(by_commands))
+        damage_universe()
+        verify = cache.verify(prune=True)
+        pruned = snapshot_store.prune()
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(by_doctor))
+        damage_universe()
+        report = doctor.diagnose(repair=True)
+
+        assert report.healthy
+        # Same files everywhere, quarantines included, byte for byte.
+        assert universe_files(by_commands) == universe_files(by_doctor)
+        assert (verify.corrupt, verify.stale, verify.tmp_orphans) == (
+            report.count("cache", "corrupt"), report.count("cache", "stale"),
+            report.count("cache", "tmp-orphan")) == (2, 1, 1)
+        assert verify.scanned == report.scanned["cache"] == 4
+        assert pruned == report.count("snapshot") == 4
+        assert report.count("snapshot", "corrupt") == 2
+        assert report.quarantine == {"cache": 3, "snapshot": 2}
+
 
 class TestDoctorUnderFaults:
     def test_diagnose_disarms_the_shim_and_restores_it(self):

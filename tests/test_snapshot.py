@@ -158,6 +158,32 @@ class TestMaintenance:
         assert snapshot.prune(all_entries=True) == 2
         assert snapshot.stats().entries == 0
 
+    def test_prune_quarantines_torn_header(self):
+        path = snapshot.snapshot_path(KEY)
+        snapshot.store(KEY, 199, STATE)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:raw.index(b"\n", len(snapshot.MAGIC)) - 5])
+        assert snapshot.prune() == 1
+        assert not path.exists()
+        (held,) = snapshot.quarantine_dir().glob("*.snap")
+        assert held.name == path.name        # evidence kept, not deleted
+
+    def test_prune_quarantines_body_corrupt_and_sweeps_orphans(self):
+        path = snapshot.snapshot_path(KEY)
+        snapshot.store(KEY, 199, STATE)
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0xFF                     # header intact, sha fails
+        path.write_bytes(bytes(data))
+        orphan = path.parent / "leak.tmp"
+        orphan.write_bytes(b"half a snap")
+        old = os.path.getmtime(orphan) - 3600
+        os.utime(orphan, (old, old))
+        snapshot.store(("other",), 5, {"x": 1})
+        assert snapshot.prune() == 2
+        assert not path.exists() and not orphan.exists()
+        assert len(list(snapshot.quarantine_dir().glob("*.snap"))) == 1
+        assert snapshot.load(("other",)) == (5, {"x": 1})
+
 
 class TestCli:
     def test_stats(self, capsys):
