@@ -124,17 +124,3 @@ class CompositePSAPrefetcher(L2PrefetchModule):
         """Zero statistics at the measurement boundary (Csel survives)."""
         self.stats_psa = BoundaryStats()
         self.stats_psa_2mb = BoundaryStats()
-
-    def state_dict(self) -> dict:
-        return {"pref_psa": self.pref_psa.state_dict(),
-                "pref_psa_2mb": self.pref_psa_2mb.state_dict(),
-                "selector": self.selector.state_dict(),
-                "stats_psa": self.stats_psa.state_dict(),
-                "stats_psa_2mb": self.stats_psa_2mb.state_dict()}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.pref_psa.load_state_dict(state["pref_psa"])
-        self.pref_psa_2mb.load_state_dict(state["pref_psa_2mb"])
-        self.selector.load_state_dict(state["selector"])
-        self.stats_psa.load_state_dict(state["stats_psa"])
-        self.stats_psa_2mb.load_state_dict(state["stats_psa_2mb"])

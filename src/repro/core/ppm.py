@@ -42,12 +42,6 @@ class PageSizePropagationModule:
         """Total extra storage PPM adds to one core's L1D MSHR."""
         return l1d_mshr_entries * self.bits_per_mshr_entry(self.num_page_sizes)
 
-    def state_dict(self) -> dict:
-        return {"annotations": self.annotations}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.annotations = state["annotations"]
-
     # ------------------------------------------------------------------
     def annotate_l1d_miss(self, l1d_mshr: MSHR, block: int, ready: float,
                           page_size: int) -> None:

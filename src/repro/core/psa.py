@@ -86,13 +86,6 @@ class L2PrefetchModule:
     def reset_stats(self) -> None:
         """Zero statistics at the measurement boundary (state preserved)."""
 
-    # Checkpointing.  The stub has no state; wrapping modules override.
-    def state_dict(self) -> dict:
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        pass
-
 
 class PSAPrefetchModule(L2PrefetchModule):
     """One prefetcher under a page-size-aware (or original) window policy."""
@@ -133,11 +126,3 @@ class PSAPrefetchModule(L2PrefetchModule):
 
     def reset_stats(self) -> None:
         self.stats = BoundaryStats()
-
-    def state_dict(self) -> dict:
-        return {"prefetcher": self.prefetcher.state_dict(),
-                "stats": self.stats.state_dict()}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.prefetcher.load_state_dict(state["prefetcher"])
-        self.stats.load_state_dict(state["stats"])

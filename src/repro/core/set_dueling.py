@@ -123,21 +123,6 @@ class SetDuelingSelector:
                 f"Set-Dueling: Csel {self.csel} escaped its saturating "
                 f"range [0, {self.csel_max}]")
 
-    def state_dict(self) -> dict:
-        # Leader assignment (_hash_mult/_frozen_roles) is configuration,
-        # deterministic in the constructor arguments — only Csel and the
-        # counters are behavioural state.
-        return {"csel": self.csel,
-                "stats": (self.updates_psa, self.updates_psa_2mb,
-                          self.follower_selects_psa,
-                          self.follower_selects_psa_2mb)}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.csel = state["csel"]
-        (self.updates_psa, self.updates_psa_2mb,
-         self.follower_selects_psa,
-         self.follower_selects_psa_2mb) = state["stats"]
-
     def annotation_storage_bits(self, l2c_blocks: int) -> int:
         """One annotation bit per L2C block (1KB for a 512KB L2C)."""
         return l2c_blocks

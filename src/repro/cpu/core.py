@@ -139,36 +139,6 @@ class Core:
         )
 
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "fetch": self.fetch,
-            "retire_frontier": self.retire_frontier,
-            "occupancy": self.occupancy,
-            "inflight": [(c, f) for c, f in self.inflight],
-            "last_load_complete": self.last_load_complete,
-            "instructions": self.instructions,
-            "memory_accesses": self.memory_accesses,
-            "stall_cycles": self.stall_cycles,
-            "measure": (self._measure_started_at,
-                        self._measured_instruction_base,
-                        self._measured_access_base,
-                        self._measured_stall_base),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.fetch = state["fetch"]
-        self.retire_frontier = state["retire_frontier"]
-        self.occupancy = state["occupancy"]
-        self.inflight = deque((c, f) for c, f in state["inflight"])
-        self.last_load_complete = state["last_load_complete"]
-        self.instructions = state["instructions"]
-        self.memory_accesses = state["memory_accesses"]
-        self.stall_cycles = state["stall_cycles"]
-        (self._measure_started_at, self._measured_instruction_base,
-         self._measured_access_base,
-         self._measured_stall_base) = state["measure"]
-
-    # ------------------------------------------------------------------
     def run(self, trace: Trace, warmup_records: int = 0,
             start_index: int = 0, on_record=None,
             barrier_every: int = 0) -> CoreResult:

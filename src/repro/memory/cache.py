@@ -39,6 +39,11 @@ class CacheLine:
         self.prefetch = prefetch
         self.issuer = issuer
 
+    def __reduce_ex__(self, protocol: int) -> tuple:
+        # Tens of thousands per snapshot: constructor arguments pickle in
+        # about half the time and space of the default slot-state dict.
+        return CacheLine, (self.dirty, self.prefetch, self.issuer)
+
 
 class Cache:
     """One level of a set-associative cache with an attached MSHR."""
@@ -204,32 +209,3 @@ class Cache:
         self.useful_prefetches = self.prefetch_fills = self.writebacks = 0
         self.mshr.reset_stats()
         self.pf_mshr.reset_stats()
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Snapshot resident lines, replacement state, MSHRs and stats."""
-        return {
-            "sets": [{block: (line.dirty, line.prefetch, line.issuer)
-                      for block, line in cache_set.items()}
-                     for cache_set in self._sets],
-            "policies": [policy.state_dict() for policy in self._policies],
-            "mshr": self.mshr.state_dict(),
-            "pf_mshr": self.pf_mshr.state_dict(),
-            "stats": (self.demand_accesses, self.demand_hits,
-                      self.demand_misses, self.useful_prefetches,
-                      self.prefetch_fills, self.writebacks),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._sets = [{block: CacheLine(dirty=d, prefetch=p, issuer=i)
-                       for block, (d, p, i) in cache_set.items()}
-                      for cache_set in state["sets"]]
-        for policy, policy_state in zip(self._policies, state["policies"]):
-            policy.load_state_dict(policy_state)
-        self.mshr.load_state_dict(state["mshr"])
-        self.pf_mshr.load_state_dict(state["pf_mshr"])
-        (self.demand_accesses, self.demand_hits, self.demand_misses,
-         self.useful_prefetches, self.prefetch_fills,
-         self.writebacks) = state["stats"]

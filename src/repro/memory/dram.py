@@ -81,17 +81,3 @@ class DRAM:
     def reset_stats(self) -> None:
         self.reads = self.writes = self.row_hits = self.row_misses = 0
         self.total_queue_cycles = 0.0
-
-    def state_dict(self) -> dict:
-        return {
-            "open_rows": [list(rows) for rows in self._open_rows],
-            "channel_free": list(self._channel_free),
-            "stats": (self.reads, self.writes, self.row_hits,
-                      self.row_misses, self.total_queue_cycles),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._open_rows = [list(rows) for rows in state["open_rows"]]
-        self._channel_free = list(state["channel_free"])
-        (self.reads, self.writes, self.row_hits, self.row_misses,
-         self.total_queue_cycles) = state["stats"]

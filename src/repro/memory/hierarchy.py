@@ -575,59 +575,6 @@ class MemoryHierarchy:
         self.l1_pf_issued = 0
         self.walk_reads = 0
 
-    def state_dict(self) -> dict:
-        """Snapshot the full hierarchy: caches, DRAM, VM, modules, stats.
-
-        Wiring (the observer, the L1D prefetcher's ``may_cross`` closure,
-        shared LLC/DRAM references) is structural and never serialized;
-        ``load_state_dict`` expects a hierarchy rebuilt with the identical
-        configuration.
-        """
-        state = {
-            "l1d": self.l1d.state_dict(),
-            "l2c": self.l2c.state_dict(),
-            "llc": self.llc.state_dict(),
-            "dram": self.dram.state_dict(),
-            "translator": self.translator.state_dict(),
-            "allocator": self.allocator.state_dict(),
-            "ppm": self.ppm.state_dict(),
-            "l2_module": self.l2_module.state_dict(),
-            "llc_module": (None if self.llc_module is None
-                           else self.llc_module.state_dict()),
-            "l1d_prefetcher": (None if self.l1d_prefetcher is None
-                               else self.l1d_prefetcher.state_dict()),
-            "stats": (self.loads, self.stores, self.load_latency_sum,
-                      self.l2_demand_latency_sum,
-                      self.l2_demand_latency_count,
-                      self.llc_demand_latency_sum,
-                      self.llc_demand_latency_count,
-                      self.pf_issued_l2, self.pf_issued_llc,
-                      self.pf_dropped_mshr, self.pf_redundant,
-                      self.l1_pf_issued, self.walk_reads),
-        }
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        self.l1d.load_state_dict(state["l1d"])
-        self.l2c.load_state_dict(state["l2c"])
-        self.llc.load_state_dict(state["llc"])
-        self.dram.load_state_dict(state["dram"])
-        self.translator.load_state_dict(state["translator"])
-        self.allocator.load_state_dict(state["allocator"])
-        self.ppm.load_state_dict(state["ppm"])
-        self.l2_module.load_state_dict(state["l2_module"])
-        if self.llc_module is not None and state["llc_module"] is not None:
-            self.llc_module.load_state_dict(state["llc_module"])
-        if (self.l1d_prefetcher is not None
-                and state["l1d_prefetcher"] is not None):
-            self.l1d_prefetcher.load_state_dict(state["l1d_prefetcher"])
-        (self.loads, self.stores, self.load_latency_sum,
-         self.l2_demand_latency_sum, self.l2_demand_latency_count,
-         self.llc_demand_latency_sum, self.llc_demand_latency_count,
-         self.pf_issued_l2, self.pf_issued_llc, self.pf_dropped_mshr,
-         self.pf_redundant, self.l1_pf_issued,
-         self.walk_reads) = state["stats"]
-
     def avg_load_latency(self) -> float:
         """Mean core-visible load latency (translation + hierarchy)."""
         return self.load_latency_sum / self.loads if self.loads else 0.0

@@ -43,8 +43,7 @@ class MSHR:
         #: a pure scan accelerator.  While ``_floor > now`` a capacity
         #: sweep provably finds nothing to retire, so ``_expire`` skips
         #: it.  Lazy deletions may leave the bound loose (never stale
-        #: high); it is not behavioural state and is excluded from
-        #: ``state_dict`` (recomputed on load).
+        #: high); it is not behavioural state.
         self._floor = float("inf")
 
     def __len__(self) -> int:
@@ -134,17 +133,3 @@ class MSHR:
 
     def reset_stats(self) -> None:
         self.stalls = self.merges = self.inserts = 0
-
-    def state_dict(self) -> dict:
-        return {"entries": {b: tuple(e) for b, e in self._entries.items()},
-                "stalls": self.stalls, "merges": self.merges,
-                "inserts": self.inserts}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._entries = {b: (e[0], e[1])
-                         for b, e in state["entries"].items()}
-        self.stalls = state["stalls"]
-        self.merges = state["merges"]
-        self.inserts = state["inserts"]
-        self._floor = min((ready for ready, _ in self._entries.values()),
-                          default=float("inf"))

@@ -43,13 +43,6 @@ class LRUPolicy:
     def victim(self) -> Hashable:
         return min(self._stamps, key=self._stamps.__getitem__)
 
-    def state_dict(self) -> dict:
-        return {"stamps": dict(self._stamps), "clock": self._clock}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._stamps = dict(state["stamps"])
-        self._clock = state["clock"]
-
 
 class FIFOPolicy(LRUPolicy):
     """First-in-first-out: like LRU but hits do not refresh recency."""
@@ -80,15 +73,6 @@ class RandomPolicy:
 
     def victim(self) -> Hashable:
         return self._rng.choice(self._tags)
-
-    def state_dict(self) -> dict:
-        return {"tags": list(self._tags), "rng": self._rng.getstate()}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._tags = list(state["tags"])
-        rng_state = state["rng"]
-        # JSON-ish round trips turn the getstate() tuples into lists.
-        self._rng.setstate((rng_state[0], tuple(rng_state[1]), rng_state[2]))
 
 
 class SRRIPPolicy:
@@ -123,14 +107,6 @@ class SRRIPPolicy:
             for tag in self._rrpv:
                 self._rrpv[tag] += 1
 
-    def state_dict(self) -> dict:
-        # The victim scan walks insertion order, so the RRPV map must
-        # round-trip ordered.
-        return {"rrpv": dict(self._rrpv)}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._rrpv = dict(state["rrpv"])
-
 
 class BRRIPPolicy(SRRIPPolicy):
     """Bimodal RRIP: inserts at max RRPV most of the time (thrash
@@ -150,15 +126,6 @@ class BRRIPPolicy(SRRIPPolicy):
             self._rrpv[tag] = self.max_rrpv - 1
         else:
             self._rrpv[tag] = self.max_rrpv
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["counter"] = self._counter
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self._counter = state["counter"]
 
 
 POLICIES = {"lru": LRUPolicy, "fifo": FIFOPolicy, "random": RandomPolicy,

@@ -63,13 +63,6 @@ class AMPM(L2Prefetcher):
         self.maps.put(region, bitmap | (1 << offset))
 
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {"maps": self.maps.state_dict()}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.maps.load_state_dict(state["maps"])
-
-    # ------------------------------------------------------------------
     def storage_bits(self) -> int:
         # tag(16) + one bit per block of the region, per map entry.
         return self.maps.capacity * (16 + self.region_blocks)

@@ -72,13 +72,6 @@ class BoundaryStats:
         return (self.discarded_cross_4k_in_2m / self.proposed
                 if self.proposed else 0.0)
 
-    def state_dict(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def load_state_dict(self, state: dict) -> None:
-        for slot in self.__slots__:
-            setattr(self, slot, state[slot])
-
     def merge(self, other: "BoundaryStats") -> None:
         self.proposed += other.proposed
         self.issued += other.issued
@@ -207,15 +200,6 @@ class L2Prefetcher(ABC):
         """Approximate metadata storage in bits (for ISO-storage studies)."""
         return 0
 
-    # ------------------------------------------------------------------
-    # Checkpointing.  Stateless prefetchers inherit the empty default;
-    # stateful ones override both methods with their full table state.
-    def state_dict(self) -> dict:
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        pass
-
 
 class L1DPrefetcher(ABC):
     """Base class for L1D prefetchers operating on *virtual* addresses."""
@@ -225,9 +209,3 @@ class L1DPrefetcher(ABC):
     @abstractmethod
     def on_access(self, vaddr: int, ip: int, hit: bool) -> List[int]:
         """Return prefetch candidate virtual addresses for this access."""
-
-    def state_dict(self) -> dict:
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        pass

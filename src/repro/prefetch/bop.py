@@ -100,27 +100,6 @@ class BOP(L2Prefetcher):
             ctx.emit(ctx.block + self.best_offset, fill_l2=True)
 
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "rr": list(self._rr),
-            "scores": dict(self._scores),
-            "test_index": self._test_index,
-            "rounds": self._rounds,
-            "best_offset": self.best_offset,
-            "prefetch_enabled": self.prefetch_enabled,
-            "offset_selections": list(self.offset_selections),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._rr = list(state["rr"])
-        self._scores = dict(state["scores"])
-        self._test_index = state["test_index"]
-        self._rounds = state["rounds"]
-        self.best_offset = state["best_offset"]
-        self.prefetch_enabled = state["prefetch_enabled"]
-        self.offset_selections = list(state["offset_selections"])
-
-    # ------------------------------------------------------------------
     def storage_bits(self) -> int:
         rr_bits = self.rr_entries * 16
         score_bits = len(self.OFFSETS) * 5

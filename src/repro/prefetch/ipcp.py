@@ -38,6 +38,11 @@ from repro.prefetch.tables import BoundedTable, saturate
 BLOCKS_PER_PAGE = 1 << (PAGE_4K_BITS - BLOCK_BITS)
 
 
+def _never(vaddr: int) -> bool:
+    """The default ``may_cross``: no page is known TLB resident."""
+    return False
+
+
 class IPEntry:
     """Per-IP tracking state."""
 
@@ -82,7 +87,7 @@ class IPCP(L1DPrefetcher):
         """``cross_page`` selects IPCP++ behaviour; ``may_cross(vaddr)``
         must then report whether the target page is TLB resident."""
         self.cross_page = cross_page
-        self.may_cross = may_cross if may_cross is not None else (lambda _: False)
+        self.may_cross = may_cross if may_cross is not None else _never
         self.ip_table: BoundedTable[IPEntry] = BoundedTable(self.IP_TABLE_ENTRIES)
         self.region_table: BoundedTable[RegionEntry] = BoundedTable(
             self.REGION_ENTRIES)
@@ -171,39 +176,6 @@ class IPCP(L1DPrefetcher):
         if entry.touches >= self.GS_TOUCHES_MIN and entry.direction:
             return entry.direction
         return None
-
-    # ------------------------------------------------------------------
-    # ``cross_page`` and the ``may_cross`` predicate are configuration and
-    # wiring (a closure over the hierarchy's TLBs), not behavioural state —
-    # they are re-established when the hierarchy is rebuilt.
-    def state_dict(self) -> dict:
-        return {
-            "ip_table": self.ip_table.state_dict(
-                encode=lambda e: (e.last_block, e.stride, e.confidence,
-                                  e.signature)),
-            "region_table": self.region_table.state_dict(
-                encode=lambda e: (e.last_block, e.direction, e.touches)),
-            "cspt": self.cspt.state_dict(encode=list),
-            "stats": (self.issued, self.dropped_at_boundary),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        def decode_ip(payload) -> IPEntry:
-            entry = IPEntry(payload[0])
-            entry.stride, entry.confidence, entry.signature = payload[1:]
-            return entry
-
-        def decode_region(payload) -> RegionEntry:
-            entry = RegionEntry(payload[0])
-            entry.direction = payload[1]
-            entry.touches = payload[2]
-            return entry
-
-        self.ip_table.load_state_dict(state["ip_table"], decode=decode_ip)
-        self.region_table.load_state_dict(state["region_table"],
-                                          decode=decode_region)
-        self.cspt.load_state_dict(state["cspt"], decode=list)
-        self.issued, self.dropped_at_boundary = state["stats"]
 
     # ------------------------------------------------------------------
     def on_access(self, vaddr: int, ip: int, hit: bool) -> List[int]:

@@ -142,22 +142,6 @@ class PPF(SPP):
             self.filter.train(indices, positive=True)
 
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["filter"] = [list(table) for table in self.filter.tables]
-        state["prefetch_table"] = self.prefetch_table.state_dict()
-        state["reject_table"] = self.reject_table.state_dict()
-        state["decisions"] = (self.accepted, self.rejected)
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        self.filter.tables = [list(table) for table in state["filter"]]
-        self.prefetch_table.load_state_dict(state["prefetch_table"])
-        self.reject_table.load_state_dict(state["reject_table"])
-        self.accepted, self.rejected = state["decisions"]
-
-    # ------------------------------------------------------------------
     def storage_bits(self) -> int:
         history_bits = (self.prefetch_table.capacity
                         + self.reject_table.capacity) * 64

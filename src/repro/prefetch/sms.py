@@ -112,25 +112,6 @@ class SMS(L2Prefetcher):
         self.agt.put(region, generation)
 
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "agt": self.agt.state_dict(
-                encode=lambda g: (g.trigger_ip, g.trigger_offset, g.bitmap)),
-            "pht": self.pht.state_dict(),
-            "stats": (self.generations_filed, self.footprint_hits),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        def decode(payload) -> Generation:
-            generation = Generation(payload[0], payload[1])
-            generation.bitmap = payload[2]
-            return generation
-
-        self.agt.load_state_dict(state["agt"], decode=decode)
-        self.pht.load_state_dict(state["pht"])
-        self.generations_filed, self.footprint_hits = state["stats"]
-
-    # ------------------------------------------------------------------
     def storage_bits(self) -> int:
         per_generation = 32 + self.offset_bits + self.region_blocks
         per_pattern = 32 + self.offset_bits + self.region_blocks

@@ -296,33 +296,6 @@ class SPP(L2Prefetcher):
         return ctx.emit(candidate, fill_l2=path_confidence >= self.FILL_THRESHOLD)
 
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "signature_table": self.signature_table.state_dict(),
-            "pattern_table": self.pattern_table.state_dict(
-                encode=lambda e: (dict(e.deltas), e.total)),
-            "ghr": [(g.signature, g.confidence, g.entry_offset, g.delta)
-                    for g in self.ghr],
-            "stats": (self.lookahead_depth_total,
-                      self.lookahead_invocations, self.ghr_seeds),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        def decode(payload) -> PatternEntry:
-            entry = PatternEntry()
-            entry.deltas = dict(payload[0])
-            entry.total = payload[1]
-            return entry
-
-        self.signature_table.load_state_dict(state["signature_table"])
-        self.pattern_table.load_state_dict(state["pattern_table"],
-                                           decode=decode)
-        self.ghr = [GHREntry(sig, conf, off, delta)
-                    for sig, conf, off, delta in state["ghr"]]
-        (self.lookahead_depth_total, self.lookahead_invocations,
-         self.ghr_seeds) = state["stats"]
-
-    # ------------------------------------------------------------------
     def storage_bits(self) -> int:
         # ST: tag(16) + last offset(up to 15) + signature(12) per entry;
         # PT: 4 ways x (delta(16) + counter(8)) + total(8) per entry;

@@ -58,27 +58,6 @@ class BoundedTable(Generic[V]):
     def clear(self) -> None:
         self._data.clear()
 
-    def state_dict(self, encode=None) -> dict:
-        """Snapshot the table.  The LRU order *is* behavioural state, so
-        items are serialized as an ordered pair list.  ``encode`` maps
-        values that are not plain data (slot objects) to plain data."""
-        if encode is None:
-            items = [(key, value) for key, value in self._data.items()]
-        else:
-            items = [(key, encode(value))
-                     for key, value in self._data.items()]
-        return {"items": items, "evictions": self.evictions}
-
-    def load_state_dict(self, state: dict, decode=None) -> None:
-        self._data.clear()
-        if decode is None:
-            for key, value in state["items"]:
-                self._data[key] = value
-        else:
-            for key, value in state["items"]:
-                self._data[key] = decode(value)
-        self.evictions = state["evictions"]
-
 
 def saturate(value: int, lo: int, hi: int) -> int:
     """Clamp *value* to the closed range [lo, hi] (saturating counter)."""

@@ -129,20 +129,6 @@ class VLDP(L2Prefetcher):
             speculative = (speculative + (predicted,))[-HISTORY_LEN:]
 
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "dhb": self.dhb.state_dict(),
-            "dpts": [t.state_dict(encode=list) for t in self.dpts],
-            "opt": self.opt.state_dict(encode=list),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.dhb.load_state_dict(state["dhb"])
-        for table, table_state in zip(self.dpts, state["dpts"]):
-            table.load_state_dict(table_state, decode=list)
-        self.opt.load_state_dict(state["opt"], decode=list)
-
-    # ------------------------------------------------------------------
     def storage_bits(self) -> int:
         dhb_bits = self.dhb.capacity * (16 + self.offset_bits
                                         + HISTORY_LEN * 16)

@@ -643,12 +643,10 @@ class ServeApp:
         if detail:
             loaded = snapshot.load(job.key)
             if loaded is not None:
-                core = loaded[1].get("core", {})
-                instructions = core.get("instructions", 0)
-                cycles = core.get("fetch", 0.0)
-                info["instructions"] = instructions
+                core = loaded[1]
+                info["instructions"] = core.instructions
                 info["ipc_so_far"] = round(
-                    instructions / cycles, 6) if cycles else None
+                    core.instructions / core.fetch, 6) if core.fetch else None
         return info
 
     async def _stream_progress(self, writer: asyncio.StreamWriter,

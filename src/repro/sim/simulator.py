@@ -102,42 +102,31 @@ def simulate_trace(trace: Trace, config: Optional[SystemConfig] = None,
     from repro.sim import snapshot as snapshot_store
 
     config = config if config is not None else SystemConfig()
-    hierarchy, module = build_hierarchy(
-        trace, config, prefetcher, variant, l1d=l1d,
-        oracle_page_size=oracle_page_size, table_scale=table_scale,
-        dueling=dueling, gb_fraction=gb_fraction)
-    observer = None
-    if oracle:
-        from repro.verify.oracle import OracleDivergence, attach_oracle
-        observer = attach_oracle(hierarchy)
-    core = Core(hierarchy, config.rob_entries, config.fetch_width)
     warmup = int(len(trace.records) * warmup_fraction)
-
     snapshotting = (snapshot_key is not None and not oracle
                     and snapshot_store.snapshot_enabled())
-    start_index = 0
-    if snapshotting:
-        resumed = snapshot_store.load(snapshot_key)
-        if resumed is not None:
-            access_index, state = resumed
-            try:
-                core.load_state_dict(state["core"])
-                hierarchy.load_state_dict(state["hierarchy"])
-                start_index = access_index + 1
-            except (KeyError, ValueError, TypeError, IndexError,
-                    AttributeError):
-                # A snapshot from an incompatible configuration slipped
-                # past the header checks: rebuild fresh and start over.
-                snapshot_store._quarantine(
-                    snapshot_store.snapshot_path(snapshot_key))
-                hierarchy, module = build_hierarchy(
-                    trace, config, prefetcher, variant, l1d=l1d,
-                    oracle_page_size=oracle_page_size,
-                    table_scale=table_scale, dueling=dueling,
-                    gb_fraction=gb_fraction)
-                core = Core(hierarchy, config.rob_entries,
-                            config.fetch_width)
-                start_index = 0
+    resumed = snapshot_store.load(snapshot_key) if snapshotting else None
+    if resumed is not None and not isinstance(resumed[1], Core):
+        snapshot_store._quarantine(snapshot_store.snapshot_path(snapshot_key))
+        resumed = None
+    observer = None
+    if resumed is not None:
+        # The snapshot is the pickled core, and every model object hangs
+        # off it; the salt's source digest rules out other code's state.
+        access_index, core = resumed
+        hierarchy = core.hierarchy
+        module = hierarchy.l2_module
+        start_index = access_index + 1
+    else:
+        hierarchy, module = build_hierarchy(
+            trace, config, prefetcher, variant, l1d=l1d,
+            oracle_page_size=oracle_page_size, table_scale=table_scale,
+            dueling=dueling, gb_fraction=gb_fraction)
+        if oracle:
+            from repro.verify.oracle import OracleDivergence, attach_oracle
+            observer = attach_oracle(hierarchy)
+        core = Core(hierarchy, config.rob_entries, config.fetch_width)
+        start_index = 0
 
     on_record = None
     every = 0
@@ -151,9 +140,7 @@ def simulate_trace(trace: Trace, config: Optional[SystemConfig] = None,
             # anchored to the trace, not the attempt, so resumed runs
             # snapshot at the same access indices as uninterrupted ones.
             if every and (index + 1) % every == 0:
-                snapshot_store.store(snapshot_key, index,
-                                     {"core": core.state_dict(),
-                                      "hierarchy": hierarchy.state_dict()})
+                snapshot_store.store(snapshot_key, index, core)
             if kill_armed:
                 faults.access_checkpoint(index)
 

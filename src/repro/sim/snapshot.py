@@ -2,11 +2,12 @@
 
 A long simulation that dies (crash, SIGKILL, timeout) loses all progress;
 the supervisor restarts it from access zero.  This module lets a run
-checkpoint its *complete* simulation state — caches with replacement and
-MSHR state, prefetcher tables, PPM/set-dueling counters, TLBs, page table,
-allocator, and the core's pipeline state — every ``REPRO_SNAPSHOT_EVERY``
-accesses, so a retried attempt resumes mid-trace and finishes **bitwise
-identical** to an uninterrupted run.
+checkpoint its *complete* simulation state — the pickled ``Core``, from
+which the caches with replacement and MSHR state, prefetcher tables,
+PPM/set-dueling counters, TLBs, page table and allocator are all
+reachable — every ``REPRO_SNAPSHOT_EVERY`` accesses, so a retried attempt
+resumes mid-trace and finishes **bitwise identical** to an uninterrupted
+run.  The store itself pickles whatever payload it is given.
 
 Layout (under ``REPRO_SNAPSHOT_DIR`` or ``<cache dir>/snapshots``)::
 
@@ -15,7 +16,7 @@ Layout (under ``REPRO_SNAPSHOT_DIR`` or ``<cache dir>/snapshots``)::
 One file per run key, overwritten in place as the run advances.  The file
 is a one-line JSON header (version, code-version salt, run key repr, the
 access index the snapshot was taken after, body length and sha256) followed
-by a pickled state payload.  Guarantees, mirroring ``repro.sim.cache``:
+by the pickled payload.  Guarantees, mirroring ``repro.sim.cache``:
 
 - **Atomic writes**: temp file in the same directory, flushed and fsynced,
   then ``os.replace``d — a crash mid-store can never expose a torn
@@ -25,8 +26,10 @@ by a pickled state payload.  Guarantees, mirroring ``repro.sim.cache``:
   (never an exception, never a silent delete) and treated as absent — the
   run restarts from scratch.
 - **Versioned invalidation**: the key digest and header are salted with
-  ``CACHE_VERSION``/``CODE_VERSION``; snapshots from older code are never
-  resumed.
+  ``CACHE_VERSION``/``CODE_VERSION``, ``SNAPSHOT_VERSION`` and a sha256 of
+  the package's own source (``source_digest``).  A pickled object carries
+  the attributes of the code that wrote it, so snapshots from other code
+  are never resumed.
 
 Snapshots are *transient*: ``discard`` removes a run's snapshot once it
 completes, and ``prune`` (``repro snapshot prune``) sweeps leftovers from
@@ -35,13 +38,14 @@ runs that never finished.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.sim import iofaults
 from repro.sim.cache import (CACHE_VERSION, CODE_VERSION, ObjectTree,
@@ -51,7 +55,7 @@ from repro.sim.config import env_int
 MAGIC = b"repro-snapshot\n"
 
 #: Snapshot format version: bump when the header or payload shape changes.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: Module-level counters, for tests and diagnostics (per process).
 COUNTERS = {"stores": 0, "loads": 0, "misses": 0, "quarantined": 0,
@@ -75,8 +79,20 @@ def snapshot_dir() -> Path:
     return cache_dir() / "snapshots"
 
 
+@functools.cache
+def source_digest() -> str:
+    """sha256 over every module of the ``repro`` package (once per process)."""
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _salt() -> str:
-    return f"{CACHE_VERSION}:{CODE_VERSION}:{SNAPSHOT_VERSION}"
+    return (f"{CACHE_VERSION}:{CODE_VERSION}:{SNAPSHOT_VERSION}:"
+            f"{source_digest()}")
 
 
 def key_digest(key: tuple) -> str:
@@ -103,7 +119,7 @@ def _quarantine(path: Path) -> Optional[Path]:
 # Store / load / discard
 # ----------------------------------------------------------------------
 
-def store(key: tuple, access_index: int, state: dict) -> bool:
+def store(key: tuple, access_index: int, payload: Any) -> bool:
     """Atomically persist the state reached *after* ``access_index``.
 
     The body is flushed and fsynced before the rename: a crash at any
@@ -112,7 +128,7 @@ def store(key: tuple, access_index: int, state: dict) -> bool:
     simply continues unprotected).
     """
     path = snapshot_path(key)
-    body = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     header = {
         "version": SNAPSHOT_VERSION,
         "salt": _salt(),
@@ -184,8 +200,8 @@ def peek(key: tuple) -> Optional[dict]:
     return header if status == "ok" else None
 
 
-def load(key: tuple) -> Optional[Tuple[int, dict]]:
-    """Fetch the latest valid snapshot; return (access_index, state).
+def load(key: tuple) -> Optional[Tuple[int, Any]]:
+    """Fetch the latest valid snapshot; return (access_index, payload).
 
     A file :func:`check` does not pass (even a wrong salt at this key's
     own path) or an unpicklable payload is quarantined and reported as
@@ -199,9 +215,7 @@ def load(key: tuple) -> Optional[Tuple[int, dict]]:
     try:
         if status != "ok":
             raise ValueError(f"{status} snapshot")
-        state = pickle.loads(body)
-        if not isinstance(state, dict):
-            raise ValueError("snapshot payload is not a state dict")
+        payload = pickle.loads(body)
     except (ValueError, TypeError, KeyError, EOFError,
             pickle.UnpicklingError, AttributeError, ImportError,
             IndexError, MemoryError):
@@ -209,7 +223,7 @@ def load(key: tuple) -> Optional[Tuple[int, dict]]:
         COUNTERS["misses"] += 1
         return None
     COUNTERS["loads"] += 1
-    return header["access_index"], state
+    return header["access_index"], payload
 
 
 def discard(key: tuple) -> bool:

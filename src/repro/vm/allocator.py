@@ -358,40 +358,3 @@ class PhysicalMemoryAllocator:
     def sample_usage(self, accesses_seen: int) -> None:
         """Record a (time, 2MB-usage) point for Fig. 3 style curves."""
         self.usage_samples.append((accesses_seen, self.thp_usage_fraction()))
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Snapshot every mutable mapping (frame sets as sorted lists so
-        the serialized payload is canonical)."""
-        return {
-            "map_4k": dict(self._map_4k),
-            "map_2m": dict(self._map_2m),
-            "map_1g": dict(self._map_1g),
-            "frames_4k": sorted(self._frames_4k),
-            "frames_2m": sorted(self._frames_2m),
-            "frames_1g": sorted(self._frames_1g),
-            "huge_decision": dict(self._huge_decision),
-            "gb_decision": dict(self._gb_decision),
-            "next": (self._next_4k, self._next_2m, self._next_1g),
-            "usage_samples": list(self.usage_samples),
-            "claimed": (list(self._claimed_starts),
-                        list(self._claimed_ends)),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._map_4k = dict(state["map_4k"])
-        self._map_2m = dict(state["map_2m"])
-        self._map_1g = dict(state["map_1g"])
-        self._frames_4k = set(state["frames_4k"])
-        self._frames_2m = set(state["frames_2m"])
-        self._frames_1g = set(state["frames_1g"])
-        self._huge_decision = dict(state["huge_decision"])
-        self._gb_decision = dict(state["gb_decision"])
-        self._next_4k, self._next_2m, self._next_1g = state["next"]
-        self.usage_samples = [(a, f) for a, f in state["usage_samples"]]
-        claimed_starts, claimed_ends = state["claimed"]
-        if self._check:
-            self._claimed_starts = list(claimed_starts)
-            self._claimed_ends = list(claimed_ends)

@@ -52,19 +52,6 @@ class PageTable:
     def node_count(self) -> int:
         return self._next_node
 
-    def state_dict(self) -> dict:
-        return {"node_frame": dict(self._node_frame),
-                "children": dict(self._children),
-                "next_node": self._next_node,
-                "root": self._root}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._node_frame = dict(state["node_frame"])
-        self._children = {(k[0], k[1]): child
-                          for k, child in state["children"].items()}
-        self._next_node = state["next_node"]
-        self._root = state["root"]
-
     def pte_address(self, node: int, index: int) -> int:
         """Physical byte address of one PTE within a node frame."""
         return (self._node_frame[node] << 12) | (index * PTE_BYTES)

@@ -102,14 +102,3 @@ class TLB:
 
     def reset_stats(self) -> None:
         self.hits = self.misses = self.hits_2m = 0
-
-    def state_dict(self) -> dict:
-        return {"sets": [dict(tlb_set) for tlb_set in self._sets],
-                "clock": self._clock,
-                "stats": (self.hits, self.misses, self.hits_2m)}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._sets = [{(k[0], k[1]): stamp for k, stamp in tlb_set.items()}
-                      for tlb_set in state["sets"]]
-        self._clock = state["clock"]
-        self.hits, self.misses, self.hits_2m = state["stats"]

@@ -67,17 +67,6 @@ class MMUCache:
         self._clock += 1
         self._entries[key] = self._clock
 
-    def state_dict(self) -> dict:
-        return {"entries": dict(self._entries), "clock": self._clock,
-                "hits": self.hits, "misses": self.misses}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._entries = {(k[0], k[1]): stamp
-                         for k, stamp in state["entries"].items()}
-        self._clock = state["clock"]
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-
 
 class AddressTranslator:
     """DTLB + STLB + MMU caches + page walker for one core."""
@@ -181,19 +170,3 @@ class AddressTranslator:
         self.stlb.reset_stats()
         self.walks = self.walk_levels_fetched = 0
         self.tlb_prefetches = 0
-
-    def state_dict(self) -> dict:
-        return {"dtlb": self.dtlb.state_dict(),
-                "stlb": self.stlb.state_dict(),
-                "mmu_cache": self.mmu_cache.state_dict(),
-                "page_table": self.page_table.state_dict(),
-                "stats": (self.walks, self.walk_levels_fetched,
-                          self.tlb_prefetches)}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.dtlb.load_state_dict(state["dtlb"])
-        self.stlb.load_state_dict(state["stlb"])
-        self.mmu_cache.load_state_dict(state["mmu_cache"])
-        self.page_table.load_state_dict(state["page_table"])
-        (self.walks, self.walk_levels_fetched,
-         self.tlb_prefetches) = state["stats"]

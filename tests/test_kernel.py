@@ -41,8 +41,7 @@ def run_with_state(trace, variant, prefetcher="spp"):
     core = Core(hierarchy, config.rob_entries, config.fetch_width)
     core.run(trace, warmup_records=len(trace.records) // 2)
     metrics = simulate_trace(trace, prefetcher=prefetcher, variant=variant)
-    state = pickle.dumps({"core": core.state_dict(),
-                          "hierarchy": hierarchy.state_dict()})
+    state = pickle.dumps(core)
     return golden.metrics_digest(metrics), state
 
 
@@ -133,9 +132,9 @@ class TestFaultsAndSnapshots:
         stored = {}
         real_store = snapshot.store
 
-        def capture(key, index, state):
-            stored.setdefault(index, []).append(pickle.dumps(state))
-            return real_store(key, index, state)
+        def capture(key, index, core):
+            stored.setdefault(index, []).append(pickle.dumps(core))
+            return real_store(key, index, core)
 
         monkeypatch.setattr(snapshot, "store", capture)
         with reference_loop():

@@ -100,8 +100,7 @@ def _mix_state(cores, variant, monkeypatch, prefetcher="spp",
         specs, multicore_config(SystemConfig(), len(specs)), prefetcher,
         variant,
         n_accesses, warmup_fraction)
-    state = pickle.dumps([(core.state_dict(), core.hierarchy.state_dict())
-                          for core in mixed])
+    state = pickle.dumps(mixed)
     return [r.ipc for r in results], state, len(built)
 
 

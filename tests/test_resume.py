@@ -15,6 +15,7 @@ import warnings
 import pytest
 
 from repro.sim import faults, runner, snapshot
+from repro.sim.config import DuelingConfig, SystemConfig
 from repro.sim.runner import RunRequest, run_batch
 from repro.sim.simulator import simulate_trace
 from repro.verify import golden
@@ -23,6 +24,28 @@ from repro.workloads.io import load_trace
 ALL_VARIANTS = ("none", "original", "psa", "psa-2mb", "psa-sd")
 KILL_AT = 1300          # mid-trace, past the first snapshot boundary
 EVERY = 500
+
+#: Configurations outside the SPP variant matrix, each resumed on one
+#: golden trace under psa-sd: (trace, simulate_trace keywords).  IPCP
+#: and TLB prefetching keep the run on the reference loop, and the IPCP
+#: cases pickle ``may_cross``, a bound method of the translator.
+CONFIGURATIONS = {
+    "ipcp": ("lbm", dict(l1d="ipcp")),
+    "ipcp++-tlb-prefetch": ("mcf", dict(
+        l1d="ipcp++", config=SystemConfig(tlb_prefetch=True))),
+    "1g-pages": ("milc", dict(
+        gb_fraction=0.5, config=SystemConfig(num_page_sizes=3))),
+    "ppm-to-llc": ("lbm", dict(config=SystemConfig(ppm_to_llc=True))),
+    "dueling-standard": ("mcf", dict(
+        dueling=DuelingConfig(policy="standard"))),
+    "dueling-page-size": ("milc", dict(
+        dueling=DuelingConfig(policy="page-size"))),
+    "ppf": ("lbm", dict(prefetcher="ppf")),
+    "bop": ("mcf", dict(prefetcher="bop")),
+    "vldp": ("milc", dict(prefetcher="vldp")),
+    "sms": ("lbm", dict(prefetcher="sms")),
+    "ampm": ("mcf", dict(prefetcher="ampm")),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -39,19 +62,28 @@ def snapshot_engine(tmp_path, monkeypatch):
     runner.clear_cache()
 
 
-def kill_then_resume(trace, variant, key):
-    """Run *trace* killed at KILL_AT, then resume; return the metrics."""
+def kill_then_resume(trace, variant, key, **kwargs):
+    """Run *trace* killed at KILL_AT, then resume; return the metrics.
+
+    *kwargs* go to ``simulate_trace``; the prefetcher defaults to the
+    golden one."""
+    kwargs.setdefault("prefetcher", golden.GOLDEN_PREFETCHER)
     faults.arm([faults.FaultAction(kind="kill", at=KILL_AT, first=1)], 0)
     try:
         with pytest.raises(faults.InjectedCrash):
-            simulate_trace(trace, prefetcher=golden.GOLDEN_PREFETCHER,
-                           variant=variant, snapshot_key=key)
+            simulate_trace(trace, variant=variant, snapshot_key=key,
+                           **kwargs)
         faults.arm([faults.FaultAction(kind="kill", at=KILL_AT,
                                        first=1)], 1)
-        return simulate_trace(trace, prefetcher=golden.GOLDEN_PREFETCHER,
-                              variant=variant, snapshot_key=key)
+        return simulate_trace(trace, variant=variant, snapshot_key=key,
+                              **kwargs)
     finally:
         faults.disarm()
+
+
+def golden_trace(name):
+    return load_trace(next(path for path in golden.ensure_traces()
+                           if path.name == f"{name}.trace.gz"))
 
 
 class TestResumeBitwiseEquality:
@@ -68,6 +100,20 @@ class TestResumeBitwiseEquality:
             assert (golden.metrics_digest(resumed)
                     == golden.metrics_digest(baseline)), (
                 f"{trace.name}/{variant}: resumed run diverged")
+
+    @pytest.mark.parametrize("case", sorted(CONFIGURATIONS))
+    def test_other_configurations(self, case):
+        name, kwargs = CONFIGURATIONS[case]
+        trace = golden_trace(name)
+        baseline = simulate_trace(
+            trace, variant="psa-sd",
+            **{"prefetcher": golden.GOLDEN_PREFETCHER, **kwargs})
+        resumed = kill_then_resume(trace, "psa-sd", ("config", case),
+                                   **kwargs)
+        assert snapshot.COUNTERS["loads"] == 1
+        assert (golden.metrics_digest(resumed)
+                == golden.metrics_digest(baseline)), (
+            f"{name}/{case}: resumed run diverged")
 
     def test_resume_actually_used_a_snapshot(self):
         trace = load_trace(golden.ensure_traces()[0])
@@ -98,6 +144,42 @@ class TestResumeBitwiseEquality:
         assert snapshot.COUNTERS["quarantined"] == 1
         assert (golden.metrics_digest(resumed)
                 == golden.metrics_digest(baseline))
+
+    def test_payload_that_is_not_a_core_restarts_from_scratch(self):
+        trace = load_trace(golden.ensure_traces()[0])
+        baseline = simulate_trace(trace, prefetcher="spp", variant="psa")
+        key = ("not-a-core", trace.name)
+        assert snapshot.store(key, KILL_AT, {"core": {}, "hierarchy": {}})
+        resumed = simulate_trace(trace, prefetcher="spp", variant="psa",
+                                 snapshot_key=key)
+        assert snapshot.COUNTERS["quarantined"] == 1
+        assert (golden.metrics_digest(resumed)
+                == golden.metrics_digest(baseline))
+
+    def test_snapshot_from_other_code_is_never_resumed(self, monkeypatch):
+        # A pickled core carries the attributes of the code that wrote
+        # it, so a source change must make its snapshots unreachable.
+        trace = load_trace(golden.ensure_traces()[0])
+        baseline = simulate_trace(trace, prefetcher="spp", variant="psa")
+        key = ("other-code", trace.name)
+        faults.arm([faults.FaultAction(kind="kill", at=KILL_AT,
+                                       first=1)], 0)
+        try:
+            with pytest.raises(faults.InjectedCrash):
+                simulate_trace(trace, prefetcher="spp", variant="psa",
+                               snapshot_key=key)
+        finally:
+            faults.disarm()
+        written = snapshot.snapshot_path(key)
+        assert written.exists()
+        monkeypatch.setattr(snapshot, "source_digest", lambda: "0" * 64)
+        rerun = simulate_trace(trace, prefetcher="spp", variant="psa",
+                               snapshot_key=key)
+        assert snapshot.COUNTERS["loads"] == 0
+        assert (golden.metrics_digest(rerun)
+                == golden.metrics_digest(baseline))
+        # Another salt is another key: the old file waits for prune.
+        assert written.exists()
 
 
 N = 2000

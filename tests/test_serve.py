@@ -18,11 +18,13 @@ import json
 import pytest
 
 from repro.sim import cache as disk_cache
-from repro.sim import runner, snapshot
+from repro.sim import faults, runner, snapshot
 from repro.sim.runner import RunRequest, run_batch
+from repro.sim.simulator import simulate_trace
 from repro.serve import ServeClient, protocol
-from repro.serve.app import start_in_thread
-from repro.serve.queue import AdmissionQueue, percentile
+from repro.serve.app import ServeApp, start_in_thread
+from repro.serve.queue import RUNNING, AdmissionQueue, Job, percentile
+from repro.workloads.suites import catalog
 
 N = 600
 
@@ -297,6 +299,30 @@ class TestProgress:
         assert probe.status == 200
         assert probe.body["state"] == "done"
         assert probe.body["accesses_done"] == N
+
+    def test_detail_probe_reads_a_mid_run_snapshot(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", str(tmp_path / "snaps"))
+        monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "500")
+        request = engine_request(req_body(n_accesses=2000))
+        job = Job(job_id="mid-run", digest="mid-run", request=request,
+                  key=request.key(), state=RUNNING)
+        faults.arm([faults.FaultAction(kind="kill", at=1300, first=1)], 0)
+        try:
+            with pytest.raises(faults.InjectedCrash):
+                simulate_trace(catalog()["lbm"].generate(2000),
+                               prefetcher="spp", variant="psa",
+                               snapshot_key=job.key)
+        finally:
+            faults.disarm()
+        # Built, never started: the probe reads only the snapshot store.
+        probe = ServeApp(heal_on_start=False)._progress_probe(job,
+                                                              detail=True)
+        # Snapshots land after accesses 499 and 999; the kill at 1300
+        # leaves the second one.
+        assert probe["accesses_done"] == 1000
+        assert probe["instructions"] > 0
+        assert probe["ipc_so_far"] > 0
 
     def test_snapshot_peek_reports_progress_without_unpickling(
             self, tmp_path, monkeypatch):

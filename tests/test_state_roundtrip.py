@@ -1,12 +1,14 @@
-"""Property tests: ``load_state_dict(state_dict())`` round-trips.
+"""Property tests: a component cloned through ``pickle`` round-trips.
 
 For every stateful component class, driving a component with a random
-prefix, serializing it, loading the state into a *fresh* instance, and
-then driving both with the same random suffix must produce identical
-behaviour and identical final state.  This is the component-level
-guarantee the crash-consistent snapshot/resume machinery
-(``repro.sim.snapshot``) is built on.
+prefix, cloning it with ``pickle.loads(pickle.dumps(...))``, and then
+driving both with the same random suffix must produce identical
+behaviour and identical final state (equal pickled bytes).  This is the
+component-level guarantee the crash-consistent snapshot/resume machinery
+(``repro.sim.snapshot``, which pickles the whole ``Core``) is built on.
 """
+
+import pickle
 
 from hypothesis import given, strategies as st
 
@@ -38,6 +40,11 @@ accesses = st.lists(
 vaddrs = st.lists(st.integers(min_value=0, max_value=1 << 28),
                   min_size=1, max_size=60)
 
+
+def roundtrip(component):
+    return pickle.loads(pickle.dumps(component))
+
+
 PREFETCHERS = {
     "spp": SPP,
     "vldp": VLDP,
@@ -67,12 +74,11 @@ def test_prefetcher_roundtrip(prefix, suffix, name, window):
     original = factory()
     drive_prefetcher(original, prefix, window)
 
-    clone = factory()
-    clone.load_state_dict(original.state_dict())
+    clone = roundtrip(original)
 
     assert (drive_prefetcher(original, suffix, window)
             == drive_prefetcher(clone, suffix, window))
-    assert original.state_dict() == clone.state_dict()
+    assert pickle.dumps(original) == pickle.dumps(clone)
 
 
 @given(vaddrs, vaddrs, st.booleans())
@@ -81,13 +87,12 @@ def test_ipcp_roundtrip(prefix, suffix, cross_page):
     for vaddr in prefix:
         original.on_access(vaddr, 0x400, False)
 
-    clone = IPCP(cross_page=cross_page)
-    clone.load_state_dict(original.state_dict())
+    clone = roundtrip(original)
 
     for vaddr in suffix:
         assert (original.on_access(vaddr, 0x400, False)
                 == clone.on_access(vaddr, 0x400, False))
-    assert original.state_dict() == clone.state_dict()
+    assert pickle.dumps(original) == pickle.dumps(clone)
 
 
 @given(accesses, accesses,
@@ -109,15 +114,14 @@ def test_cache_roundtrip(prefix, suffix, policy):
 
     original = Cache(config, replacement=policy)
     drive(original, prefix)
-    clone = Cache(config, replacement=policy)
-    clone.load_state_dict(original.state_dict())
+    clone = roundtrip(original)
 
     def evicted(results):
         return [r if not isinstance(r, tuple) or r[0] == "hit"
                 else (r[0], r[1].dirty) for r in results if r is not None]
 
     assert evicted(drive(original, suffix)) == evicted(drive(clone, suffix))
-    assert original.state_dict() == clone.state_dict()
+    assert pickle.dumps(original) == pickle.dumps(clone)
 
 
 @given(vaddrs, vaddrs)
@@ -136,11 +140,10 @@ def test_tlb_roundtrip(prefix, suffix):
 
     original = TLB(config)
     drive(original, prefix)
-    clone = TLB(config)
-    clone.load_state_dict(original.state_dict())
+    clone = roundtrip(original)
 
     assert drive(original, suffix) == drive(clone, suffix)
-    assert original.state_dict() == clone.state_dict()
+    assert pickle.dumps(original) == pickle.dumps(clone)
 
 
 @given(vaddrs, vaddrs, st.floats(min_value=0.0, max_value=1.0))
@@ -149,14 +152,13 @@ def test_allocator_roundtrip(prefix, suffix, thp):
     for vaddr in prefix:
         original.translate(vaddr)
 
-    clone = PhysicalMemoryAllocator(thp_fraction=thp, seed=7)
-    clone.load_state_dict(original.state_dict())
+    clone = roundtrip(original)
 
     # Identical later translations (including pages first touched after
     # the snapshot: the RNG stream must resume, not restart).
     for vaddr in suffix:
         assert original.translate(vaddr) == clone.translate(vaddr)
-    assert original.state_dict() == clone.state_dict()
+    assert pickle.dumps(original) == pickle.dumps(clone)
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=1023),
@@ -170,13 +172,12 @@ def test_set_dueling_roundtrip(events, probes):
         original.selected_for(set_index)
         original.on_useful(issuer)
 
-    clone = SetDuelingSelector(1024, DuelingConfig())
-    clone.load_state_dict(original.state_dict())
+    clone = roundtrip(original)
 
     for set_index in probes:
         assert original.selected_for(set_index) == clone.selected_for(
             set_index)
-    assert original.state_dict() == clone.state_dict()
+    assert pickle.dumps(original) == pickle.dumps(clone)
 
 
 def test_streams_exercise_page_boundaries():
@@ -184,4 +185,4 @@ def test_streams_exercise_page_boundaries():
     spp = SPP()
     for i in range(2 * BLOCKS_PER_4K):
         spp.on_access(make_ctx(i, window="4k"))
-    assert spp.state_dict()["ghr"] or spp.state_dict()["signature_table"]
+    assert spp.ghr or spp.signature_table
