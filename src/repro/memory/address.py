@@ -102,11 +102,6 @@ def page1g_number(addr: int) -> int:
     return addr >> PAGE_1G_BITS
 
 
-def page1g_of_block(block: int) -> int:
-    """Return the 1GB page number containing a cache block."""
-    return block >> (PAGE_1G_BITS - BLOCK_BITS)
-
-
 # ----------------------------------------------------------------------
 # Vectorized (columnar) variants, used by the hot-path kernel
 # ----------------------------------------------------------------------
@@ -114,11 +109,6 @@ def page1g_of_block(block: int) -> int:
 # shift/mask constants stay defined in exactly one module.  They accept
 # and return numpy integer arrays; numpy itself is optional (the scalar
 # simulator never imports these).
-
-def block_numbers(addrs):
-    """Array form of :func:`block_number`."""
-    return addrs >> BLOCK_BITS
-
 
 def page_numbers(addrs):
     """Array form of :func:`page_number` (4KB page numbers)."""

@@ -202,8 +202,9 @@ def disarm() -> None:
 def checkpoint(site: str = "run") -> None:
     """Fire any armed in-run faults; a no-op when nothing is armed.
 
-    Called by ``simulate_workload`` at the start of every run so injected
-    faults surface inside the real execution stack.
+    Called by ``simulate_workload`` at the start of every run, and by
+    each Figs. 14/15 mix task before its mix, so injected faults surface
+    inside the real execution stack.
     """
     if not _ARMED:
         return

@@ -33,6 +33,7 @@ from repro.memory.address import (
     BLOCK_BITS, PAGE_1G_BITS, PAGE_2M_BITS, PAGE_4K_BITS)
 from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
+from repro.sim import faults
 from repro.sim.config import SystemConfig, accesses_for_scale
 from repro.sim.runner import RunRequest, parallel_map, run_batch
 from repro.sim.simulator import build_hierarchy
@@ -188,31 +189,15 @@ def _compile_runners(cores: List[Core], traces) -> Optional[list]:
 
 def isolation_ipcs(specs: List[WorkloadSpec], config: SystemConfig,
                    prefetcher: str, variant: str,
-                   n_accesses: Optional[int] = None,
-                   cache: Optional[Dict] = None) -> List[float]:
+                   n_accesses: Optional[int] = None) -> List[float]:
     """IPC of each workload alone on the multi-core configuration.
 
-    Runs through the batch engine, so shared baselines are deduplicated,
-    parallelised and served from the persistent cache.  ``cache`` is the
-    legacy per-caller memo dict; it is still honoured (and filled) for
-    callers that carry one across invocations.
+    One ``run_batch``: shared baselines are deduplicated, parallelised
+    and served from the engine's memo and disk cache.
     """
-    requests = [RunRequest(spec, prefetcher, variant, n_accesses=n_accesses,
-                           config=config) for spec in specs]
-    # The engine's own fingerprint: every config field and the resolved
-    # REPRO_SCALE access count are part of the memo key.
-    keys = [request.key() for request in requests]
-    missing = [(key, request) for key, request in zip(keys, requests)
-               if cache is None or key not in cache]
-    if missing:
-        metrics = run_batch([request for _, request in missing])
-        fresh = {key: m.ipc for (key, _), m in zip(missing, metrics)}
-        if cache is not None:
-            cache.update(fresh)
-    else:
-        fresh = {}
-    return [cache[key] if cache is not None and key in cache
-            else fresh[key] for key in keys]
+    return [metrics.ipc for metrics in run_batch(
+        [RunRequest(spec, prefetcher, variant, n_accesses=n_accesses,
+                    config=config) for spec in specs])]
 
 
 def generate_mixes(num_mixes: int, num_cores: int,
@@ -227,23 +212,16 @@ def generate_mixes(num_mixes: int, num_cores: int,
 def mix_weighted_speedup(specs: List[WorkloadSpec], config: SystemConfig,
                          prefetcher: str, variant: str,
                          baseline_variant: str = "original",
-                         n_accesses: Optional[int] = None,
-                         iso_cache: Optional[Dict] = None) -> float:
+                         n_accesses: Optional[int] = None) -> float:
     """Weighted speedup of *variant* over *baseline_variant* for one mix."""
-    iso = isolation_ipcs(specs, config, prefetcher, baseline_variant,
-                         n_accesses, cache=iso_cache)
-    run = simulate_mix(specs, config, prefetcher, variant, n_accesses)
-    base = simulate_mix(specs, config, prefetcher, baseline_variant,
-                        n_accesses)
-    baseline_weighted = base.weighted_ipc(iso)
-    if not baseline_weighted:
-        return 0.0
-    return run.weighted_ipc(iso) / baseline_weighted
+    return mix_weighted_speedups([specs], config, prefetcher, [variant],
+                                 baseline_variant, n_accesses)[variant][0]
 
 
 def _mix_task(task) -> MixResult:
     """Top-level (picklable) wrapper for one mix run on the worker pool."""
     specs, config, prefetcher, variant, n_accesses = task
+    faults.checkpoint("mix")
     return simulate_mix(specs, config, prefetcher, variant, n_accesses)
 
 
@@ -259,7 +237,8 @@ def mix_weighted_speedups(mixes: List[List[WorkloadSpec]],
     runs go through ``run_batch`` in one deduplicated batch (a workload
     appearing in several mixes is simulated once, or served from the disk
     cache), and the coupled mix simulations — which cannot be split — are
-    fanned out across the worker pool one mix/variant per task.
+    fanned out across the supervised worker pool one mix/variant per
+    task, each under the engine's watchdog, retries and ``REPRO_FAULTS``.
     """
     unique_specs = list({spec.name: spec
                          for mix in mixes for spec in mix}.values())
@@ -275,14 +254,13 @@ def mix_weighted_speedups(mixes: List[List[WorkloadSpec]],
     by_variant = {
         variant: mix_results[i * len(mixes):(i + 1) * len(mixes)]
         for i, variant in enumerate(all_variants)}
-    speedups: Dict[str, List[float]] = {}
-    for variant in variants:
-        values = []
-        for base, run in zip(by_variant[baseline_variant],
-                             by_variant[variant]):
-            iso = [iso_by_name[name] for name in run.workloads]
-            baseline_weighted = base.weighted_ipc(iso)
-            values.append(run.weighted_ipc(iso) / baseline_weighted
-                          if baseline_weighted else 0.0)
-        speedups[variant] = values
-    return speedups
+
+    def weighted_speedup(base: MixResult, run: MixResult) -> float:
+        iso = [iso_by_name[name] for name in run.workloads]
+        baseline_weighted = base.weighted_ipc(iso)
+        return (run.weighted_ipc(iso) / baseline_weighted
+                if baseline_weighted else 0.0)
+
+    return {variant: [weighted_speedup(base, run) for base, run in zip(
+                by_variant[baseline_variant], by_variant[variant])]
+            for variant in variants}

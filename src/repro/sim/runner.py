@@ -10,9 +10,9 @@ engine removes that redundancy at three levels:
    persisted to a content-addressed on-disk cache (``repro.sim.cache``),
    so they survive across pytest sessions and CLI invocations.
 3. **Parallelism** — unique uncached runs are fanned out over a
-   ``ProcessPoolExecutor`` sized by ``REPRO_JOBS`` (default: all cores;
-   ``1`` recovers the serial path), then results fan back in request
-   order.  Runs are deterministic (see the stable allocator seeding in
+   process pool sized by ``REPRO_JOBS`` (default: all cores; ``1``
+   recovers the serial path), then results fan back in request order.
+   Runs are deterministic (see the stable allocator seeding in
    ``repro.sim.simulator``), so parallel metrics are bitwise-equal to
    serial ones.
 4. **Supervision** — execution is delegated to ``repro.sim.supervisor``:
@@ -24,6 +24,8 @@ engine removes that redundancy at three levels:
    ``BatchResult`` of per-request outcomes instead of raising on the
    first failure; deterministic fault injection (``REPRO_FAULTS``, see
    ``repro.sim.faults``) exercises every one of those paths.
+   ``parallel_map`` (the multi-core mixes) runs on the same supervised
+   pool, so its tasks get the same watchdog, retries and fault plane.
 
 ``run``/``speedup``/``speedups_over_baseline``/``variant_sweep``/
 ``run_many``/``pair_metrics`` are all thin frontends over ``run_batch``.
@@ -34,8 +36,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -82,19 +82,6 @@ def _freeze(value):
     return value
 
 
-def config_fingerprint(config: SystemConfig,
-                       dueling: Optional[DuelingConfig] = None) -> tuple:
-    """Complete fingerprint of a system configuration.
-
-    Derived automatically from *every* dataclass field (recursively), so new
-    configuration knobs can never be forgotten and two different configs can
-    never collide in the cache.  ``dueling`` is the optional per-run
-    override that ``make_l2_module`` applies over ``config.dueling``.
-    """
-    duel = dueling if dueling is not None else config.dueling
-    return (_freeze(config), ("dueling", _freeze(duel)))
-
-
 @dataclass
 class RunRequest:
     """One (workload, prefetcher, variant, configuration) simulation."""
@@ -111,15 +98,19 @@ class RunRequest:
     dueling: Optional[DuelingConfig] = None
 
     def resolved(self) -> "RunRequest":
-        """Fill scale/config defaults so the fingerprint is self-contained."""
+        """Fill scale/config defaults so the fingerprint is self-contained.
+
+        A ``dueling`` override moves into ``config.dueling``, so the two
+        spellings of one Set-Dueling setting share one key.
+        """
         config = self.config if self.config is not None else SystemConfig()
+        if self.dueling is not None:
+            config = dataclasses.replace(config, dueling=self.dueling)
         return dataclasses.replace(
             self,
             n_accesses=(self.n_accesses if self.n_accesses is not None
                         else accesses_for_scale()),
-            config=config,
-            dueling=self.dueling if self.dueling is not None
-            else config.dueling)
+            config=config, dueling=None)
 
     def key(self) -> tuple:
         """Complete fingerprint, derived automatically from every field.
@@ -234,10 +225,6 @@ def _execute(request: RunRequest) -> RunMetrics:
     return metrics
 
 
-def _worker_init() -> None:
-    os.environ[_IN_WORKER_ENV] = "1"
-
-
 def _coerce(request) -> RunRequest:
     if isinstance(request, RunRequest):
         return request
@@ -302,74 +289,83 @@ def run_batch(requests: Iterable[Union[RunRequest, dict]],
         scheduled.add(key)
         pending.append((key, req))
 
-    if pending:
-        width = min(jobs if jobs is not None else job_count(), len(pending))
-        plan = faults.plan_from_env(len(pending))
-        resolved_timeout = (supervisor.run_timeout() if timeout is None
-                            else (timeout if timeout > 0 else None))
-        resolved_retries = (supervisor.max_retries() if retries is None
-                            else max(0, retries))
+    def _checkpoint(index: int, metrics: RunMetrics, corrupt) -> None:
+        key, req = pending[index]
+        _STATS.simulated += 1
+        _STATS.sim_wall_s += metrics.wall_time_s
+        _STATS.simulated_accesses += req.n_accesses
+        if use_cache:
+            _CACHE[key] = metrics
+            disk_cache.store(key, metrics)
+            for _ in corrupt:
+                faults.corrupt_file(disk_cache.entry_path(key))
 
-        def _checkpoint(index: int, metrics: RunMetrics) -> None:
-            key = pending[index][0]
-            if use_cache:
-                _CACHE[key] = metrics
-                disk_cache.store(key, metrics)
-                if plan is not None:
-                    for _ in plan.post_store_actions(index):
-                        faults.corrupt_file(disk_cache.entry_path(key))
-
-        run_outcomes, sup_stats = supervisor.supervise(
-            [req for _, req in pending], width=width,
-            timeout=resolved_timeout, retries=resolved_retries,
-            plan=plan, on_result=_checkpoint,
-            fail_fast=strict if fail_fast is None else fail_fast)
-
-        for (key, req), outcome in zip(pending, run_outcomes):
-            outcomes[key] = outcome
-            if outcome.ok:
-                _STATS.simulated += 1
-                _STATS.sim_wall_s += outcome.metrics.wall_time_s
-                _STATS.simulated_accesses += req.n_accesses
-        _STATS.retries += sup_stats.retries
-        _STATS.failed += sup_stats.failed
-        _STATS.timeouts += sup_stats.timeouts
-        _STATS.pool_rebuilds += sup_stats.pool_rebuilds
-        _STATS.serial_fallbacks += int(sup_stats.serial_fallback)
-
-    _STATS.batch_wall_s += time.perf_counter() - batch_start
+    try:
+        done = _supervised([req for _, req in pending], jobs, strict,
+                           on_result=_checkpoint, timeout=timeout,
+                           retries=retries, fail_fast=fail_fast)
+    finally:
+        _STATS.batch_wall_s += time.perf_counter() - batch_start
+    outcomes.update(zip((key for key, _ in pending), done))
     ordered = [outcomes[key] for key in keys]
     if strict:
-        bad = [o for o in ordered if not o.ok]
-        if bad:
-            # Prefer the run that actually failed over any skipped runs
-            # that merely trailed it under fail-fast.
-            primary = next((o for o in bad if o.failure is not None), bad[0])
-            supervisor.reraise(primary)
         return [o.metrics for o in ordered]
     return BatchResult(ordered, requests=reqs)
 
 
 def parallel_map(fn: Callable, items: Sequence,
                  jobs: Optional[int] = None) -> List:
-    """Map a picklable function over items on the engine's worker pool.
+    """Map a picklable module-level function over items on the
+    supervised pool: one task per item (the multi-core mixes), with the
+    watchdog, retries, pool-break recovery and ``REPRO_FAULTS`` of a
+    ``run_batch``.  Results come back in item order; the first failure
+    re-raises."""
+    return [outcome.metrics for outcome in
+            _supervised(list(items), jobs, strict=True, execute=fn)]
 
-    Used for work that is parallel but not ``RunMetrics``-shaped (e.g. the
-    multi-core mix simulations).  Falls back to a plain loop when the pool
-    width is 1 or there is nothing to parallelise.
-    """
-    items = list(items)
-    width = min(jobs if jobs is not None else job_count(), len(items))
-    if width <= 1:
-        return [fn(item) for item in items]
-    try:
-        with ProcessPoolExecutor(max_workers=width,
-                                 initializer=_worker_init) as pool:
-            return list(pool.map(fn, items))
-    except BrokenProcessPool:
-        # Degrade to in-process serial execution rather than dying.
-        _STATS.serial_fallbacks += 1
-        return [fn(item) for item in items]
+
+def _supervised(items: list, jobs: Optional[int], strict: bool,
+                execute: Optional[Callable] = None,
+                on_result: Optional[Callable] = None,
+                timeout: Optional[float] = None,
+                retries: Optional[int] = None,
+                fail_fast: Optional[bool] = None) -> List[RunOutcome]:
+    """Run each item as ``execute(item)`` under ``supervisor.supervise``:
+    the engine's one road to the pool.  Resolves the width, the
+    ``REPRO_FAULTS`` plan and the watchdog/retry defaults, and adds the
+    supervisor's counts to :func:`engine_stats`.  ``on_result(index,
+    result, corrupt)`` checkpoints a completed item, then garbles what it
+    stored once per ``corrupt`` fault aimed at it.  With ``strict`` the
+    first real failure re-raises, in preference to an item only skipped
+    after it."""
+    if not items:
+        return []
+    plan = faults.plan_from_env(len(items))
+
+    def _checkpoint(index: int, result) -> None:
+        on_result(index, result, () if plan is None
+                  else plan.post_store_actions(index))
+
+    outcomes, stats = supervisor.supervise(
+        items,
+        width=min(jobs if jobs is not None else job_count(), len(items)),
+        timeout=(supervisor.run_timeout() if timeout is None
+                 else (timeout if timeout > 0 else None)),
+        retries=(supervisor.max_retries() if retries is None
+                 else max(0, retries)),
+        plan=plan, on_result=None if on_result is None else _checkpoint,
+        fail_fast=strict if fail_fast is None else fail_fast,
+        execute=execute)
+    _STATS.retries += stats.retries
+    _STATS.failed += stats.failed
+    _STATS.timeouts += stats.timeouts
+    _STATS.pool_rebuilds += stats.pool_rebuilds
+    _STATS.serial_fallbacks += int(stats.serial_fallback)
+    bad = [outcome for outcome in outcomes if not outcome.ok]
+    if strict and bad:
+        supervisor.reraise(
+            next((o for o in bad if o.failure is not None), bad[0]))
+    return outcomes
 
 
 # ----------------------------------------------------------------------
@@ -390,10 +386,24 @@ def run(workload: str, prefetcher: str = "spp", variant: str = "psa",
     return run_batch([request], use_cache=use_cache)[0]
 
 
-def _target_request(workload, prefetcher, variant, config, n_accesses,
-                    **kwargs) -> RunRequest:
-    return RunRequest(workload, prefetcher, variant, config=config,
-                      n_accesses=n_accesses, **kwargs)
+def _sweep(workloads: List, prefetcher: str, variants: List[str],
+           baseline: Optional[Tuple[str, str]], config, n_accesses,
+           kwargs: dict) -> Tuple[List[List[RunMetrics]], List[RunMetrics]]:
+    """The frontends' one batch: a target per (variant, workload) with
+    ``**kwargs``, in that order, then a plain ``baseline`` =
+    (prefetcher, variant) run per workload.  Returns the targets as one
+    row per variant, and the baselines, each in workload order."""
+    use_cache = kwargs.pop("use_cache", True)
+    requests = [RunRequest(w, prefetcher, v, config=config,
+                           n_accesses=n_accesses, **kwargs)
+                for v in variants for w in workloads]
+    if baseline is not None:
+        requests += [RunRequest(w, *baseline, config=config,
+                                n_accesses=n_accesses) for w in workloads]
+    metrics = run_batch(requests, use_cache=use_cache)
+    n = len(workloads)
+    rows = [metrics[i * n:(i + 1) * n] for i in range(len(variants))]
+    return rows, metrics[len(variants) * n:]
 
 
 def speedup(workload: str, prefetcher: str, variant: str,
@@ -403,13 +413,10 @@ def speedup(workload: str, prefetcher: str, variant: str,
             n_accesses: Optional[int] = None,
             **kwargs) -> float:
     """IPC ratio of (prefetcher, variant) over the baseline variant."""
-    use_cache = kwargs.pop("use_cache", True)
-    target, base = run_batch([
-        _target_request(workload, prefetcher, variant, config, n_accesses,
-                        **kwargs),
-        RunRequest(workload, baseline_prefetcher or prefetcher,
-                   baseline_variant, config=config, n_accesses=n_accesses),
-    ], use_cache=use_cache)
+    [[target]], [base] = _sweep(
+        [workload], prefetcher, [variant],
+        (baseline_prefetcher or prefetcher, baseline_variant), config,
+        n_accesses, kwargs)
     return target.speedup_over(base)
 
 
@@ -419,14 +426,10 @@ def speedups_over_baseline(workloads: Iterable[str], prefetcher: str,
                            n_accesses: Optional[int] = None,
                            **kwargs) -> Dict[str, float]:
     """Per-workload speedups of one variant over the baseline (one batch)."""
-    use_cache = kwargs.pop("use_cache", True)
     workloads = list(workloads)
-    requests = [_target_request(w, prefetcher, variant, config, n_accesses,
-                                **kwargs) for w in workloads]
-    requests += [RunRequest(w, prefetcher, baseline_variant, config=config,
-                            n_accesses=n_accesses) for w in workloads]
-    metrics = run_batch(requests, use_cache=use_cache)
-    targets, bases = metrics[:len(workloads)], metrics[len(workloads):]
+    [targets], bases = _sweep(workloads, prefetcher, [variant],
+                              (prefetcher, baseline_variant), config,
+                              n_accesses, kwargs)
     return {w: t.speedup_over(b)
             for w, t, b in zip(workloads, targets, bases)}
 
@@ -438,33 +441,23 @@ def variant_sweep(workloads: Iterable[str], prefetcher: str,
                   n_accesses: Optional[int] = None,
                   **kwargs) -> Dict[str, Dict[str, float]]:
     """variant -> {workload -> speedup over baseline}, as one batch."""
-    use_cache = kwargs.pop("use_cache", True)
     workloads = list(workloads)
     variants = list(variants)
-    requests = [_target_request(w, prefetcher, v, config, n_accesses,
-                                **kwargs)
-                for v in variants for w in workloads]
-    requests += [RunRequest(w, prefetcher, baseline_variant, config=config,
-                            n_accesses=n_accesses) for w in workloads]
-    metrics = run_batch(requests, use_cache=use_cache)
-    bases = dict(zip(workloads, metrics[len(variants) * len(workloads):]))
-    sweep: Dict[str, Dict[str, float]] = {}
-    for i, variant in enumerate(variants):
-        row = metrics[i * len(workloads):(i + 1) * len(workloads)]
-        sweep[variant] = {w: t.speedup_over(bases[w])
-                          for w, t in zip(workloads, row)}
-    return sweep
+    rows, bases = _sweep(workloads, prefetcher, variants,
+                         (prefetcher, baseline_variant), config, n_accesses,
+                         kwargs)
+    return {variant: {w: t.speedup_over(b)
+                      for w, t, b in zip(workloads, row, bases)}
+            for variant, row in zip(variants, rows)}
 
 
 def run_many(workloads: Iterable[str], prefetcher: str, variant: str,
              config: Optional[SystemConfig] = None,
              n_accesses: Optional[int] = None,
              **kwargs) -> List[RunMetrics]:
-    use_cache = kwargs.pop("use_cache", True)
-    return run_batch(
-        [_target_request(w, prefetcher, variant, config, n_accesses,
-                         **kwargs) for w in workloads],
-        use_cache=use_cache)
+    [row], _ = _sweep(list(workloads), prefetcher, [variant], None, config,
+                      n_accesses, kwargs)
+    return row
 
 
 def pair_metrics(workload: str, prefetcher: str, variant: str,
@@ -473,13 +466,9 @@ def pair_metrics(workload: str, prefetcher: str, variant: str,
                  n_accesses: Optional[int] = None,
                  **kwargs) -> Tuple[RunMetrics, RunMetrics]:
     """(variant run, baseline run) for delta metrics (Fig. 10)."""
-    use_cache = kwargs.pop("use_cache", True)
-    target, base = run_batch([
-        _target_request(workload, prefetcher, variant, config, n_accesses,
-                        **kwargs),
-        RunRequest(workload, prefetcher, baseline_variant, config=config,
-                   n_accesses=n_accesses),
-    ], use_cache=use_cache)
+    [[target]], [base] = _sweep([workload], prefetcher, [variant],
+                                (prefetcher, baseline_variant), config,
+                                n_accesses, kwargs)
     return target, base
 
 
@@ -489,12 +478,8 @@ def pair_metrics_many(workloads: Iterable[str], prefetcher: str,
                       n_accesses: Optional[int] = None,
                       **kwargs) -> Dict[str, Tuple[RunMetrics, RunMetrics]]:
     """Batched ``pair_metrics`` across workloads (one engine batch)."""
-    use_cache = kwargs.pop("use_cache", True)
     workloads = list(workloads)
-    requests = [_target_request(w, prefetcher, variant, config, n_accesses,
-                                **kwargs) for w in workloads]
-    requests += [RunRequest(w, prefetcher, baseline_variant, config=config,
-                            n_accesses=n_accesses) for w in workloads]
-    metrics = run_batch(requests, use_cache=use_cache)
-    return {w: (t, b) for w, t, b in zip(
-        workloads, metrics[:len(workloads)], metrics[len(workloads):])}
+    [targets], bases = _sweep(workloads, prefetcher, [variant],
+                              (prefetcher, baseline_variant), config,
+                              n_accesses, kwargs)
+    return {w: (t, b) for w, t, b in zip(workloads, targets, bases)}

@@ -1,7 +1,8 @@
 """Supervised execution for the batch engine: watchdogs, retries, fallback.
 
 ``repro.sim.runner.run_batch`` delegates the actual execution of cache
-misses to :func:`supervise`, which runs every request under supervision:
+misses to :func:`supervise`, and ``repro.sim.runner.parallel_map`` its
+items (the multi-core mixes); it runs every task under supervision:
 
 - **Watchdog** — each run gets ``REPRO_RUN_TIMEOUT`` seconds (unset or
   <= 0 disables).  In a pool, workers report ``(run index, pid)`` over a
@@ -265,22 +266,22 @@ def _failure_payload(exc: BaseException, pid: int,
 
 
 def _worker_run(task: tuple) -> dict:
-    """Execute one (index, request, attempt, actions) task in a worker.
+    """Execute one (index, request, attempt, actions, execute) task in a
+    worker.
 
     All ordinary exceptions are converted into a payload dict so they
     never travel through the future (and can never poison the pool).
     """
-    index, request, attempt, actions = task
+    index, request, attempt, actions, execute = task
     pid = os.getpid()
     if _REPORT_QUEUE is not None:
         try:
             _REPORT_QUEUE.put(("start", index, pid, attempt))
         except Exception:
             pass
-    from repro.sim.runner import _execute
     faults.arm(actions, attempt)
     try:
-        metrics = _execute(request)
+        metrics = execute(request)
         return {"ok": True, "pid": pid, "metrics": metrics}
     except faults.InjectedCrash as exc:
         return _failure_payload(exc, pid, kind="crash")
@@ -382,8 +383,11 @@ class _Supervisor:
                  timeout: Optional[float], retries: int,
                  plan: Optional[faults.FaultPlan],
                  on_result: Optional[Callable[[int, RunMetrics], None]],
-                 fail_fast: bool):
+                 fail_fast: bool, execute: Optional[Callable] = None):
+        if execute is None:
+            from repro.sim.runner import _execute as execute
         self.requests = list(requests)
+        self.execute = execute
         self.width = width
         self.timeout = timeout
         self.retries = retries
@@ -494,7 +498,8 @@ class _Supervisor:
                     if index in submitted:
                         continue
                     task = (index, self.requests[index],
-                            self.attempts[index], self._actions(index))
+                            self.attempts[index], self._actions(index),
+                            self.execute)
                     try:
                         future = pool.submit(_worker_run, task)
                     except (BrokenProcessPool, RuntimeError):
@@ -663,8 +668,6 @@ class _Supervisor:
     # -- serial phase --------------------------------------------------
 
     def _serial_phase(self, fallback: bool) -> None:
-        from repro.sim.runner import _execute
-
         remaining = self._unfinished()
         if fallback and remaining and not self._stop_new:
             self.stats.serial_fallback = True
@@ -683,9 +686,10 @@ class _Supervisor:
                 try:
                     if use_alarm:
                         metrics = _execute_with_alarm(
-                            _execute, self.requests[index], self.timeout)
+                            self.execute, self.requests[index],
+                            self.timeout)
                     else:
-                        metrics = _execute(self.requests[index])
+                        metrics = self.execute(self.requests[index])
                 except _SerialTimeout:
                     if self._retry_timeouts:
                         self._record_attempt_failure(
@@ -733,15 +737,19 @@ def supervise(requests: Sequence, width: int,
               timeout: Optional[float], retries: int,
               plan: Optional[faults.FaultPlan] = None,
               on_result: Optional[Callable[[int, RunMetrics], None]] = None,
-              fail_fast: bool = False
+              fail_fast: bool = False,
+              execute: Optional[Callable] = None
               ) -> Tuple[List[RunOutcome], SupervisorStats]:
     """Execute *requests* under supervision; see the module docstring.
 
-    Returns one :class:`RunOutcome` per request (in order) plus the
+    Each request runs as ``execute(request)``: a picklable module-level
+    function, by default ``runner._execute`` (one simulation, returning
+    its ``RunMetrics``).  Returns one :class:`RunOutcome` per request (in
+    order), whose ``metrics`` holds what ``execute`` returned, plus the
     :class:`SupervisorStats` describing retries/timeouts/degradations.
     ``on_result(index, metrics)`` is invoked as each run completes so
     the caller can checkpoint incrementally.
     """
     supervisor = _Supervisor(requests, width, timeout, retries, plan,
-                             on_result, fail_fast)
+                             on_result, fail_fast, execute)
     return supervisor.run()

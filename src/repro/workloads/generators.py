@@ -68,41 +68,39 @@ def _kind(rng: random.Random, store_fraction: float) -> int:
     return KIND_STORE if rng.random() < store_fraction else KIND_LOAD
 
 
-def gen_streaming(n: int, seed: int, streams: int = 4,
-                  footprint_bytes: int = 32 << 20, bubble_mean: int = 28,
-                  store_fraction: float = 0.1) -> List[Record]:
-    """Round-robin sequential streams over large arrays."""
+def _walkers(n: int, seed: int, step_blocks: int, streams: int,
+             footprint_bytes: int, span_floor: int, ip_base: int,
+             bubble_mean: int, store_fraction: float) -> List[Record]:
+    """Round-robin constant-step walkers, one arena per stream: the body
+    of the streaming, strided and wide-strided generators."""
     rng = random.Random(seed)
-    span = max(footprint_bytes // max(streams, 1), PAGE_2M)
-    cursors = [rng.randrange(0, span // 4, BLOCK) for _ in range(streams)]
-    records: List[Record] = []
-    for i in range(n):
-        s = i % streams
-        vaddr = _arena(s) + cursors[s]
-        cursors[s] = (cursors[s] + BLOCK) % span
-        ip = 0x400000 + s * 8
-        records.append((ip, vaddr, _kind(rng, store_fraction),
-                        _bubble(rng, bubble_mean, i), False))
-    return records
-
-
-def gen_strided(n: int, seed: int, stride_blocks: int = 3, streams: int = 2,
-                footprint_bytes: int = 32 << 20, bubble_mean: int = 28,
-                store_fraction: float = 0.1) -> List[Record]:
-    """Constant small-stride walkers (stride < one 4KB page)."""
-    rng = random.Random(seed)
-    span = max(footprint_bytes // max(streams, 1), PAGE_2M)
-    step = stride_blocks * BLOCK
+    span = max(footprint_bytes // max(streams, 1), span_floor)
+    step = step_blocks * BLOCK
     cursors = [rng.randrange(0, span // 4, BLOCK) for _ in range(streams)]
     records: List[Record] = []
     for i in range(n):
         s = i % streams
         vaddr = _arena(s) + cursors[s]
         cursors[s] = (cursors[s] + step) % span
-        ip = 0x410000 + s * 8
-        records.append((ip, vaddr, _kind(rng, store_fraction),
+        records.append((ip_base + s * 8, vaddr, _kind(rng, store_fraction),
                         _bubble(rng, bubble_mean, i), False))
     return records
+
+
+def gen_streaming(n: int, seed: int, streams: int = 4,
+                  footprint_bytes: int = 32 << 20, bubble_mean: int = 28,
+                  store_fraction: float = 0.1) -> List[Record]:
+    """Round-robin sequential streams over large arrays."""
+    return _walkers(n, seed, 1, streams, footprint_bytes, PAGE_2M,
+                    0x400000, bubble_mean, store_fraction)
+
+
+def gen_strided(n: int, seed: int, stride_blocks: int = 3, streams: int = 2,
+                footprint_bytes: int = 32 << 20, bubble_mean: int = 28,
+                store_fraction: float = 0.1) -> List[Record]:
+    """Constant small-stride walkers (stride < one 4KB page)."""
+    return _walkers(n, seed, stride_blocks, streams, footprint_bytes,
+                    PAGE_2M, 0x410000, bubble_mean, store_fraction)
 
 
 def gen_wide_strided(n: int, seed: int, stride_blocks: int = 96,
@@ -112,19 +110,8 @@ def gen_wide_strided(n: int, seed: int, stride_blocks: int = 96,
     """Strides larger than a 4KB page — only 2MB-grain tables learn them."""
     if stride_blocks <= PAGE_4K // BLOCK:
         raise ValueError("wide stride must exceed one 4KB page (64 blocks)")
-    rng = random.Random(seed)
-    span = max(footprint_bytes // max(streams, 1), 2 * PAGE_2M)
-    step = stride_blocks * BLOCK
-    cursors = [rng.randrange(0, span // 4, BLOCK) for _ in range(streams)]
-    records: List[Record] = []
-    for i in range(n):
-        s = i % streams
-        vaddr = _arena(s) + cursors[s]
-        cursors[s] = (cursors[s] + step) % span
-        ip = 0x420000 + s * 8
-        records.append((ip, vaddr, _kind(rng, store_fraction),
-                        _bubble(rng, bubble_mean, i), False))
-    return records
+    return _walkers(n, seed, stride_blocks, streams, footprint_bytes,
+                    2 * PAGE_2M, 0x420000, bubble_mean, store_fraction)
 
 
 def gen_pointer_chase(n: int, seed: int, footprint_bytes: int = 32 << 20,

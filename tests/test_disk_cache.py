@@ -316,6 +316,21 @@ class TestFingerprintCompleteness:
                 == RunRequest("lbm", n_accesses=N,
                               dueling=DuelingConfig()).key())
 
+    def test_override_and_config_dueling_share_one_key(self):
+        # A dueling= override and the same setting in config.dueling are
+        # one simulation: one key, simulated once per batch.
+        duel = DuelingConfig(policy="standard", csel_bits=5)
+        override = RunRequest("lbm", variant="psa-sd", n_accesses=N,
+                              dueling=duel)
+        in_config = RunRequest("lbm", variant="psa-sd", n_accesses=N,
+                               config=SystemConfig(dueling=duel))
+        assert override.key() == in_config.key()
+        reset_engine_stats()
+        first, second = runner.run_batch([override, in_config], jobs=1)
+        assert first is second
+        assert engine_stats().simulated == 1
+        assert engine_stats().deduped == 1
+
 
 class TestEngineIntegration:
     def test_run_populates_disk_and_serves_from_it(self):

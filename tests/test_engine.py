@@ -9,6 +9,7 @@ seeding that makes cross-process determinism possible.
 import os
 import subprocess
 import sys
+import time
 import zlib
 
 import pytest
@@ -117,6 +118,24 @@ def _double(value):
     return value * 2
 
 
+def _double_crashing_once_at_five(item):
+    """Double ``value``, logging each execution under ``scratch``; the
+    first execution of item 5 kills its worker process instead.
+
+    Each item takes 50 ms, so the other worker is still on its one item
+    in flight when the pool notices the death and stops it.
+    """
+    value, scratch = item
+    with open(os.path.join(scratch, "executions"), "a") as log:
+        log.write(f"{value}\n")
+    marker = os.path.join(scratch, "crashed")
+    if value == 5 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(137)
+    time.sleep(0.05)
+    return value * 2
+
+
 class TestParallelMap:
     def test_order_and_values(self):
         assert parallel_map(_double, [1, 2, 3], jobs=2) == [2, 4, 6]
@@ -124,6 +143,19 @@ class TestParallelMap:
     def test_serial_fallback(self):
         assert parallel_map(_double, [5], jobs=1) == [10]
         assert parallel_map(_double, [], jobs=4) == []
+
+    def test_worker_death_reruns_only_unfinished_items(self, tmp_path):
+        items, width = 8, 2
+        results = parallel_map(_double_crashing_once_at_five,
+                               [(i, str(tmp_path)) for i in range(items)],
+                               jobs=width)
+        assert results == [2 * i for i in range(items)]
+        executions = (tmp_path / "executions").read_text().split()
+        # The dead worker's item, plus at most one in flight on each
+        # other worker, runs twice; a rerun of the whole map would not
+        # fit.
+        assert len(executions) <= items + width
+        assert engine_stats().pool_rebuilds >= 1
 
 
 class TestStableSeed:

@@ -13,6 +13,8 @@ from repro.sim.multicore import (
     MixResult,
     generate_mixes,
     isolation_ipcs,
+    mix_weighted_speedup,
+    mix_weighted_speedups,
     multicore_config,
     simulate_mix,
 )
@@ -184,17 +186,6 @@ class TestWeightedIPC:
         result = MixResult(workloads=["a"], ipcs=[1.0])
         assert result.weighted_ipc([0.0]) == 0.0
 
-    def test_isolation_cache_used(self):
-        cfg = multicore_config(SystemConfig(), 2)
-        cache = {}
-        specs = [catalog()["lbm"]]
-        first = isolation_ipcs(specs, cfg, "spp", "none", n_accesses=N,
-                               cache=cache)
-        assert cache
-        second = isolation_ipcs(specs, cfg, "spp", "none", n_accesses=N,
-                                cache=cache)
-        assert first == second
-
     def test_isolation_memo_keyed_by_full_config(self):
         """Configs that differ only outside the LLC/DRAM fields get
         separate memo entries."""
@@ -203,12 +194,12 @@ class TestWeightedIPC:
             cfg, l2c=dataclasses.replace(cfg.l2c,
                                          size_bytes=cfg.l2c.size_bytes // 8))
         specs = [catalog()["mcf"]]
-        cache = {}
-        first = isolation_ipcs(specs, cfg, "spp", "none", n_accesses=N,
-                               cache=cache)
+        runner.clear_cache()
+        memo_hits = runner.engine_stats().memo_hits
+        first = isolation_ipcs(specs, cfg, "spp", "none", n_accesses=N)
         second = isolation_ipcs(specs, small_l2, "spp", "none",
-                                n_accesses=N, cache=cache)
-        assert len(cache) == 2
+                                n_accesses=N)
+        assert runner.engine_stats().memo_hits == memo_hits
         assert second == isolation_ipcs(specs, small_l2, "spp", "none",
                                         n_accesses=N)
         assert first == isolation_ipcs(specs, cfg, "spp", "none",
@@ -219,12 +210,61 @@ class TestWeightedIPC:
         monkeypatch.setitem(SCALE_ACCESSES, "small", 700)
         cfg = multicore_config(SystemConfig(), 2)
         specs = [catalog()["lbm"]]
-        cache = {}
+        runner.clear_cache()
+        memo_hits = runner.engine_stats().memo_hits
+        ipcs = {}
         for scale in ("tiny", "small"):
             monkeypatch.setenv("REPRO_SCALE", scale)
-            isolation_ipcs(specs, cfg, "spp", "none", cache=cache)
-        assert len(cache) == 2
+            ipcs[scale] = isolation_ipcs(specs, cfg, "spp", "none")
+        assert runner.engine_stats().memo_hits == memo_hits
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         runner.clear_cache()
-        assert list(cache.values())[0] == isolation_ipcs(
-            specs, cfg, "spp", "none")[0]
+        assert ipcs["tiny"] == isolation_ipcs(specs, cfg, "spp", "none")
+
+
+class TestMixWeightedSpeedups:
+    """The Figs. 14/15 driver: isolation batch plus supervised mix tasks."""
+
+    MIXES = (("lbm", "mcf"), ("milc", "soplex"))
+    VARIANTS = ["psa", "psa-sd"]
+    N = 600
+
+    @pytest.fixture(autouse=True)
+    def fresh_engine(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.01")
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        runner.clear_cache()
+        runner.reset_engine_stats()
+        yield
+        runner.clear_cache()
+        runner.reset_engine_stats()
+
+    def speedups(self, monkeypatch, jobs):
+        monkeypatch.setenv("REPRO_JOBS", str(jobs))
+        return mix_weighted_speedups(
+            self.mixes(), multicore_config(SystemConfig(), 2), "spp",
+            self.VARIANTS, n_accesses=self.N)
+
+    def mixes(self):
+        return [[catalog()[name] for name in mix] for mix in self.MIXES]
+
+    def test_pool_width_leaves_results_unchanged(self, monkeypatch):
+        serial = self.speedups(monkeypatch, 1)
+        assert self.speedups(monkeypatch, 2) == serial
+        assert mix_weighted_speedup(
+            self.mixes()[1], multicore_config(SystemConfig(), 2), "spp",
+            "psa-sd", n_accesses=self.N) == serial["psa-sd"][1]
+
+    def test_faults_reach_the_mix_tasks(self, monkeypatch):
+        expected = self.speedups(monkeypatch, 1)
+        # The isolation runs are now memo hits, so the fault plan can
+        # only index the six mix tasks.
+        runner.reset_engine_stats()
+        monkeypatch.setenv("REPRO_FAULTS", "crash@1:first=1")
+        assert self.speedups(monkeypatch, 2) == expected
+        assert runner.engine_stats().pool_rebuilds >= 1
+        runner.reset_engine_stats()
+        monkeypatch.setenv("REPRO_FAULTS", "error@0:first=1")
+        assert self.speedups(monkeypatch, 2) == expected
+        assert runner.engine_stats().retries == 1
