@@ -59,31 +59,34 @@ class CompositePSAPrefetcher(L2PrefetchModule):
         self.name = f"{self.pref_psa.name}-psa-sd"
 
     # ------------------------------------------------------------------
-    def _select(self, set_index: int, page_size_bit: Optional[int]) -> int:
-        if self.config.policy == "page-size":
-            return (ISSUER_PSA_2MB if page_size_bit == PAGE_SIZE_2M
-                    else ISSUER_PSA)
-        return self.selector.selected_for(set_index)
-
     def on_l2_access(self, block: int, ip: int, hit: bool, set_index: int,
                      page_size_bit: Optional[int],
                      true_page_size: int) -> List[PrefetchRequest]:
-        lo, hi = prefetch_window(block, page_size_bit)
-        selected = self._select(set_index, page_size_bit)
+        if self.config.policy == "page-size":
+            selected = (ISSUER_PSA_2MB if page_size_bit == PAGE_SIZE_2M
+                        else ISSUER_PSA)
+        else:
+            selected = self.selector.selected_for(set_index)
         train_both = self.config.policy != "standard"
+        lo, hi = prefetch_window(block, page_size_bit)
         requests: List[PrefetchRequest] = []
-        for issuer, prefetcher, stats in (
-                (ISSUER_PSA, self.pref_psa, self.stats_psa),
-                (ISSUER_PSA_2MB, self.pref_psa_2mb, self.stats_psa_2mb)):
-            is_selected = issuer == selected
-            if not is_selected and not train_both:
-                continue
+        # Pref-PSA trains first, then Pref-PSA-2MB; only the selected one
+        # collects the requests it emits.
+        if train_both or selected == ISSUER_PSA:
             ctx = PrefetchContext(
-                block, ip, hit, lo, hi, stats,
+                block, ip, hit, lo, hi, self.stats_psa,
                 page_size_bit=page_size_bit, true_page_size=true_page_size,
-                collect=is_selected, issuer=issuer)
-            prefetcher.on_access(ctx)
-            if is_selected:
+                collect=selected == ISSUER_PSA, issuer=ISSUER_PSA)
+            self.pref_psa.on_access(ctx)
+            if selected == ISSUER_PSA:
+                requests = ctx.requests
+        if train_both or selected == ISSUER_PSA_2MB:
+            ctx = PrefetchContext(
+                block, ip, hit, lo, hi, self.stats_psa_2mb,
+                page_size_bit=page_size_bit, true_page_size=true_page_size,
+                collect=selected == ISSUER_PSA_2MB, issuer=ISSUER_PSA_2MB)
+            self.pref_psa_2mb.on_access(ctx)
+            if selected == ISSUER_PSA_2MB:
                 requests = ctx.requests
         return requests
 

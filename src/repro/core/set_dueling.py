@@ -24,6 +24,9 @@ ROLE_FOLLOWER = "follower"
 ROLE_PSA_LEADER = "psa-leader"
 ROLE_PSA_2MB_LEADER = "psa-2mb-leader"
 
+_LEADER_ISSUER = {ROLE_PSA_LEADER: ISSUER_PSA,
+                  ROLE_PSA_2MB_LEADER: ISSUER_PSA_2MB}
+
 
 class SetDuelingSelector:
     """Leader-set assignment plus the Csel saturating counter."""
@@ -52,16 +55,13 @@ class SetDuelingSelector:
         self.follower_selects_psa = 0
         self.follower_selects_psa_2mb = 0
         self._check = invariants.enabled()
-        # With checks on, enumerate every set's role once so selected_for
-        # can be cross-validated against a frozen assignment: leader sets
-        # must never follow Csel, and the hash must yield exactly
-        # leader_sets sets per prefetcher.
-        self._frozen_roles = None
+        # Roles are frozen at construction: the issuer each leader set
+        # always uses, or None for a follower (which consults Csel).
+        self._leader_issuer = tuple(_LEADER_ISSUER.get(self.role_of_set(s))
+                                    for s in range(num_sets))
         if self._check:
-            self._frozen_roles = tuple(self.role_of_set(s)
-                                       for s in range(num_sets))
-            psa = self._frozen_roles.count(ROLE_PSA_LEADER)
-            psa2m = self._frozen_roles.count(ROLE_PSA_2MB_LEADER)
+            # The hash must yield exactly leader_sets sets per prefetcher.
+            psa, psa2m = self.leader_counts()
             if psa != self._leader_sets or psa2m != self._leader_sets:
                 invariants.violated(
                     f"Set-Dueling: leader hash assigned {psa}/{psa2m} "
@@ -78,30 +78,15 @@ class SetDuelingSelector:
 
     def leader_counts(self) -> tuple:
         """(psa leaders, psa-2mb leaders) — should be 32/32 at defaults."""
-        psa = sum(1 for s in range(self.num_sets)
-                  if self.role_of_set(s) == ROLE_PSA_LEADER)
-        psa2m = sum(1 for s in range(self.num_sets)
-                    if self.role_of_set(s) == ROLE_PSA_2MB_LEADER)
-        return psa, psa2m
+        return (self._leader_issuer.count(ISSUER_PSA),
+                self._leader_issuer.count(ISSUER_PSA_2MB))
 
     # ------------------------------------------------------------------
     def selected_for(self, set_index: int) -> int:
         """Issuer that must generate prefetches for this access's set."""
-        role = self.role_of_set(set_index)
-        if self._frozen_roles is not None:
-            if not 0 <= set_index < self.num_sets:
-                invariants.violated(
-                    f"Set-Dueling: set index {set_index} out of range "
-                    f"[0, {self.num_sets})")
-            if role != self._frozen_roles[set_index]:
-                invariants.violated(
-                    f"Set-Dueling: set {set_index} changed role from "
-                    f"{self._frozen_roles[set_index]} to {role}; leader "
-                    f"assignment must be frozen at construction")
-        if role == ROLE_PSA_LEADER:
-            return ISSUER_PSA
-        if role == ROLE_PSA_2MB_LEADER:
-            return ISSUER_PSA_2MB
+        leader = self._leader_issuer[set_index]
+        if leader is not None:
+            return leader
         if self.csel & self._msb:
             self.follower_selects_psa_2mb += 1
             return ISSUER_PSA_2MB

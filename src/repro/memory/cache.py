@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.mshr import MSHR
-from repro.memory.replacement import make_policy
+from repro.memory.replacement import LRUPolicy, make_policy
 from repro.sim.config import CacheConfig
 from repro.verify import invariants
 
@@ -56,7 +56,16 @@ class Cache:
         self.ways = config.ways
         self._set_mask = self.num_sets - 1
         self._sets: List[Dict[int, CacheLine]] = [{} for _ in range(self.num_sets)]
-        self._policies = [make_policy(replacement) for _ in range(self.num_sets)]
+        policy = make_policy(replacement)
+        if isinstance(policy, LRUPolicy):
+            # LRU and FIFO order each set by the set dict itself: one
+            # stateless policy serves every set.
+            self.policy: Optional[LRUPolicy] = policy
+            self._policies = None
+        else:
+            self.policy = None
+            self._policies = [make_policy(replacement)
+                              for _ in range(self.num_sets)]
         self.mshr = MSHR(config.name, config.mshr_entries)
         # In-flight prefetch fills live in a separate structure (the
         # prefetch queue of real designs): prefetches must not consume the
@@ -85,9 +94,13 @@ class Cache:
     def lookup(self, block: int, update_lru: bool = True) -> Optional[CacheLine]:
         """Return the resident line for *block*, or None on miss."""
         idx = block & self._set_mask
-        line = self._sets[idx].get(block)
+        cache_set = self._sets[idx]
+        line = cache_set.get(block)
         if line is not None and update_lru:
-            self._policies[idx].on_hit(block)
+            if self._policies is None:
+                self.policy.on_hit(cache_set, block)
+            else:
+                self._policies[idx].on_hit(block)
         return line
 
     def contains(self, block: int) -> bool:
@@ -110,19 +123,23 @@ class Cache:
                 existing.prefetch = False
             return None
         evicted = None
+        policies = self._policies
         if len(cache_set) >= self.ways:
-            victim = self._policies[idx].victim()
+            victim = (self.policy.victim(cache_set) if policies is None
+                      else policies[idx].victim())
             if self._check and victim not in cache_set:
                 invariants.violated(
                     f"{self.name}: replacement policy of set {idx} named "
                     f"victim {victim:#x} that is not resident in the set")
             victim_line = cache_set.pop(victim)
-            self._policies[idx].on_evict(victim)
+            if policies is not None:
+                policies[idx].on_evict(victim)
             if victim_line.dirty:
                 self.writebacks += 1
             evicted = (victim, victim_line)
         cache_set[block] = CacheLine(dirty=dirty, prefetch=prefetch, issuer=issuer)
-        self._policies[idx].on_fill(block)
+        if policies is not None:
+            policies[idx].on_fill(block)
         if prefetch:
             self.prefetch_fills += 1
         if self._check:
@@ -142,7 +159,8 @@ class Cache:
         line = self._sets[idx].pop(block, None)
         if line is None:
             return False
-        self._policies[idx].on_evict(block)
+        if self._policies is not None:
+            self._policies[idx].on_evict(block)
         return True
 
     def mark_dirty(self, block: int) -> None:

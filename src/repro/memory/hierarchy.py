@@ -386,21 +386,20 @@ class MemoryHierarchy:
     def _issue_l2_prefetch(self, request: PrefetchRequest, now: float,
                            trigger_block: Optional[int] = None,
                            page_size_bit: Optional[int] = None) -> None:
-        block = request.block
+        block, fill_l2, issuer = request
         if self._check and trigger_block is not None:
             self._check_prefetch_bounds(block, trigger_block, page_size_bit,
                                         "L2C")
         obs = self.observer
         if obs is not None:
-            obs.on_prefetch_request("l2c", block, request.fill_l2,
-                                    request.issuer, trigger_block,
-                                    page_size_bit)
+            obs.on_prefetch_request("l2c", block, fill_l2, issuer,
+                                    trigger_block, page_size_bit)
         if self.l2c.contains(block) or self.l2c.inflight_contains(block, now):
             self.pf_redundant += 1
             if obs is not None:
                 obs.on_prefetch_outcome(block, "redundant-l2c", False)
             return
-        if request.fill_l2 and self.l2c.pf_mshr.is_full(now):
+        if fill_l2 and self.l2c.pf_mshr.is_full(now):
             # Prefetch queue full: shed the request (ChampSim drops too).
             self.pf_dropped_mshr += 1
             if obs is not None:
@@ -426,12 +425,11 @@ class MemoryHierarchy:
                 ready = self.dram.access(
                     block, now + self.l2c.latency + self.llc.latency)
                 self.llc.pf_mshr.insert(block, ready)
-                self._fill_llc(block, prefetch=not request.fill_l2,
-                               issuer=request.issuer)
+                self._fill_llc(block, prefetch=not fill_l2, issuer=issuer)
         llc_hit = llc_line is not None
-        if request.fill_l2:
+        if fill_l2:
             self.l2c.pf_mshr.insert(block, ready)
-            self._fill_l2(block, prefetch=True, issuer=request.issuer)
+            self._fill_l2(block, prefetch=True, issuer=issuer)
             self.pf_issued_l2 += 1
             if obs is not None:
                 obs.on_prefetch_outcome(block, "issued-l2", llc_hit)
@@ -450,13 +448,13 @@ class MemoryHierarchy:
                             trigger_block: Optional[int] = None,
                             page_size_bit: Optional[int] = None) -> None:
         """LLC-level prefetch: always fills the LLC, sourced from DRAM."""
-        block = request.block
+        block, _, issuer = request
         if self._check and trigger_block is not None:
             self._check_prefetch_bounds(block, trigger_block, page_size_bit,
                                         "LLC")
         obs = self.observer
         if obs is not None:
-            obs.on_prefetch_request("llc", block, False, request.issuer,
+            obs.on_prefetch_request("llc", block, False, issuer,
                                     trigger_block, page_size_bit)
         if self.llc.contains(block) or self.llc.inflight_contains(block, now):
             self.pf_redundant += 1
@@ -470,7 +468,7 @@ class MemoryHierarchy:
             return
         ready = self.dram.access(block, now + self.llc.latency)
         self.llc.pf_mshr.insert(block, ready)
-        self._fill_llc(block, prefetch=True, issuer=request.issuer)
+        self._fill_llc(block, prefetch=True, issuer=issuer)
         self.pf_issued_llc += 1
         if obs is not None:
             obs.on_prefetch_outcome(block, "issued-llc", False)

@@ -2,10 +2,14 @@
 
 The paper's configuration uses LRU at every cache level, so LRU is the
 default everywhere; the policy interface exists so tests and ablations can
-swap in alternatives (random, FIFO) without touching the cache code.
+swap in alternatives (random, FIFO, RRIP) without touching the cache code.
 
-A policy instance manages a single set.  The cache stores one policy object
-per set and calls ``on_hit`` / ``on_fill`` / ``victim``.
+LRU and FIFO keep their order in the cache set itself, a dict: a fill
+appends the tag, the victim is the set's first key, and LRU moves a hit
+to the end.  They hold no state, so one instance serves every set of a
+cache.  The other policies keep per-set state: the cache stores one
+policy object per set and calls ``on_hit`` / ``on_fill`` / ``on_evict``
+/ ``victim``.
 """
 
 from __future__ import annotations
@@ -15,33 +19,17 @@ from typing import Dict, Hashable, List
 
 
 class LRUPolicy:
-    """Least-recently-used ordering for one cache set.
+    """Least-recently-used order, kept as the cache set's dict order."""
 
-    Implemented as a monotonic timestamp per resident tag; the victim is the
-    tag with the smallest stamp.  For the associativities used here (8-16
-    ways) a linear ``min`` scan is faster in CPython than maintaining an
-    ordered structure.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_stamps", "_clock")
+    @staticmethod
+    def on_hit(cache_set: dict, tag: Hashable) -> None:
+        cache_set[tag] = cache_set.pop(tag)
 
-    def __init__(self) -> None:
-        self._stamps: Dict[Hashable, int] = {}
-        self._clock = 0
-
-    def on_hit(self, tag: Hashable) -> None:
-        self._clock += 1
-        self._stamps[tag] = self._clock
-
-    def on_fill(self, tag: Hashable) -> None:
-        self._clock += 1
-        self._stamps[tag] = self._clock
-
-    def on_evict(self, tag: Hashable) -> None:
-        self._stamps.pop(tag, None)
-
-    def victim(self) -> Hashable:
-        return min(self._stamps, key=self._stamps.__getitem__)
+    @staticmethod
+    def victim(cache_set: dict) -> Hashable:
+        return next(iter(cache_set))
 
 
 class FIFOPolicy(LRUPolicy):
@@ -49,7 +37,8 @@ class FIFOPolicy(LRUPolicy):
 
     __slots__ = ()
 
-    def on_hit(self, tag: Hashable) -> None:  # noqa: D102 - intentional no-op
+    @staticmethod
+    def on_hit(cache_set: dict, tag: Hashable) -> None:  # noqa: D102
         pass
 
 
@@ -133,7 +122,7 @@ POLICIES = {"lru": LRUPolicy, "fifo": FIFOPolicy, "random": RandomPolicy,
 
 
 def make_policy(name: str):
-    """Instantiate a replacement policy by name ('lru', 'fifo', 'random')."""
+    """Instantiate a replacement policy by name (see ``POLICIES``)."""
     try:
         return POLICIES[name]()
     except KeyError:

@@ -30,19 +30,11 @@ ISSUER_PSA = 0        # the page-size-aware prefetcher indexing with 4KB pages
 ISSUER_PSA_2MB = 1    # the variant indexing with 2MB pages
 
 
-class PrefetchRequest:
-    """One accepted prefetch: target block, fill level, issuing prefetcher."""
-
-    __slots__ = ("block", "fill_l2", "issuer")
-
-    def __init__(self, block: int, fill_l2: bool, issuer: int = ISSUER_PSA) -> None:
-        self.block = block
-        self.fill_l2 = fill_l2
-        self.issuer = issuer
-
-    def __repr__(self) -> str:
-        level = "L2" if self.fill_l2 else "LLC"
-        return f"PrefetchRequest(block={self.block:#x}, fill={level})"
+#: One accepted prefetch, ``(block, fill_l2, issuer)``: the target block,
+#: whether it fills the L2C (else only the LLC), and the issuing
+#: prefetcher's annotation tag.  A plain tuple: the lookahead builds one
+#: per issued candidate.
+PrefetchRequest = Tuple[int, bool, int]
 
 
 class BoundaryStats:
@@ -133,8 +125,7 @@ class PrefetchContext:
         if self.lo <= candidate_block <= self.hi:
             stats.issued += 1
             if self.collect:
-                self.requests.append(
-                    PrefetchRequest(candidate_block, fill_l2, self.issuer))
+                self.requests.append((candidate_block, fill_l2, self.issuer))
             return True
         # Discarded: classify for the Fig. 2 accounting.
         if page2m_of_block(candidate_block) == page2m_of_block(self.block):

@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.address import BLOCK_BITS, PAGE_2M_BITS, PAGE_SIZE_2M
-from repro.prefetch.base import L2Prefetcher, PrefetchContext, PrefetchRequest
+from repro.prefetch.base import L2Prefetcher, PrefetchContext
 from repro.prefetch.tables import BoundedTable
 
 _PAGE2M_BLOCK_SHIFT = PAGE_2M_BITS - BLOCK_BITS
@@ -52,31 +52,43 @@ def next_signature(sig: int, delta: int) -> int:
 
 
 class PatternEntry:
-    """One Pattern Table row: up to four deltas with confidence counters."""
+    """One Pattern Table row: up to four deltas with confidence counters.
 
-    __slots__ = ("deltas", "total")
+    ``top`` caches what the lookahead needs from the row: ``best()``'s
+    ``(delta, confidence)`` plus the signature that delta leads to.  Every
+    ``train`` refreshes it.  Before the first, its confidence is 0.0,
+    which ends any lookahead that reaches the row (``best()`` is None).
+    """
+
+    __slots__ = ("deltas", "total", "signature", "top")
 
     MAX_WAYS = 4
     COUNT_CAP = 256
 
-    def __init__(self) -> None:
+    def __init__(self, signature: int) -> None:
         self.deltas: Dict[int, int] = {}
         self.total = 0
+        self.signature = signature
+        self.top: Tuple[int, float, int] = (0, 0.0, signature)
 
     def train(self, delta: int) -> None:
+        deltas = self.deltas
         self.total += 1
-        if delta in self.deltas:
-            self.deltas[delta] += 1
-        elif len(self.deltas) < self.MAX_WAYS:
-            self.deltas[delta] = 1
+        if delta in deltas:
+            deltas[delta] += 1
+        elif len(deltas) < self.MAX_WAYS:
+            deltas[delta] = 1
         else:
-            victim = min(self.deltas, key=self.deltas.__getitem__)
-            del self.deltas[victim]
-            self.deltas[delta] = 1
+            victim = min(deltas, key=deltas.__getitem__)
+            del deltas[victim]
+            deltas[delta] = 1
         if self.total >= self.COUNT_CAP:
             self.total >>= 1
-            for d in list(self.deltas):
-                self.deltas[d] = max(1, self.deltas[d] >> 1)
+            for d in list(deltas):
+                deltas[d] = max(1, deltas[d] >> 1)
+        best = max(deltas, key=deltas.__getitem__)   # as best() computes it
+        self.top = (best, deltas[best] / self.total,
+                    next_signature(self.signature, best))
 
     def best(self) -> Optional[Tuple[int, float]]:
         """Return (delta, confidence) of the most confident delta."""
@@ -134,7 +146,7 @@ class SPP(L2Prefetcher):
     def _pattern_entry(self, sig: int) -> PatternEntry:
         entry = self.pattern_table.get(sig)
         if entry is None:
-            entry = PatternEntry()
+            entry = PatternEntry(sig)
             self.pattern_table.put(sig, entry)
         return entry
 
@@ -165,9 +177,13 @@ class SPP(L2Prefetcher):
 
     # ------------------------------------------------------------------
     def on_access(self, ctx: PrefetchContext) -> None:
-        region = self.region_of(ctx.block)
-        offset = self.offset_of(ctx.block)
-        st_entry = self.signature_table.get(region)
+        block = ctx.block
+        region = block >> self.offset_bits
+        offset = block & self.offset_mask
+        # One recency update per access: the ``put`` below moves the
+        # entry to the end, as a touching ``get`` would have.
+        signature_table = self.signature_table
+        st_entry = signature_table.get(region, touch=False)
         if st_entry is None:
             parked = self._ghr_probe(offset)
             if parked is not None:
@@ -175,21 +191,22 @@ class SPP(L2Prefetcher):
                 # signature in the fresh region and keep prefetching.
                 self.ghr_seeds += 1
                 sig = next_signature(parked.signature, parked.delta)
-                self.signature_table.put(region, (offset, sig))
+                signature_table.put(region, (offset, sig))
                 self._lookahead(ctx, offset, sig,
                                 initial_confidence=parked.confidence)
             else:
                 # Cold region entry: seed a signature from the offset so
                 # regions entered at different points diverge immediately.
-                self.signature_table.put(region, (offset, offset & SIG_MASK))
+                signature_table.put(region, (offset, offset & SIG_MASK))
             return
         last_offset, sig = st_entry
         delta = offset - last_offset
         if delta == 0:
+            signature_table.put(region, st_entry)
             return
         self._pattern_entry(sig).train(delta)
         new_sig = next_signature(sig, delta)
-        self.signature_table.put(region, (offset, new_sig))
+        signature_table.put(region, (offset, new_sig))
         self._lookahead(ctx, offset, new_sig)
 
     # ------------------------------------------------------------------
@@ -198,11 +215,12 @@ class SPP(L2Prefetcher):
         """Walk the signature path, emitting one prefetch per step.
 
         This is the single hottest prefetcher loop in the simulator (one
-        invocation per trained access, up to MAX_DEPTH steps each), so the
-        per-step helpers (``pattern_table.get(touch=False)``, ``best()``,
-        ``next_signature``) are inlined with identical arithmetic and
-        evaluation order — the emitted candidates and all statistics are
-        bit-for-bit those of the readable form.
+        invocation per trained access, up to MAX_DEPTH steps each).  Each
+        step reads its row's cached ``top`` — ``best()`` and the next
+        signature, computed by ``train`` — and the pattern table without
+        touching recency; with the stock ``_issue`` the body of
+        ``ctx.emit`` is flattened into the walk.  The emitted candidates
+        and all statistics are bit-for-bit those of the readable form.
         """
         self.lookahead_invocations += 1
         base_block = ctx.block - offset   # first block of the region
@@ -213,47 +231,30 @@ class SPP(L2Prefetcher):
         threshold = self.PF_THRESHOLD
         steps = 0
         if type(self)._issue is SPP._issue:
-            # Stock issue policy: ``ctx.emit`` is flattened into the walk
-            # (same statements, same order — one attribute/branch sequence
-            # per candidate instead of two function calls).
             fill_threshold = self.FILL_THRESHOLD
-            stats = ctx.stats
             lo = ctx.lo
             hi = ctx.hi
             collect = ctx.collect
             issuer = ctx.issuer
             requests_append = ctx.requests.append
-            trigger_page2m = ctx.block >> _PAGE2M_BLOCK_SHIFT
-            in_2m = ctx.true_page_size == PAGE_SIZE_2M
-            for depth in range(self.MAX_DEPTH):
+            for _ in range(self.MAX_DEPTH):
                 entry = pt_get(sig)
                 if entry is None:
                     break
-                deltas = entry.deltas
-                total = entry.total
-                if not deltas or not total:   # entry.best() returning None
-                    break
-                if len(deltas) == 1:
-                    delta = next(iter(deltas))
-                else:
-                    delta = max(deltas, key=deltas.__getitem__)
-                path_confidence *= (deltas[delta] / total) * damping
+                delta, ratio, next_sig = entry.top
+                path_confidence *= ratio * damping
                 if path_confidence < threshold:
                     break
                 cursor += delta
                 candidate = base_block + cursor
-                stats.proposed += 1
-                if lo <= candidate <= hi:
-                    stats.issued += 1
-                    if collect:
-                        requests_append(PrefetchRequest(
-                            candidate, path_confidence >= fill_threshold,
-                            issuer))
-                else:
+                if not lo <= candidate <= hi:
                     # Discarded: Fig. 2 classification, then park the path
                     # in the GHR (cross-region learning continuity).
-                    if (candidate >> _PAGE2M_BLOCK_SHIFT) == trigger_page2m:
-                        if in_2m:
+                    stats = ctx.stats
+                    stats.proposed += 1
+                    if (candidate >> _PAGE2M_BLOCK_SHIFT
+                            == ctx.block >> _PAGE2M_BLOCK_SHIFT):
+                        if ctx.true_page_size == PAGE_SIZE_2M:
                             stats.discarded_cross_4k_in_2m += 1
                         else:
                             stats.discarded_cross_4k_in_4k += 1
@@ -262,20 +263,24 @@ class SPP(L2Prefetcher):
                     if cursor >= self.region_blocks or cursor < 0:
                         self._ghr_record(sig, path_confidence, cursor, delta)
                     break
+                if collect:
+                    requests_append((candidate,
+                                     path_confidence >= fill_threshold,
+                                     issuer))
                 steps += 1
-                sig = ((sig << SIG_SHIFT) ^ (delta & SIG_MASK)) & SIG_MASK
+                sig = next_sig
+            # Each completed step proposed and issued one candidate (a
+            # discarded one was counted where it stopped the walk).
+            ctx.stats.proposed += steps
+            ctx.stats.issued += steps
         else:
             issue = self._issue   # overridden (PPF's perceptron filter)
             for depth in range(self.MAX_DEPTH):
                 entry = pt_get(sig)
                 if entry is None:
                     break
-                deltas = entry.deltas
-                total = entry.total
-                if not deltas or not total:
-                    break
-                delta = max(deltas, key=deltas.__getitem__)
-                path_confidence *= (deltas[delta] / total) * damping
+                delta, ratio, next_sig = entry.top
+                path_confidence *= ratio * damping
                 if path_confidence < threshold:
                     break
                 cursor += delta
@@ -286,7 +291,7 @@ class SPP(L2Prefetcher):
                         self._ghr_record(sig, path_confidence, cursor, delta)
                     break
                 steps += 1
-                sig = ((sig << SIG_SHIFT) ^ (delta & SIG_MASK)) & SIG_MASK
+                sig = next_sig
         self.lookahead_depth_total += steps
 
     def _issue(self, ctx: PrefetchContext, candidate: int,

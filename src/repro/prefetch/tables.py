@@ -8,14 +8,19 @@ metadata (which would inflate its coverage relative to the paper).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Generic, Hashable, Iterator, Optional, TypeVar
+from typing import Dict, Generic, Hashable, Iterator, Optional, TypeVar
 
 V = TypeVar("V")
 
 
 class BoundedTable(Generic[V]):
-    """Fixed-capacity associative table with LRU replacement."""
+    """Fixed-capacity associative table with LRU replacement.
+
+    The dict's insertion order is the recency order: a touching ``get``
+    and every ``put`` re-insert their key at the end, and the victim is
+    the first key.  Values are never None (``get`` returns None for a
+    miss).
+    """
 
     __slots__ = ("capacity", "_data", "evictions")
 
@@ -23,7 +28,7 @@ class BoundedTable(Generic[V]):
         if capacity < 1:
             raise ValueError("table capacity must be >= 1")
         self.capacity = capacity
-        self._data: "OrderedDict[Hashable, V]" = OrderedDict()
+        self._data: Dict[Hashable, V] = {}
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -37,19 +42,24 @@ class BoundedTable(Generic[V]):
 
     def get(self, key: Hashable, touch: bool = True) -> Optional[V]:
         """Return the value for *key* (refreshing recency), or None."""
-        value = self._data.get(key)
-        if value is not None and touch:
-            self._data.move_to_end(key)
+        if not touch:
+            return self._data.get(key)
+        value = self._data.pop(key, None)
+        if value is not None:
+            self._data[key] = value
         return value
 
     def put(self, key: Hashable, value: V) -> Optional[Hashable]:
         """Insert/update; return the evicted key when capacity overflowed."""
+        data = self._data
         evicted = None
-        if key not in self._data and len(self._data) >= self.capacity:
-            evicted, _ = self._data.popitem(last=False)
+        if key in data:
+            del data[key]
+        elif len(data) >= self.capacity:
+            evicted = next(iter(data))
+            del data[evicted]
             self.evictions += 1
-        self._data[key] = value
-        self._data.move_to_end(key)
+        data[key] = value
         return evicted
 
     def pop(self, key: Hashable) -> Optional[V]:

@@ -19,7 +19,8 @@ Parameters: ``secs=<float>`` (hang duration, default 30),
 ``first=<int>`` (fire only on the first N attempts; 0 = every attempt,
 so ``first=1`` models a transient that a retry cures), and
 ``at=<int>`` (``kill`` only: the access index after which the run dies —
-the snapshot/resume acceptance scenario).
+the snapshot/resume acceptance scenario; in a Figs. 14/15 mix task it
+counts the mix's records in execution order, across all cores).
 
 Indices refer to positions in the batch's *scheduled* run list (after
 dedupe and cache hits), which is what makes a schedule deterministic: a
@@ -42,7 +43,8 @@ recovery) and raises :class:`InjectedCrash` in-process otherwise, so
 serial fallback resolves persistent crashers without killing the host.
 ``corrupt`` is applied by the parent *after* the run's cache entry is
 written (garbling the entry on disk) to exercise the cache quarantine
-path.  A malformed spec raises :class:`FaultSpecError`.
+path; a mix task writes no cache entry, so it never fires there.  A
+malformed spec raises :class:`FaultSpecError`.
 """
 
 from __future__ import annotations
@@ -235,11 +237,12 @@ def kill_armed() -> bool:
 def access_checkpoint(index: int) -> None:
     """Fire armed ``kill`` faults once access *index* has completed.
 
-    Called by the simulation run loop after every access when a kill is
-    armed.  In a pool worker the process dies with ``os._exit(137)``
-    (a real SIGKILL-style death: no cleanup, no snapshot flush beyond
-    what is already on disk); serially an :class:`InjectedCrash` is
-    raised, which the supervisor treats as transient and retries.
+    Called after every access by the single-core run loop, and by a
+    mix's ``Core.step`` loop, when a kill is armed.  In a pool worker the
+    process dies with ``os._exit(137)`` (a real SIGKILL-style death: no
+    cleanup, no snapshot flush beyond what is already on disk); serially
+    an :class:`InjectedCrash` is raised, which the supervisor treats as
+    transient and retries.
     """
     for action in _ARMED:
         if action.kind != "kill" or not action.fires(_ATTEMPT):

@@ -22,7 +22,7 @@ the *model* bit-for-bit identical while restructuring the *execution*:
    list of cells between calls.  It walks the precomputed columns and
    executes the core timing model and the hierarchy demand/prefetch
    paths, feeding the *unchanged* scalar state machines (prefetcher
-   FSMs, Set-Dueling, MSHR contents, replacement stamps).  ``run_trace``
+   FSMs, Set-Dueling, MSHR contents, LRU order).  ``run_trace``
    drives it one chunk at a time; ``simulate_mix`` drives each core's
    runner one same-core run of records at a time.
 
@@ -63,7 +63,7 @@ def fused_enabled(core) -> bool:
 
     The runner inlines specific implementations, so each one must be
     exactly the stock class (a subclass could override behaviour the
-    loop bypasses) and every replacement policy plain LRU
+    loop bypasses) and every cache's replacement policy plain LRU
     (``FIFOPolicy`` subclasses it with a different ``on_hit``).
     Observers and invariant checks need the un-fused event sites.
     Chunk translation is only sound when nothing else allocates: the
@@ -99,11 +99,9 @@ def fused_enabled(core) -> bool:
         return False
     for cache in (h.l1d, h.l2c, h.llc):
         if (type(cache) is not Cache or type(cache.mshr) is not MSHR
-                or type(cache.pf_mshr) is not MSHR):
+                or type(cache.pf_mshr) is not MSHR
+                or type(cache.policy) is not LRUPolicy):
             return False
-        for policy in cache._policies:
-            if type(policy) is not LRUPolicy:
-                return False
     return True
 
 
@@ -161,13 +159,14 @@ def compile_runner(core, h, on_record=None):
     Mirrors, line for line, ``Core.step`` → ``MemoryHierarchy._access``
     → ``_l2_demand`` → ``_llc_demand`` → ``_issue_l2_prefetch`` with the
     stock ``Cache``/``MSHR``/``TLB``/``DRAM``/LRU implementations inlined
-    (guarded by ``fused_enabled``).  Escapes into un-inlined machinery
-    (page walks, writeback cascades, prefetch module callbacks, MSHR
-    capacity sweeps, posted DRAM writes, the prefetch-issue LLC merge
-    probe) touch object state only; the DTLB counters are synced around
-    the walk escape, the one that reads them.  A capacity sweep calls
-    ``MSHR._expire`` only when the MSHR's ``_floor`` bound says it will
-    retire something.
+    (guarded by ``fused_enabled``): an LRU hit moves the block to the end
+    of its set's dict, a fill appends it, and the victim is the first
+    key.  Escapes into un-inlined machinery (page walks, writeback
+    cascades, prefetch module callbacks, MSHR capacity sweeps, posted
+    DRAM writes, the prefetch-issue LLC merge probe) touch object state
+    only; the DTLB counters are synced around the walk escape, the one
+    that reads them.  A capacity sweep calls ``MSHR._expire`` only when
+    the MSHR's ``_floor`` bound says it will retire something.
 
     Returns closures sharing one list of counter cells:
 
@@ -246,16 +245,13 @@ def compile_runner(core, h, on_record=None):
         llc = h.llc
         dram = h.dram
         l1_sets = l1d._sets
-        l1_pols = l1d._policies
         l1_ways = l1d.ways
         l1_lat = l1d.latency
         l2_sets = l2c._sets
-        l2_pols = l2c._policies
         l2_mask = l2c._set_mask
         l2_ways = l2c.ways
         l2_lat = l2c.latency
         l3_sets = llc._sets
-        l3_pols = llc._policies
         l3_mask = llc._set_mask
         l3_ways = llc.ways
         l3_lat = llc.latency
@@ -364,10 +360,8 @@ def compile_runner(core, h, on_record=None):
             line = l1_set.get(block)
             l1_dem += 1
             if line is not None:
-                pol = l1_pols[s1]
-                c = pol._clock + 1
-                pol._clock = c
-                pol._stamps[block] = c
+                del l1_set[block]
+                l1_set[block] = line
                 l1_hit += 1
                 if line.prefetch:
                     l1_use += 1
@@ -419,10 +413,8 @@ def compile_runner(core, h, on_record=None):
                 l2_dem += 1
                 useful_issuer = None
                 if hit2:
-                    pol = l2_pols[s2]
-                    c = pol._clock + 1
-                    pol._clock = c
-                    pol._stamps[block] = c
+                    del l2_set[block]
+                    l2_set[block] = line2
                     l2_hit += 1
                     if line2.prefetch:
                         l2_use += 1
@@ -476,10 +468,8 @@ def compile_runner(core, h, on_record=None):
                     l3_dem += 1
                     ui3 = None
                     if hit3:
-                        pol = l3_pols[s3]
-                        c = pol._clock + 1
-                        pol._clock = c
-                        pol._stamps[block] = c
+                        del l3_set[block]
+                        l3_set[block] = line3
                         l3_hit += 1
                         if line3.prefetch:
                             l3_use += 1
@@ -558,19 +548,13 @@ def compile_runner(core, h, on_record=None):
                         if existing is not None:
                             existing.prefetch = False
                         else:
-                            pol = l3_pols[s3]
-                            st = pol._stamps
                             if len(l3_set) >= l3_ways:
-                                victim = min(st, key=st.__getitem__)
-                                del st[victim]
+                                victim = next(iter(l3_set))
                                 if l3_set.pop(victim).dirty:
                                     llc.writebacks += 1
                                     # LLC eviction: posted DRAM write.
                                     dram.access(victim, 0.0, True)
                             l3_set[block] = CacheLine()
-                            c = pol._clock + 1
-                            pol._clock = c
-                            st[block] = c
                     l3_lat_sum += ready3 - t3
                     l3_lat_cnt += 1
                     # --- back in _l2_demand: allocate + fill L2 ------------
@@ -591,19 +575,13 @@ def compile_runner(core, h, on_record=None):
                     if existing is not None:
                         existing.prefetch = False
                     else:
-                        pol = l2_pols[s2]
-                        st = pol._stamps
                         evicted_line = None
                         if len(l2_set) >= l2_ways:
-                            victim = min(st, key=st.__getitem__)
+                            victim = next(iter(l2_set))
                             evicted_line = l2_set.pop(victim)
-                            del st[victim]
                             if evicted_line.dirty:
                                 l2c.writebacks += 1
                         l2_set[block] = CacheLine()
-                        c = pol._clock + 1
-                        pol._clock = c
-                        st[block] = c
                         if evicted_line is not None:
                             if evicted_line.prefetch:
                                 mod_evict(victim, evicted_line.issuer)
@@ -612,8 +590,8 @@ def compile_runner(core, h, on_record=None):
                 l2_lat_sum += ready2 - t_l2
                 l2_lat_cnt += 1
                 # --- prefetch issue (_issue_l2_prefetch per request) ------
-                for request in requests:
-                    pb = request.block
+                t_pf = t_l2 + l2_lat + l3_lat   # an LLC hit's ready time
+                for pb, fill_l2, issuer in requests:
                     s2p = pb & l2_mask
                     if pb in l2_sets[s2p]:
                         pf_red += 1
@@ -630,7 +608,6 @@ def compile_runner(core, h, on_record=None):
                     if e is not None:
                         pf_red += 1
                         continue
-                    fill_l2 = request.fill_l2
                     if fill_l2 and len(l2_pents) >= l2_pq_cap:
                         if l2_pq._floor <= t_l2:
                             l2_pq._expire(t_l2)
@@ -642,11 +619,9 @@ def compile_runner(core, h, on_record=None):
                     l3p_set = l3_sets[s3p]
                     line3 = l3p_set.get(pb)
                     if line3 is not None:
-                        pol = l3_pols[s3p]
-                        c = pol._clock + 1
-                        pol._clock = c
-                        pol._stamps[pb] = c
-                        pf_ready = t_l2 + l2_lat + l3_lat
+                        del l3p_set[pb]
+                        l3p_set[pb] = line3
+                        pf_ready = t_pf
                     else:
                         e = llc_inflight(pb, t_l2)
                         if e is not None:
@@ -659,7 +634,7 @@ def compile_runner(core, h, on_record=None):
                                     pf_drop += 1
                                     continue
                             # DRAM read for the prefetch.
-                            tq = t_l2 + l2_lat + l3_lat
+                            tq = t_pf
                             ch = pb % n_channels
                             within = pb // n_channels
                             bank = within % n_banks
@@ -697,19 +672,13 @@ def compile_runner(core, h, on_record=None):
                                 if not pf_flag:
                                     existing.prefetch = False
                             else:
-                                pol = l3_pols[s3p]
-                                st = pol._stamps
                                 if len(l3p_set) >= l3_ways:
-                                    victim = min(st, key=st.__getitem__)
-                                    del st[victim]
+                                    victim = next(iter(l3p_set))
                                     if l3p_set.pop(victim).dirty:
                                         llc.writebacks += 1
                                         dram.access(victim, 0.0, True)
                                 l3p_set[pb] = CacheLine(
-                                    prefetch=pf_flag, issuer=request.issuer)
-                                c = pol._clock + 1
-                                pol._clock = c
-                                st[pb] = c
+                                    prefetch=pf_flag, issuer=issuer)
                                 if pf_flag:
                                     llc.prefetch_fills += 1
                     if fill_l2:
@@ -728,20 +697,14 @@ def compile_runner(core, h, on_record=None):
                         l2p_set = l2_sets[s2p]
                         if pb not in l2p_set:
                             # (a present line would merge without clearing)
-                            pol = l2_pols[s2p]
-                            st = pol._stamps
                             evicted_line = None
                             if len(l2p_set) >= l2_ways:
-                                victim = min(st, key=st.__getitem__)
+                                victim = next(iter(l2p_set))
                                 evicted_line = l2p_set.pop(victim)
-                                del st[victim]
                                 if evicted_line.dirty:
                                     l2c.writebacks += 1
                             l2p_set[pb] = CacheLine(
-                                prefetch=True, issuer=request.issuer)
-                            c = pol._clock + 1
-                            pol._clock = c
-                            st[pb] = c
+                                prefetch=True, issuer=issuer)
                             l2c.prefetch_fills += 1
                             if evicted_line is not None:
                                 if evicted_line.prefetch:
@@ -774,19 +737,13 @@ def compile_runner(core, h, on_record=None):
                     existing.dirty = existing.dirty or is_write
                     existing.prefetch = False
                 else:
-                    pol = l1_pols[s1]
-                    st = pol._stamps
                     evicted_line = None
                     if len(l1_set) >= l1_ways:
-                        victim = min(st, key=st.__getitem__)
+                        victim = next(iter(l1_set))
                         evicted_line = l1_set.pop(victim)
-                        del st[victim]
                         if evicted_line.dirty:
                             l1d.writebacks += 1
                     l1_set[block] = CacheLine(dirty=is_write)
-                    c = pol._clock + 1
-                    pol._clock = c
-                    st[block] = c
                     if evicted_line is not None and evicted_line.dirty:
                         writeback_l2(victim)
             # --- Core.step epilogue ---------------------------------------

@@ -10,8 +10,9 @@ its next trace record, so shared-resource contention (LLC capacity, DRAM
 bandwidth and row buffers) is observed in approximate global time order.
 When every core supports it, each core runs on its compiled fused-kernel
 runner (``repro.sim.kernel.compile_runner``), one same-core run of
-records per call; otherwise each record goes through ``Core.step``, the
-reference path.  Both execute the records in the same global order.
+records per call; otherwise (or with a ``REPRO_FAULTS`` ``kill`` armed)
+each record goes through ``Core.step``, the reference path.  Both execute
+the records in the same global order.
 
 The reported figure of merit is the paper's weighted speedup: for each
 workload in a mix, IPC in the mix divided by IPC running alone on the same
@@ -97,7 +98,11 @@ def _run_mix(specs: List[WorkloadSpec], config: SystemConfig,
         traces.append(trace)
     warmup = int(n * warmup_fraction)
     lengths = [len(trace.records) for trace in traces]
-    runners = _compile_runners(cores, traces)
+    # An armed ``kill`` fires after the mix's n-th record in execution
+    # order, a checkpoint only the reference loop has.
+    kill_armed = faults.kill_armed()
+    runners = None if kill_armed else _compile_runners(cores, traces)
+    executed = 0
     # Min-heap over (core local clock, core index, next record index).
     heap: List[Tuple[float, int, int]] = [
         (0.0, idx, 0) for idx in range(len(cores))]
@@ -111,6 +116,9 @@ def _run_mix(specs: List[WorkloadSpec], config: SystemConfig,
             core.step(traces[idx].records[index])
             index += 1
             clock = core.now
+            if kill_armed:
+                faults.access_checkpoint(executed)
+                executed += 1
         else:
             # Run the records the one-step loop would give this core in a
             # row: it is popped again while (clock, idx) stays below the

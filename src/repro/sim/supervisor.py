@@ -671,7 +671,8 @@ class _Supervisor:
         remaining = self._unfinished()
         if fallback and remaining and not self._stop_new:
             self.stats.serial_fallback = True
-        use_alarm = (self.timeout is not None
+        # Arm (or warn about) the watchdog only when runs are left for it.
+        use_alarm = (bool(remaining) and self.timeout is not None
                      and _serial_watchdog_available(warn=True))
         progress = True
         while remaining and progress:

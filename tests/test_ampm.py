@@ -25,17 +25,17 @@ class TestMatching:
         ampm = AMPM()
         ctx = feed(ampm, [0, 1, 2])
         assert ctx.requests
-        assert ctx.requests[0].block == 3
+        assert ctx.requests[0][0] == 3
 
     def test_longer_stride_detected(self):
         ampm = AMPM()
         ctx = feed(ampm, [0, 4, 8])
-        assert any(r.block == 12 for r in ctx.requests)
+        assert any(block == 12 for block, _, _ in ctx.requests)
 
     def test_backward_stream_detected(self):
         ampm = AMPM()
         ctx = feed(ampm, [40, 39, 38])
-        assert any(r.block == 37 for r in ctx.requests)
+        assert any(block == 37 for block, _, _ in ctx.requests)
 
     def test_stride_beyond_max_not_detected(self):
         ampm = AMPM()
@@ -65,7 +65,7 @@ class TestMatching:
         ampm = AMPM()
         ctx = feed(ampm, [BLOCKS_PER_4K - 3, BLOCKS_PER_4K - 2,
                           BLOCKS_PER_4K - 1], window="2m")
-        assert any(r.block == BLOCKS_PER_4K for r in ctx.requests)
+        assert any(block == BLOCKS_PER_4K for block, _, _ in ctx.requests)
 
 
 class TestStructure:

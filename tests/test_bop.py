@@ -44,7 +44,7 @@ class TestLearning:
         ctx = make_ctx(block, window="open")
         bop.on_access(ctx)
         assert ctx.requests
-        assert ctx.requests[0].block == block + 4
+        assert ctx.requests[0][0] == block + 4
 
     def test_round_ends_on_score_max(self):
         bop = BOP()
@@ -86,7 +86,7 @@ class TestPageSizeIndependence:
             for block in trace:
                 ctx = make_ctx(block, window="open")
                 bop.on_access(ctx)
-                issued.extend(r.block for r in ctx.requests)
+                issued.extend(block for block, _, _ in ctx.requests)
             results.append((bop.best_offset, issued))
         assert results[0] == results[1]
 
@@ -96,7 +96,7 @@ class TestNextLine:
         nl = NextLinePrefetcher()
         ctx = make_ctx(10, window="4k")
         nl.on_access(ctx)
-        assert [r.block for r in ctx.requests] == [11]
+        assert [block for block, _, _ in ctx.requests] == [11]
 
     def test_respects_boundary(self):
         nl = NextLinePrefetcher()

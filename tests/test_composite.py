@@ -76,25 +76,25 @@ class TestIssuing:
         requests = module.on_l2_access(
             0, 0, False, leader, PAGE_SIZE_4K, PAGE_SIZE_4K)
         assert len(requests) == 1
-        assert requests[0].issuer == ISSUER_PSA
+        assert requests[0][2] == ISSUER_PSA
 
     def test_2mb_leader_issues_2mb(self):
         module = make()
         leader = set_with_role(module, ROLE_PSA_2MB_LEADER)
         requests = module.on_l2_access(
             0, 0, False, leader, PAGE_SIZE_4K, PAGE_SIZE_4K)
-        assert requests[0].issuer == ISSUER_PSA_2MB
+        assert requests[0][2] == ISSUER_PSA_2MB
 
     def test_follower_follows_csel(self):
         module = make()
         follower = set_with_role(module, ROLE_FOLLOWER)
         requests = module.on_l2_access(
             0, 0, False, follower, PAGE_SIZE_4K, PAGE_SIZE_4K)
-        assert requests[0].issuer == ISSUER_PSA   # csel starts at 0
+        assert requests[0][2] == ISSUER_PSA   # csel starts at 0
         module.selector.csel = module.selector.csel_max
         requests = module.on_l2_access(
             64, 0, False, follower, PAGE_SIZE_4K, PAGE_SIZE_4K)
-        assert requests[0].issuer == ISSUER_PSA_2MB
+        assert requests[0][2] == ISSUER_PSA_2MB
 
     def test_page_size_policy_static_selection(self):
         module = make(policy="page-size")
@@ -103,8 +103,8 @@ class TestIssuing:
                                  PAGE_SIZE_4K, PAGE_SIZE_4K)
         r2 = module.on_l2_access(64, 0, False, follower,
                                  PAGE_SIZE_2M, PAGE_SIZE_2M)
-        assert r4[0].issuer == ISSUER_PSA
-        assert r2[0].issuer == ISSUER_PSA_2MB
+        assert r4[0][2] == ISSUER_PSA
+        assert r2[0][2] == ISSUER_PSA_2MB
 
 
 class TestWindows:

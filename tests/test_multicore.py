@@ -268,3 +268,19 @@ class TestMixWeightedSpeedups:
         monkeypatch.setenv("REPRO_FAULTS", "error@0:first=1")
         assert self.speedups(monkeypatch, 2) == expected
         assert runner.engine_stats().retries == 1
+
+    def test_kill_reaches_the_mix_tasks(self, monkeypatch):
+        """``kill@i:at=N`` fires after the mix's N-th record; the retry
+        gives the fault-free result."""
+        monkeypatch.setenv("REPRO_JOBS", "1")
+
+        def one_mix():
+            return mix_weighted_speedups(
+                self.mixes()[:1], multicore_config(SystemConfig(), 2),
+                "spp", self.VARIANTS, n_accesses=self.N)
+
+        expected = one_mix()
+        runner.reset_engine_stats()   # the isolation runs are memo hits now
+        monkeypatch.setenv("REPRO_FAULTS", "kill@0:at=10:first=1")
+        assert one_mix() == expected
+        assert runner.engine_stats().retries == 1

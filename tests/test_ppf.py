@@ -63,31 +63,31 @@ class TestPPFBehaviour:
     def test_unused_eviction_trains_reject(self):
         ppf = PPF()
         ctx = feed_stream(ppf, 30)
-        issued = [r.block for r in ctx.requests]
+        issued = [block for block, _, _ in ctx.requests]
         assert issued
         # Report every issued prefetch as evicted-unused, repeatedly.
         for _ in range(60):
             ctx = feed_stream(ppf, 30)
-            for request in ctx.requests:
-                ppf.on_prefetch_evicted_unused(request.block)
+            for target, _, _ in ctx.requests:
+                ppf.on_prefetch_evicted_unused(target)
         assert ppf.rejected > 0
 
     def test_useful_feedback_trains_accept(self):
         ppf = PPF()
         ctx = feed_stream(ppf, 30)
-        for request in ctx.requests:
-            ppf.on_prefetch_useful(request.block)
+        for target, _, _ in ctx.requests:
+            ppf.on_prefetch_useful(target)
         # Weights moved positive: next candidates keep flowing to L2.
         ctx = feed_stream(ppf, 31)
-        assert any(r.fill_l2 for r in ctx.requests)
+        assert any(fill_l2 for _, fill_l2, _ in ctx.requests)
 
     def test_demand_miss_on_rejected_trains_accept(self):
         ppf = PPF()
         # Force rejection by hammering negative feedback.
         for _ in range(80):
             ctx = feed_stream(ppf, 30)
-            for request in ctx.requests:
-                ppf.on_prefetch_evicted_unused(request.block)
+            for target, _, _ in ctx.requests:
+                ppf.on_prefetch_evicted_unused(target)
         rejected_before = ppf.rejected
         assert rejected_before > 0
         # Now every rejected block demand-misses: filter must re-open.
@@ -117,6 +117,6 @@ class TestPPFBehaviour:
         ppf = PPF()
         for _ in range(80):
             ctx = feed_stream(ppf, 30)
-            for request in ctx.requests:
-                ppf.on_prefetch_evicted_unused(request.block)
+            for target, _, _ in ctx.requests:
+                ppf.on_prefetch_evicted_unused(target)
         assert len(ppf.reject_table) > 0 or ppf.rejected == 0

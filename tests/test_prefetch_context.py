@@ -11,7 +11,7 @@ class TestEmitAcceptance:
         ctx = make_ctx(block=10, window="4k")
         assert ctx.emit(11)
         assert len(ctx.requests) == 1
-        assert ctx.requests[0].block == 11
+        assert ctx.requests[0][0] == 11
 
     def test_out_of_window_rejected(self):
         ctx = make_ctx(block=10, window="4k")
@@ -35,14 +35,14 @@ class TestEmitAcceptance:
         ctx = make_ctx(block=0, window="4k")
         ctx.emit(1, fill_l2=True)
         ctx.emit(2, fill_l2=False)
-        assert ctx.requests[0].fill_l2
-        assert not ctx.requests[1].fill_l2
+        assert ctx.requests[0][1]
+        assert not ctx.requests[1][1]
 
     def test_issuer_propagated(self):
         ctx = make_ctx(block=0, window="4k")
         ctx.issuer = 1
         ctx.emit(1)
-        assert ctx.requests[0].issuer == 1
+        assert ctx.requests[0][2] == 1
 
 
 class TestShadowMode:

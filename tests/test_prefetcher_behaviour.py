@@ -21,7 +21,7 @@ def drive(prefetcher, blocks, window="4k", ip=0x40):
     for block in blocks:
         ctx = make_ctx(block, window=window, ip=ip)
         prefetcher.on_access(ctx)
-        issued.extend(r.block for r in ctx.requests)
+        issued.extend(block for block, _, _ in ctx.requests)
     return issued
 
 
@@ -36,8 +36,8 @@ class TestWindowObedience:
             ctx = make_ctx(block, window="4k")
             prefetcher.on_access(ctx)
             lo = block & ~(BLOCKS_PER_4K - 1)
-            for request in ctx.requests:
-                assert lo <= request.block <= lo + BLOCKS_PER_4K - 1
+            for target, _, _ in ctx.requests:
+                assert lo <= target <= lo + BLOCKS_PER_4K - 1
 
     @pytest.mark.parametrize("name", L2_PREFETCHERS)
     def test_never_escapes_2m_window(self, name):
@@ -47,8 +47,8 @@ class TestWindowObedience:
             ctx = make_ctx(block, window="2m")
             prefetcher.on_access(ctx)
             lo = block & ~(BLOCKS_PER_2M - 1)
-            for request in ctx.requests:
-                assert lo <= request.block <= lo + BLOCKS_PER_2M - 1
+            for target, _, _ in ctx.requests:
+                assert lo <= target <= lo + BLOCKS_PER_2M - 1
 
 
 class TestStreamProficiency:
@@ -86,8 +86,8 @@ class TestShadowTrainingEquivalence:
         shadow_ctx = make_ctx(probe, window="4k")
         live.on_access(live_ctx)
         shadow.on_access(shadow_ctx)
-        assert ([r.block for r in live_ctx.requests]
-                == [r.block for r in shadow_ctx.requests])
+        assert ([block for block, _, _ in live_ctx.requests]
+                == [block for block, _, _ in shadow_ctx.requests])
 
 
 class TestRegionGranularity:

@@ -60,7 +60,8 @@ class TestOriginalMode:
         requests = module.on_l2_access(
             block=60, ip=0, hit=False, set_index=0,
             page_size_bit=PAGE_SIZE_2M, true_page_size=PAGE_SIZE_2M)
-        assert [r.block for r in requests] == [61]   # +70 crossed, discarded
+        # +70 crossed, discarded
+        assert [block for block, _, _ in requests] == [61]
         assert module.stats.discarded_cross_4k_in_2m == 1
 
     def test_discard_classified_4k_truth(self):
@@ -75,20 +76,20 @@ class TestPSAMode:
         module = PSAPrefetchModule(RecordingPrefetcher(), mode="psa")
         requests = module.on_l2_access(
             60, 0, False, 0, PAGE_SIZE_2M, PAGE_SIZE_2M)
-        assert [r.block for r in requests] == [61, 130]
+        assert [block for block, _, _ in requests] == [61, 130]
 
     def test_4k_bit_keeps_4k_window(self):
         module = PSAPrefetchModule(RecordingPrefetcher(), mode="psa")
         requests = module.on_l2_access(
             60, 0, False, 0, PAGE_SIZE_4K, PAGE_SIZE_4K)
-        assert [r.block for r in requests] == [61]
+        assert [block for block, _, _ in requests] == [61]
 
     def test_missing_bit_conservative(self):
         """No PPM info (bit None): must behave like the original."""
         module = PSAPrefetchModule(RecordingPrefetcher(), mode="psa")
         requests = module.on_l2_access(
             60, 0, False, 0, None, PAGE_SIZE_2M)
-        assert [r.block for r in requests] == [61]
+        assert [block for block, _, _ in requests] == [61]
 
     def test_never_crosses_2m(self):
         module = PSAPrefetchModule(
@@ -103,7 +104,7 @@ class TestPSAMode:
                                    issuer=ISSUER_PSA_2MB)
         requests = module.on_l2_access(
             0, 0, False, 0, PAGE_SIZE_2M, PAGE_SIZE_2M)
-        assert all(r.issuer == ISSUER_PSA_2MB for r in requests)
+        assert all(issuer == ISSUER_PSA_2MB for _, _, issuer in requests)
 
 
 class TestModuleInterface:

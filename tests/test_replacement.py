@@ -1,63 +1,140 @@
 """Tests for repro.memory.replacement — per-set replacement policies."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.memory.cache import Cache
 from repro.memory.replacement import (
     FIFOPolicy,
     LRUPolicy,
     RandomPolicy,
     make_policy,
 )
+from repro.sim.config import CacheConfig
+
+
+def one_set(replacement, ways):
+    """A one-set cache: every block competes for the same ways."""
+    return Cache(CacheConfig("T", ways * 64, ways, 1, 4),
+                 replacement=replacement)
+
+
+def fill_all(cache, blocks):
+    for block in blocks:
+        assert cache.fill(block) is None
 
 
 class TestLRU:
+    """LRU order is the set dict's own order (no per-set policy state)."""
+
     def test_victim_is_least_recent_fill(self):
-        lru = LRUPolicy()
-        for tag in ("a", "b", "c"):
-            lru.on_fill(tag)
-        assert lru.victim() == "a"
+        lru = one_set("lru", 3)
+        fill_all(lru, (1, 2, 3))
+        assert lru.fill(4)[0] == 1
 
     def test_hit_refreshes_recency(self):
-        lru = LRUPolicy()
-        for tag in ("a", "b", "c"):
-            lru.on_fill(tag)
-        lru.on_hit("a")
-        assert lru.victim() == "b"
+        lru = one_set("lru", 3)
+        fill_all(lru, (1, 2, 3))
+        lru.lookup(1)
+        assert lru.fill(4)[0] == 2
 
     def test_evict_removes_tag(self):
-        lru = LRUPolicy()
-        lru.on_fill("a")
-        lru.on_fill("b")
-        lru.on_evict("a")
-        assert lru.victim() == "b"
+        lru = one_set("lru", 2)
+        fill_all(lru, (1, 2))
+        assert lru.invalidate(1)
+        fill_all(lru, (3,))
+        assert lru.fill(4)[0] == 2
 
     def test_evict_unknown_tag_is_noop(self):
-        lru = LRUPolicy()
-        lru.on_fill("a")
-        lru.on_evict("ghost")
-        assert lru.victim() == "a"
+        lru = one_set("lru", 2)
+        fill_all(lru, (1,))
+        assert not lru.invalidate(99)
+        fill_all(lru, (2,))
+        assert lru.fill(3)[0] == 1
 
     def test_refill_refreshes(self):
-        lru = LRUPolicy()
-        lru.on_fill("a")
-        lru.on_fill("b")
-        lru.on_fill("a")
-        assert lru.victim() == "b"
+        lru = one_set("lru", 2)
+        fill_all(lru, (1, 2))
+        lru.invalidate(1)
+        fill_all(lru, (1,))          # back at the most-recent end
+        assert lru.fill(3)[0] == 2
 
 
 class TestFIFO:
     def test_hit_does_not_refresh(self):
-        fifo = FIFOPolicy()
-        for tag in ("a", "b", "c"):
-            fifo.on_fill(tag)
-        fifo.on_hit("a")
-        assert fifo.victim() == "a"
+        fifo = one_set("fifo", 3)
+        fill_all(fifo, (1, 2, 3))
+        fifo.lookup(1)
+        assert fifo.fill(4)[0] == 1
 
     def test_fill_order_respected(self):
-        fifo = FIFOPolicy()
-        fifo.on_fill("x")
-        fifo.on_fill("y")
-        assert fifo.victim() == "x"
+        fifo = one_set("fifo", 2)
+        fill_all(fifo, (1, 2))
+        assert fifo.fill(3)[0] == 1
+
+
+class _StampSet:
+    """Reference model of one set under a clocked LRU or FIFO policy:
+    every fill, and under LRU every hit, stamps the block with the next
+    clock value; the victim has the smallest stamp."""
+
+    def __init__(self, ways, refresh_on_hit):
+        self.ways = ways
+        self.refresh_on_hit = refresh_on_hit
+        self.stamps = {}
+        self.clock = 0
+
+    def _stamp(self, block):
+        self.clock += 1
+        self.stamps[block] = self.clock
+
+    def lookup(self, block):
+        if block in self.stamps and self.refresh_on_hit:
+            self._stamp(block)
+
+    def fill(self, block):
+        if block in self.stamps:
+            return None             # a resident block only merges
+        victim = None
+        if len(self.stamps) >= self.ways:
+            victim = min(self.stamps, key=self.stamps.__getitem__)
+            del self.stamps[victim]
+        self._stamp(block)
+        return victim
+
+    def invalidate(self, block):
+        return self.stamps.pop(block, None) is not None
+
+
+# Four blocks per set of a two-set, three-way cache, mostly fills and
+# hits, and long runs: sets stay full and hits land on every position.
+_cache_ops = st.lists(st.tuples(
+    st.sampled_from(["lookup", "lookup", "fill", "fill", "peek",
+                     "invalidate"]),
+    st.integers(0, 7)), min_size=40, max_size=200)
+
+
+@given(st.sampled_from(["lru", "fifo"]), _cache_ops)
+def test_property_set_order_matches_timestamp_model(replacement, ops):
+    sets, ways = 2, 3
+    cache = Cache(CacheConfig("T", sets * ways * 64, ways, 1, 4),
+                  replacement=replacement)
+    model = [_StampSet(ways, replacement == "lru") for _ in range(sets)]
+    for op, block in ops:
+        model_set = model[block % sets]
+        if op == "lookup":
+            cache.lookup(block)
+            model_set.lookup(block)
+        elif op == "peek":
+            cache.lookup(block, update_lru=False)
+        elif op == "fill":
+            evicted = cache.fill(block)
+            victim = None if evicted is None else evicted[0]
+            assert victim == model_set.fill(block)
+        else:
+            assert cache.invalidate(block) == model_set.invalidate(block)
+        assert sorted(cache.resident_blocks()) == sorted(
+            block for model_set in model for block in model_set.stamps)
 
 
 class TestRandom:

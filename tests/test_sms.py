@@ -49,7 +49,7 @@ class TestLearning:
         # A new region triggered by the same (ip, offset) replays it.
         ctx = make_ctx(50 * BLOCKS_PER_4K, ip=0x50)
         sms.on_access(ctx)
-        targets = {r.block - 50 * BLOCKS_PER_4K for r in ctx.requests}
+        targets = {block - 50 * BLOCKS_PER_4K for block, _, _ in ctx.requests}
         assert targets == {2, 4, 6}
         assert sms.footprint_hits == 1
 
@@ -83,7 +83,7 @@ class TestLearning:
         fill_agt(sms)
         ctx = make_ctx(70 * BLOCKS_PER_4K + 10, ip=0x50)
         sms.on_access(ctx)
-        blocks = [r.block - 70 * BLOCKS_PER_4K for r in ctx.requests]
+        blocks = [block - 70 * BLOCKS_PER_4K for block, _, _ in ctx.requests]
         assert blocks[0] == 11   # nearest to the trigger offset
 
     def test_proposals_never_leave_region(self):
@@ -97,8 +97,8 @@ class TestLearning:
         ctx = make_ctx(base, ip=0x50, window="open")
         sms.on_access(ctx)
         assert ctx.requests
-        for request in ctx.requests:
-            assert base <= request.block < base + BLOCKS_PER_4K
+        for target, _, _ in ctx.requests:
+            assert base <= target < base + BLOCKS_PER_4K
 
 
 class TestStructure:

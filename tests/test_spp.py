@@ -1,6 +1,7 @@
 """Tests for repro.prefetch.spp — Signature Path Prefetcher."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.memory.address import BLOCKS_PER_4K
 from repro.prefetch.spp import SIG_MASK, SPP, PatternEntry, next_signature
@@ -30,10 +31,10 @@ class TestSignature:
 
 class TestPatternEntry:
     def test_best_empty(self):
-        assert PatternEntry().best() is None
+        assert PatternEntry(0).best() is None
 
     def test_confidence_ratio(self):
-        entry = PatternEntry()
+        entry = PatternEntry(0)
         for _ in range(3):
             entry.train(1)
         entry.train(2)
@@ -42,7 +43,7 @@ class TestPatternEntry:
         assert conf == pytest.approx(0.75)
 
     def test_way_replacement(self):
-        entry = PatternEntry()
+        entry = PatternEntry(0)
         for delta in (1, 2, 3, 4):
             entry.train(delta)
             entry.train(delta)
@@ -50,11 +51,28 @@ class TestPatternEntry:
         assert len(entry.deltas) == PatternEntry.MAX_WAYS
 
     def test_counter_cap_halves(self):
-        entry = PatternEntry()
+        entry = PatternEntry(0)
         for _ in range(PatternEntry.COUNT_CAP + 10):
             entry.train(1)
         assert entry.total < PatternEntry.COUNT_CAP
         assert entry.best()[1] > 0.9
+
+
+_deltas = st.integers(-8, 8).filter(bool)
+
+
+@given(st.integers(0, SIG_MASK), st.lists(_deltas, max_size=40),
+       st.lists(_deltas, min_size=1, max_size=4), st.integers(0, 200))
+def test_property_top_is_best_and_its_signature(sig, prefix, pattern, reps):
+    """``top`` is what the lookahead reads instead of ``best()``: after
+    every ``train`` — through way replacement (16 deltas compete for 4
+    ways) and the ``COUNT_CAP`` halving (up to 840 trains) — it must be
+    ``best()`` plus the signature its delta leads to."""
+    entry = PatternEntry(sig)
+    for delta in prefix + pattern * reps:
+        entry.train(delta)
+        best = entry.best()
+        assert entry.top == (*best, next_signature(sig, best[0]))
 
 
 class TestTraining:
@@ -69,7 +87,7 @@ class TestTraining:
         ctx = train_stream(spp, base_block=0, count=20)
         assert ctx.requests
         # Next-block stream: candidates are ahead of the trigger.
-        assert all(r.block > ctx.block for r in ctx.requests)
+        assert all(block > ctx.block for block, _, _ in ctx.requests)
 
     def test_zero_delta_ignored(self):
         spp = SPP()
@@ -78,13 +96,13 @@ class TestTraining:
         spp.on_access(ctx)       # same block again: delta 0
         ctx2 = make_ctx(9)
         spp.on_access(ctx2)
-        assert not ctx2.requests or all(r.block != 9 for r in ctx2.requests)
+        assert all(block != 9 for block, _, _ in ctx2.requests)
 
     def test_stride_pattern_learned(self):
         spp = SPP()
         ctx = train_stream(spp, base_block=0, count=15, stride=3)
         assert ctx.requests
-        assert (ctx.requests[0].block - ctx.block) % 3 == 0
+        assert (ctx.requests[0][0] - ctx.block) % 3 == 0
 
     def test_lookahead_depth_bounded(self):
         spp = SPP()
@@ -95,21 +113,21 @@ class TestTraining:
         """Original-window SPP stops its path at the 4KB page edge."""
         spp = SPP()
         ctx = train_stream(spp, 0, BLOCKS_PER_4K - 2)   # near page end
-        for request in ctx.requests:
-            assert request.block < BLOCKS_PER_4K
+        for target, _, _ in ctx.requests:
+            assert target < BLOCKS_PER_4K
 
     def test_lookahead_crosses_with_2m_window(self):
         spp = SPP()
         # Train to very high confidence, end near the page boundary.
         ctx = train_stream(spp, 0, BLOCKS_PER_4K - 2, window="2m")
-        crossing = [r for r in ctx.requests if r.block >= BLOCKS_PER_4K]
+        crossing = [r for r in ctx.requests if r[0] >= BLOCKS_PER_4K]
         assert crossing, "high-confidence path should cross into next page"
 
     def test_fill_level_follows_confidence(self):
         spp = SPP()
         ctx = train_stream(spp, 0, 40)
         # The first (depth-1) prefetch has the highest path confidence.
-        assert ctx.requests[0].fill_l2
+        assert ctx.requests[0][1]
 
     def test_region_granularity_2mb_learns_wide_strides(self):
         """The PSA-2MB property: >64-block deltas are learnable only with
@@ -121,7 +139,7 @@ class TestTraining:
         ctx2 = train_stream(spp_2m, 0, 30, stride=wide, window="2m")
         assert not ctx4.requests     # one access per 4KB page: no deltas
         assert ctx2.requests
-        assert ctx2.requests[0].block - ctx2.block == wide
+        assert ctx2.requests[0][0] - ctx2.block == wide
 
 
 class TestTables:
@@ -190,7 +208,7 @@ class TestGHR:
             for i in range(2 * BLOCKS_PER_4K):
                 ctx = make_ctx(i, window="4k")
                 spp.on_access(ctx)
-                issued.extend(r.block for r in ctx.requests)
+                issued.extend(block for block, _, _ in ctx.requests)
             return {b for b in issued
                     if BLOCKS_PER_4K <= b < BLOCKS_PER_4K + 8}
 

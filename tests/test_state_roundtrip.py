@@ -61,7 +61,7 @@ def drive_prefetcher(pf, stream, window):
     for block, ip, hit in stream:
         ctx = make_ctx(block, ip=ip, hit=hit, window=window)
         pf.on_access(ctx)
-        out.append([(r.block, r.fill_l2, r.issuer) for r in ctx.requests])
+        out.append(list(ctx.requests))
         if not hit:
             pf.on_demand_miss(block)
     return out

@@ -7,7 +7,9 @@ machinery — no mocking of the failure itself.
 """
 
 import os
+import threading
 import time
+import warnings
 
 import pytest
 
@@ -159,6 +161,26 @@ class TestWatchdog:
         monkeypatch.setenv("REPRO_FAULTS", "hang@0:secs=10")
         with pytest.raises(RunTimeoutError):
             run_batch([req()], jobs=1, timeout=0.4)
+
+    def test_no_serial_warning_when_the_pool_ran_everything(self):
+        """Off the main thread SIGALRM is unavailable, but a serial phase
+        with nothing left to run needs no watchdog to warn about."""
+        results = {}
+
+        def worker():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results["batch"] = run_batch([req(), req("milc")], jobs=2,
+                                             strict=False, timeout=60.0)
+                results["warnings"] = [str(w.message) for w in caught]
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert results["batch"].ok
+        assert engine_stats().serial_fallbacks == 0
+        assert not [m for m in results["warnings"] if "watchdog" in m]
 
 
 class _AlwaysBrokenPool:

@@ -1,5 +1,7 @@
 """Tests for repro.prefetch.tables — bounded hardware tables."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -96,3 +98,55 @@ def test_property_last_inserted_always_present(keys):
     for key in keys:
         table.put(key, key)
         assert key in table
+
+
+class _OrderedDictTable:
+    """Reference model: an LRU table on an ``OrderedDict``, moving a key
+    to the end on a touching get and on every put, and evicting the
+    first key."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.data = OrderedDict()
+        self.evictions = 0
+
+    def get(self, key, touch=True):
+        value = self.data.get(key)
+        if value is not None and touch:
+            self.data.move_to_end(key)
+        return value
+
+    def put(self, key, value):
+        evicted = None
+        if key not in self.data and len(self.data) >= self.capacity:
+            evicted, _ = self.data.popitem(last=False)
+            self.evictions += 1
+        self.data[key] = value
+        self.data.move_to_end(key)
+        return evicted
+
+    def pop(self, key):
+        return self.data.pop(key, None)
+
+
+# Few keys and long runs, so hits, refreshes and evictions all recur.
+_keys = st.integers(0, 5)
+_table_ops = st.lists(st.one_of(
+    st.tuples(st.just("get"), _keys, st.booleans()),
+    st.tuples(st.just("put"), _keys, st.integers()),
+    st.tuples(st.just("pop"), _keys, st.none())), min_size=20, max_size=200)
+
+
+@given(_table_ops, st.integers(min_value=1, max_value=4))
+def test_property_matches_ordered_dict_reference(ops, capacity):
+    table = BoundedTable(capacity)
+    reference = _OrderedDictTable(capacity)
+    for op, key, arg in ops:
+        if op == "get":
+            assert table.get(key, touch=arg) == reference.get(key, touch=arg)
+        elif op == "put":
+            assert table.put(key, arg) == reference.put(key, arg)
+        else:
+            assert table.pop(key) == reference.pop(key)
+        assert list(table._data.items()) == list(reference.data.items())
+        assert table.evictions == reference.evictions

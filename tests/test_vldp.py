@@ -25,14 +25,14 @@ class TestTraining:
         vldp = VLDP()
         ctx = feed(vldp, [0, 2, 4, 6, 8, 10])
         assert ctx.requests
-        assert ctx.requests[0].block == 12
+        assert ctx.requests[0][0] == 12
 
     def test_chain_prefetches_degree(self):
         vldp = VLDP()
         ctx = feed(vldp, list(range(0, 20)))
         assert 1 <= len(ctx.requests) <= VLDP.DEGREE
         # Chained: consecutive predicted blocks.
-        blocks = [r.block for r in ctx.requests]
+        blocks = [block for block, _, _ in ctx.requests]
         assert blocks == sorted(blocks)
 
     def test_variable_length_pattern(self):
@@ -44,19 +44,19 @@ class TestTraining:
         ctx = feed(vldp, blocks)
         assert ctx.requests
         expected_next = blocks[-1] + (1 if len(blocks) % 2 else 3)
-        assert ctx.requests[0].block == expected_next
+        assert ctx.requests[0][0] == expected_next
 
     def test_boundary_respected(self):
         vldp = VLDP()
         ctx = feed(vldp, list(range(BLOCKS_PER_4K - 6, BLOCKS_PER_4K - 1)))
-        for request in ctx.requests:
-            assert request.block < BLOCKS_PER_4K
+        for target, _, _ in ctx.requests:
+            assert target < BLOCKS_PER_4K
 
     def test_crossing_with_2m_window(self):
         vldp = VLDP()
         ctx = feed(vldp, list(range(BLOCKS_PER_4K - 6, BLOCKS_PER_4K - 1)),
                    window="2m")
-        assert any(r.block >= BLOCKS_PER_4K for r in ctx.requests)
+        assert any(block >= BLOCKS_PER_4K for block, _, _ in ctx.requests)
 
     def test_zero_delta_ignored(self):
         vldp = VLDP()
@@ -80,7 +80,7 @@ class TestOPT:
         ctx = make_ctx(base)
         vldp.on_access(ctx)
         assert ctx.requests
-        assert ctx.requests[0].block == base + 2
+        assert ctx.requests[0][0] == base + 2
 
     def test_opt_low_confidence_silent(self):
         vldp = VLDP()
