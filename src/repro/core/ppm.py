@@ -11,7 +11,8 @@ the prefetcher with zero additional lookups and **no reverse translation**.
 
 Propagation to an LLC prefetcher (Section IV-A "Applicability on LLC
 Prefetching") adds the same bit to the L2C MSHR entries and one more copy
-step, modelled by ``propagate_to_llc``.
+step, which the hierarchy performs on an L2C miss when
+``config.ppm_to_llc`` is set.
 """
 
 from __future__ import annotations
@@ -68,13 +69,3 @@ class PageSizePropagationModule:
         conservatively assume 4KB (the pre-PPM status quo).
         """
         return page_size if self.enabled else None
-
-    def propagate_to_llc(self, l2c_mshr: MSHR, block: int, ready: float,
-                         page_size_bit) -> None:
-        """Copy the bit into the L2C MSHR so an LLC prefetcher can read it."""
-        bit = page_size_bit if (self.enabled and page_size_bit is not None) else 0
-        if self._check and bit != 0 and not 0 <= bit < 3:
-            invariants.violated(
-                f"PPM: propagated page-size code {bit!r} for block "
-                f"{block:#x} is not a valid encoding")
-        l2c_mshr.insert(block, ready, page_size=bit)

@@ -48,13 +48,12 @@ def prefetch_window(block: int, page_size) -> tuple:
     page, ``PAGE_SIZE_1G`` to its 1GB page (the paper's "Additional Page
     Sizes" extension), anything else — including ``None`` when no
     page-size information exists — falls back to the conservative 4KB
-    window.  ``True``/``False`` are accepted as legacy aliases for
-    2MB/4KB.
+    window.
     """
     if page_size == PAGE_SIZE_1G:
         lo = block & ~(BLOCKS_PER_1G - 1)
         return lo, lo + BLOCKS_PER_1G - 1
-    if page_size == PAGE_SIZE_2M or page_size is True:
+    if page_size == PAGE_SIZE_2M:
         lo = block & ~(BLOCKS_PER_2M - 1)
         return lo, lo + BLOCKS_PER_2M - 1
     lo = block & ~(BLOCKS_PER_4K - 1)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.memory.mshr import MSHR
-from repro.memory.replacement import LRUPolicy, make_policy
 from repro.sim.config import CacheConfig
 from repro.verify import invariants
 
@@ -46,9 +45,14 @@ class CacheLine:
 
 
 class Cache:
-    """One level of a set-associative cache with an attached MSHR."""
+    """One level of a set-associative cache with an attached MSHR.
 
-    def __init__(self, config: CacheConfig, replacement: str = "lru") -> None:
+    Replacement is LRU, kept as each set dict's own order: a hit moves
+    its block to the end, a fill appends it, and the victim is the first
+    key.
+    """
+
+    def __init__(self, config: CacheConfig) -> None:
         config.validate()
         self.name = config.name
         self.latency = config.latency
@@ -56,16 +60,6 @@ class Cache:
         self.ways = config.ways
         self._set_mask = self.num_sets - 1
         self._sets: List[Dict[int, CacheLine]] = [{} for _ in range(self.num_sets)]
-        policy = make_policy(replacement)
-        if isinstance(policy, LRUPolicy):
-            # LRU and FIFO order each set by the set dict itself: one
-            # stateless policy serves every set.
-            self.policy: Optional[LRUPolicy] = policy
-            self._policies = None
-        else:
-            self.policy = None
-            self._policies = [make_policy(replacement)
-                              for _ in range(self.num_sets)]
         self.mshr = MSHR(config.name, config.mshr_entries)
         # In-flight prefetch fills live in a separate structure (the
         # prefetch queue of real designs): prefetches must not consume the
@@ -93,18 +87,15 @@ class Cache:
     # ------------------------------------------------------------------
     def lookup(self, block: int, update_lru: bool = True) -> Optional[CacheLine]:
         """Return the resident line for *block*, or None on miss."""
-        idx = block & self._set_mask
-        cache_set = self._sets[idx]
+        cache_set = self._sets[block & self._set_mask]
         line = cache_set.get(block)
         if line is not None and update_lru:
-            if self._policies is None:
-                self.policy.on_hit(cache_set, block)
-            else:
-                self._policies[idx].on_hit(block)
+            del cache_set[block]
+            cache_set[block] = line
         return line
 
     def contains(self, block: int) -> bool:
-        """Presence check that does not disturb replacement state."""
+        """Presence check that does not disturb LRU order."""
         return block in self._sets[block & self._set_mask]
 
     def fill(self, block: int, dirty: bool = False, prefetch: bool = False,
@@ -123,23 +114,13 @@ class Cache:
                 existing.prefetch = False
             return None
         evicted = None
-        policies = self._policies
         if len(cache_set) >= self.ways:
-            victim = (self.policy.victim(cache_set) if policies is None
-                      else policies[idx].victim())
-            if self._check and victim not in cache_set:
-                invariants.violated(
-                    f"{self.name}: replacement policy of set {idx} named "
-                    f"victim {victim:#x} that is not resident in the set")
+            victim = next(iter(cache_set))
             victim_line = cache_set.pop(victim)
-            if policies is not None:
-                policies[idx].on_evict(victim)
             if victim_line.dirty:
                 self.writebacks += 1
             evicted = (victim, victim_line)
         cache_set[block] = CacheLine(dirty=dirty, prefetch=prefetch, issuer=issuer)
-        if policies is not None:
-            policies[idx].on_fill(block)
         if prefetch:
             self.prefetch_fills += 1
         if self._check:
@@ -155,13 +136,7 @@ class Cache:
 
     def invalidate(self, block: int) -> bool:
         """Drop *block* if resident; return True when something was removed."""
-        idx = block & self._set_mask
-        line = self._sets[idx].pop(block, None)
-        if line is None:
-            return False
-        if self._policies is not None:
-            self._policies[idx].on_evict(block)
-        return True
+        return self._sets[block & self._set_mask].pop(block, None) is not None
 
     def mark_dirty(self, block: int) -> None:
         line = self.lookup(block, update_lru=False)

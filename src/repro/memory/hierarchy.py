@@ -358,7 +358,7 @@ class MemoryHierarchy:
         """
         if page_size_bit == PAGE_SIZE_1G:
             span = BLOCKS_PER_1G
-        elif page_size_bit == PAGE_SIZE_2M or page_size_bit is True:
+        elif page_size_bit == PAGE_SIZE_2M:
             span = BLOCKS_PER_2M
         else:
             span = BLOCKS_PER_4K
@@ -376,8 +376,7 @@ class MemoryHierarchy:
                     f"{where}: prefetch {target:#x} leaves the physical "
                     f"page [{lo_true:#x}, {hi_true:#x}] of trigger "
                     f"{trigger:#x} (true page size {true_ps})")
-            if page_size_bit is not None and page_size_bit is not True \
-                    and page_size_bit != true_ps:
+            if page_size_bit is not None and page_size_bit != true_ps:
                 invariants.violated(
                     f"{where}: page-size bit {page_size_bit} for trigger "
                     f"{trigger:#x} disagrees with pool geometry "

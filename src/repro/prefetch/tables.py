@@ -1,9 +1,11 @@
-"""Bounded hardware-table helpers shared by the prefetcher models.
+"""Bounded hardware-table helpers shared by the prefetchers and the MMU.
 
 Hardware prefetcher state lives in small, fixed-capacity SRAM tables.
 ``BoundedTable`` models one: a dict with LRU eviction at a capacity limit,
 so Python's unbounded dicts cannot quietly give a prefetcher infinite
-metadata (which would inflate its coverage relative to the paper).
+metadata (which would inflate its coverage relative to the paper).  The
+MMU's fully associative page-structure cache
+(``repro.vm.walker.MMUCache``) keeps its entries in one too.
 """
 
 from __future__ import annotations

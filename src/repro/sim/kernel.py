@@ -63,8 +63,7 @@ def fused_enabled(core) -> bool:
 
     The runner inlines specific implementations, so each one must be
     exactly the stock class (a subclass could override behaviour the
-    loop bypasses) and every cache's replacement policy plain LRU
-    (``FIFOPolicy`` subclasses it with a different ``on_hit``).
+    loop bypasses).
     Observers and invariant checks need the un-fused event sites.
     Chunk translation is only sound when nothing else allocates: the
     TLB-prefetch extension and the L1D (virtual-address) prefetcher
@@ -77,7 +76,6 @@ def fused_enabled(core) -> bool:
     from repro.memory.dram import DRAM
     from repro.memory.hierarchy import MemoryHierarchy
     from repro.memory.mshr import MSHR
-    from repro.memory.replacement import LRUPolicy
     from repro.vm.allocator import PhysicalMemoryAllocator
     from repro.vm.tlb import TLB
     from repro.vm.walker import AddressTranslator
@@ -99,8 +97,7 @@ def fused_enabled(core) -> bool:
         return False
     for cache in (h.l1d, h.l2c, h.llc):
         if (type(cache) is not Cache or type(cache.mshr) is not MSHR
-                or type(cache.pf_mshr) is not MSHR
-                or type(cache.policy) is not LRUPolicy):
+                or type(cache.pf_mshr) is not MSHR):
             return False
     return True
 
@@ -159,14 +156,13 @@ def compile_runner(core, h, on_record=None):
     Mirrors, line for line, ``Core.step`` → ``MemoryHierarchy._access``
     → ``_l2_demand`` → ``_llc_demand`` → ``_issue_l2_prefetch`` with the
     stock ``Cache``/``MSHR``/``TLB``/``DRAM``/LRU implementations inlined
-    (guarded by ``fused_enabled``): an LRU hit moves the block to the end
-    of its set's dict, a fill appends it, and the victim is the first
-    key.  Escapes into un-inlined machinery (page walks, writeback
+    (guarded by ``fused_enabled``): a cache or DTLB hit moves its key to
+    the end of its set's dict, a fill appends it, and the victim is the
+    first key.  Escapes into un-inlined machinery (page walks, writeback
     cascades, prefetch module callbacks, MSHR capacity sweeps, posted
     DRAM writes, the prefetch-issue LLC merge probe) touch object state
-    only; the DTLB counters are synced around the walk escape, the one
-    that reads them.  A capacity sweep calls ``MSHR._expire`` only when
-    the MSHR's ``_floor`` bound says it will retire something.
+    only.  A capacity sweep calls ``MSHR._expire`` only when the MSHR's
+    ``_floor`` bound says it will retire something.
 
     Returns closures sharing one list of counter cells:
 
@@ -202,7 +198,7 @@ def compile_runner(core, h, on_record=None):
         (h.l1d, "demand_misses"), (h.l1d, "useful_prefetches"),
         (h.l2c, "demand_accesses"), (h.l2c, "demand_hits"),
         (h.l2c, "demand_misses"), (h.l2c, "useful_prefetches"),
-        (dtlb, "_clock"), (dtlb, "hits"), (dtlb, "misses"), (dtlb, "hits_2m"),
+        (dtlb, "hits"), (dtlb, "misses"), (dtlb, "hits_2m"),
         (h.ppm, "annotations"),
         (h.l1d.mshr, "stalls"), (h.l1d.mshr, "merges"),
         (h.l1d.mshr, "inserts"), (h.l1d.pf_mshr, "merges"))
@@ -274,8 +270,7 @@ def compile_runner(core, h, on_record=None):
         l3_pq_cap = l3_pq.capacity
         llc_inflight = llc.inflight_lookup
         translator = h.translator
-        dtlb = translator.dtlb
-        dtlb_sets = dtlb._sets
+        dtlb_sets = translator.dtlb._sets
         translate_miss = translator._translate_after_dtlb_miss
         walk_fn = h._walk_access
         module = h.l2_module
@@ -305,9 +300,9 @@ def compile_runner(core, h, on_record=None):
          instructions, memory_accesses, stall_cycles, h_loads,
          h_stores, h_load_lat, l2_lat_sum, l2_lat_cnt, l3_lat_sum,
          l3_lat_cnt, pf_l2, pf_llc, pf_drop, pf_red, l1_dem, l1_hit,
-         l1_miss, l1_use, l2_dem, l2_hit, l2_missc, l2_use, dt_clock,
-         dt_hits, dt_miss, dt_hits2m, ppm_ann, l1m_stalls, l1m_merges,
-         l1m_ins, l1p_merges) = cells
+         l1_miss, l1_use, l2_dem, l2_hit, l2_missc, l2_use, dt_hits,
+         dt_miss, dt_hits2m, ppm_ann, l1m_stalls, l1m_merges, l1m_ins,
+         l1p_merges) = cells
         l3_dem = llc.demand_accesses
         l3_hit = llc.demand_hits
         l3_missc = llc.demand_misses
@@ -337,24 +332,16 @@ def compile_runner(core, h, on_record=None):
             # TLB.fill installs an address only at its native granularity,
             # a pure function of the allocator's region hashes, so the
             # native key alone answers TLB.lookup's three probes.
-            dt_clock += 1
             dset = dtlb_sets[dsi]
-            if key in dset:
-                dset[key] = dt_clock
+            if dset.pop(key, False):
+                dset[key] = True
                 dt_hits += 1
                 if ps == 1:
                     dt_hits2m += 1
                 t = issue_at
             else:
                 dt_miss += 1
-                # Sync DTLB state the translator/walk path reads and writes
-                # (the walker's cache/MSHR traffic uses object state only).
-                dtlb._clock = dt_clock
-                dtlb.hits = dt_hits
-                dtlb.misses = dt_miss
-                dtlb.hits_2m = dt_hits2m
                 t = issue_at + translate_miss(vaddr, ps, issue_at, walk_fn)
-                dt_clock = dtlb._clock
             # --- L1D demand ----------------------------------------------
             l1_set = l1_sets[s1]
             line = l1_set.get(block)
@@ -770,7 +757,7 @@ def compile_runner(core, h, on_record=None):
                     h_stores, h_load_lat, l2_lat_sum, l2_lat_cnt, l3_lat_sum,
                     l3_lat_cnt, pf_l2, pf_llc, pf_drop, pf_red, l1_dem, l1_hit,
                     l1_miss, l1_use, l2_dem, l2_hit, l2_missc, l2_use,
-                    dt_clock, dt_hits, dt_miss, dt_hits2m, ppm_ann, l1m_stalls,
+                    dt_hits, dt_miss, dt_hits2m, ppm_ann, l1m_stalls,
                     l1m_merges, l1m_ins, l1p_merges)
         return i + 1, fetch
     return SimpleNamespace(feed=feed, run=run, flush=flush,

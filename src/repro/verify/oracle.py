@@ -551,7 +551,7 @@ class OracleObserver:
     def _legal_span(self, page_size_bit) -> int:
         if page_size_bit == PAGE_SIZE_1G:
             return BLOCKS_PER_1G
-        if page_size_bit == PAGE_SIZE_2M or page_size_bit is True:
+        if page_size_bit == PAGE_SIZE_2M:
             return BLOCKS_PER_2M
         return BLOCKS_PER_4K
 
@@ -575,8 +575,7 @@ class OracleObserver:
                 self._diverge(
                     f"prefetch {block:#x} leaves the physical page "
                     f"[{lo_t:#x}, {hi_t:#x}] of trigger {trigger:#x}")
-            if (page_size_bit is not None and page_size_bit is not True
-                    and page_size_bit != true_size):
+            if page_size_bit is not None and page_size_bit != true_size:
                 self._diverge(
                     f"page-size bit {page_size_bit!r} for trigger "
                     f"{trigger:#x} contradicts pool geometry "

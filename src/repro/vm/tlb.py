@@ -26,7 +26,11 @@ from repro.sim.config import TLBConfig
 
 
 class TLB:
-    """One TLB level.  Entries are (page_size, native page number) keys."""
+    """One TLB level.  Entries are (page_size, native page number) keys.
+
+    Each set is a dict kept in LRU order, as a cache set is: a hit or a
+    fill moves its key to the end, and the victim is the first key.
+    """
 
     def __init__(self, config: TLBConfig) -> None:
         if config.entries % config.ways:
@@ -35,9 +39,8 @@ class TLB:
         self.latency = config.latency
         self.ways = config.ways
         self.num_sets = config.entries // config.ways
-        self._sets: List[Dict[Tuple[int, int], int]] = [
+        self._sets: List[Dict[Tuple[int, int], bool]] = [
             {} for _ in range(self.num_sets)]
-        self._clock = 0
         self.hits = 0
         self.misses = 0
         self.hits_2m = 0
@@ -47,24 +50,23 @@ class TLB:
 
     def lookup(self, vaddr: int) -> Optional[int]:
         """Return the page size of a cached translation, or None on miss."""
-        self._clock += 1
         key4k = (PAGE_SIZE_4K, vaddr >> PAGE_4K_BITS)
         set4k = self._sets[self._set_index(key4k[1])]
-        if key4k in set4k:
-            set4k[key4k] = self._clock
+        if set4k.pop(key4k, False):
+            set4k[key4k] = True
             self.hits += 1
             return PAGE_SIZE_4K
         key2m = (PAGE_SIZE_2M, vaddr >> PAGE_2M_BITS)
         set2m = self._sets[self._set_index(key2m[1])]
-        if key2m in set2m:
-            set2m[key2m] = self._clock
+        if set2m.pop(key2m, False):
+            set2m[key2m] = True
             self.hits += 1
             self.hits_2m += 1
             return PAGE_SIZE_2M
         key1g = (PAGE_SIZE_1G, vaddr >> PAGE_1G_BITS)
         set1g = self._sets[self._set_index(key1g[1])]
-        if key1g in set1g:
-            set1g[key1g] = self._clock
+        if set1g.pop(key1g, False):
+            set1g[key1g] = True
             self.hits += 1
             return PAGE_SIZE_1G
         self.misses += 1
@@ -90,11 +92,11 @@ class TLB:
         else:
             key = (PAGE_SIZE_4K, vaddr >> PAGE_4K_BITS)
         tlb_set = self._sets[self._set_index(key[1])]
-        if key not in tlb_set and len(tlb_set) >= self.ways:
-            victim = min(tlb_set, key=tlb_set.__getitem__)
-            del tlb_set[victim]
-        self._clock += 1
-        tlb_set[key] = self._clock
+        if key in tlb_set:
+            del tlb_set[key]
+        elif len(tlb_set) >= self.ways:
+            del tlb_set[next(iter(tlb_set))]
+        tlb_set[key] = True
 
     def miss_ratio(self) -> float:
         total = self.hits + self.misses

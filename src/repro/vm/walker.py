@@ -15,9 +15,10 @@ level less than 4KB pages (Section II-B1).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 from repro.memory.address import PAGE_SIZE_1G, PAGE_SIZE_2M
+from repro.prefetch.tables import BoundedTable
 from repro.sim.config import SystemConfig
 from repro.vm.allocator import PhysicalMemoryAllocator
 from repro.vm.page_table import LEVEL_SHIFTS, PageTable
@@ -32,13 +33,12 @@ class MMUCache:
 
     Keyed by (level, virtual prefix).  A hit at level L means the walk can
     start at level L+1.  Models x86 page-structure caches (PML4E/PDPTE/PDE
-    entries), which remove most upper-level walk references.
+    entries), which remove most upper-level walk references.  The entries
+    live in a ``BoundedTable``, so they follow its LRU rule.
     """
 
     def __init__(self, entries: int) -> None:
-        self.capacity = entries
-        self._entries: Dict[Tuple[int, int], int] = {}
-        self._clock = 0
+        self.table: BoundedTable[bool] = BoundedTable(entries)
         self.hits = 0
         self.misses = 0
 
@@ -50,22 +50,14 @@ class MMUCache:
         leaf PTE itself is never served from the MMU cache).
         """
         for level in range(max_level - 1, -1, -1):
-            key = (level, vaddr >> LEVEL_SHIFTS[level])
-            if key in self._entries:
-                self._clock += 1
-                self._entries[key] = self._clock
+            if self.table.get((level, vaddr >> LEVEL_SHIFTS[level])):
                 self.hits += 1
                 return level + 1
         self.misses += 1
         return 0
 
     def fill(self, vaddr: int, level: int) -> None:
-        key = (level, vaddr >> LEVEL_SHIFTS[level])
-        if key not in self._entries and len(self._entries) >= self.capacity:
-            victim = min(self._entries, key=self._entries.__getitem__)
-            del self._entries[victim]
-        self._clock += 1
-        self._entries[key] = self._clock
+        self.table.put((level, vaddr >> LEVEL_SHIFTS[level]), True)
 
 
 class AddressTranslator:

@@ -159,8 +159,6 @@ UNSUPPORTED = {
     "ipcp-l1d": dict(l1d="ipcp"),
     "tlb-prefetch": dict(config=dataclasses.replace(SystemConfig(),
                                                     tlb_prefetch=True)),
-    "fifo-llc": dict(tweak=lambda h: setattr(
-        h, "llc", Cache(h.config.llc, replacement="fifo"))),
     "cache-subclass": dict(tweak=lambda h: setattr(
         h, "l2c", _SubclassedCache(h.config.l2c))),
 }

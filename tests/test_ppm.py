@@ -55,26 +55,3 @@ class TestDelivery:
         """Without PPM the prefetcher has no page-size notion at all."""
         ppm = PageSizePropagationModule(enabled=False)
         assert ppm.page_size_for_l2(PAGE_SIZE_2M) is None
-
-
-class TestLLCPropagation:
-    def test_bit_copied_to_l2c_mshr(self):
-        ppm = PageSizePropagationModule(enabled=True)
-        l2c_mshr = MSHR("L2C", 4)
-        ppm.propagate_to_llc(l2c_mshr, block=9, ready=50.0,
-                             page_size_bit=PAGE_SIZE_2M)
-        assert l2c_mshr.page_size_of(9) == PAGE_SIZE_2M
-
-    def test_disabled_copies_zero(self):
-        ppm = PageSizePropagationModule(enabled=False)
-        l2c_mshr = MSHR("L2C", 4)
-        ppm.propagate_to_llc(l2c_mshr, block=9, ready=50.0,
-                             page_size_bit=PAGE_SIZE_2M)
-        assert l2c_mshr.page_size_of(9) == 0
-
-    def test_none_bit_copies_zero(self):
-        ppm = PageSizePropagationModule(enabled=True)
-        l2c_mshr = MSHR("L2C", 4)
-        ppm.propagate_to_llc(l2c_mshr, block=9, ready=50.0,
-                             page_size_bit=None)
-        assert l2c_mshr.page_size_of(9) == 0

@@ -47,7 +47,7 @@ class TestMMUCache:
         mmu = MMUCache(2)
         for i in range(5):
             mmu.fill(i << 21, level=2)
-        assert len(mmu._entries) == 2
+        assert len(mmu.table) == 2
 
 
 class TestWalk:
