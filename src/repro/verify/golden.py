@@ -3,7 +3,9 @@
 A small set of committed trace files (``tests/golden/*.trace.gz``) plus a
 frozen digest of the metrics each produces (``tests/golden/digests.json``).
 The file also freezes the per-core IPC lists of a few shared-LLC mixes
-(``simulate_mix``, the Figs. 14/15 path), generated from the catalog.
+(``simulate_mix``, the Figs. 14/15 path), generated from the catalog, and,
+in its ``prefetchers`` section, the digests of the other L2 prefetchers on
+the same traces plus a few longer catalog runs.
 Tier-1 tests replay every (trace, variant) pair and compare digests: any
 semantic drift in the simulator — intended or not — shows up as a digest
 mismatch, and intended drift is recorded by regenerating the file with
@@ -38,6 +40,16 @@ GOLDEN_WORKLOADS: Dict[str, int] = {"lbm": 2500, "mcf": 2500, "milc": 2500}
 GOLDEN_VARIANTS = ("original", "psa", "psa-sd")
 
 GOLDEN_PREFETCHER = "spp"
+
+#: Every other L2 prefetcher, replayed on each golden trace under every
+#: golden variant (the ``prefetchers`` section).
+GOLDEN_OTHER_PREFETCHERS = ("ppf", "vldp", "bop", "next-line", "sms", "ampm")
+
+#: Catalog runs longer than a golden trace, also in the ``prefetchers``
+#: section: ``(workload, accesses, prefetcher, variant)``.  At golden
+#: length PPF's perceptron rejects no candidate; mcf at 20,000 accesses
+#: under psa-sd rejects 1,248, so this run reaches PPF's reject path.
+GOLDEN_LONG_RUNS = (("mcf", 20000, "ppf", "psa-sd"),)
 
 #: Multicore mixes replayed under every golden variant: the cores of a
 #: mix share one LLC and DRAM (``multicore_config``).
@@ -88,7 +100,15 @@ class GoldenResult:
     digest: str
     expected: Optional[str]   # None: no frozen digest yet (needs --bless)
     headline: dict
-    section: str = "entries"  # "mixes" for a multicore mix
+    section: str = "entries"  # or "mixes" (a multicore mix), "prefetchers"
+    prefetcher: str = GOLDEN_PREFETCHER
+
+    @property
+    def key(self) -> str:
+        """This result's name in its section of ``digests.json``."""
+        if self.section == "prefetchers":
+            return f"{self.trace}:{self.prefetcher}:{self.variant}"
+        return f"{self.trace}:{self.variant}"
 
     def describe(self) -> str:
         status = "OK  " if self.ok else ("NEW " if self.expected is None
@@ -98,7 +118,10 @@ class GoldenResult:
                                         for ipc in self.headline["ipcs"])
         else:
             figure = f"ipc={self.headline['ipc']:.4f}"
-        return (f"{status} {self.trace:<14s} {self.variant:<9s} "
+        name = self.trace
+        if self.section == "prefetchers":
+            name += f" {self.prefetcher}"
+        return (f"{status} {name:<14s} {self.variant:<9s} "
                 f"{figure} digest={self.digest[:12]}")
 
 
@@ -124,18 +147,34 @@ def load_digests(golden_dir: Optional[Path] = None) -> dict:
     path = golden_dir / DIGESTS_FILE
     if not path.exists():
         return {"schema": SCHEMA_VERSION, "prefetcher": GOLDEN_PREFETCHER,
-                "entries": {}, "mixes": {}}
+                "entries": {}, "mixes": {}, "prefetchers": {}}
     data = json.loads(path.read_text())
     if data.get("schema") != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported digest schema "
                          f"{data.get('schema')!r}")
     data.setdefault("mixes", {})
+    data.setdefault("prefetchers", {})
     return data
+
+
+def _replay(digests: dict, section: str, trace, prefetcher: str,
+            variant: str, oracle: bool, name: str = "") -> GoldenResult:
+    """Simulate one single-core pair and check it against *section*."""
+    metrics = simulate_trace(trace, prefetcher=prefetcher, variant=variant,
+                             oracle=oracle)
+    result = GoldenResult(
+        trace=name or trace.name, variant=variant, ok=False,
+        digest=metrics_digest(metrics), expected=None,
+        headline=_headline(metrics), section=section, prefetcher=prefetcher)
+    entry = digests[section].get(result.key)
+    result.expected = entry["digest"] if entry else None
+    result.ok = result.digest == result.expected
+    return result
 
 
 def run_corpus(golden_dir: Optional[Path] = None,
                oracle: bool = False) -> List[GoldenResult]:
-    """Replay every committed trace and golden mix under every variant.
+    """Replay every committed trace, golden mix and prefetcher entry.
 
     With ``oracle=True`` each single-core replay also runs under the
     differential oracle, so a digest regression comes with a
@@ -144,20 +183,29 @@ def run_corpus(golden_dir: Optional[Path] = None,
     """
     golden_dir = golden_dir or default_golden_dir()
     digests = load_digests(golden_dir)
-    results: List[GoldenResult] = []
-    for path in trace_files(golden_dir):
-        trace = load_trace(path)
-        for variant in GOLDEN_VARIANTS:
-            metrics = simulate_trace(trace, prefetcher=GOLDEN_PREFETCHER,
-                                     variant=variant, oracle=oracle)
-            digest = metrics_digest(metrics)
-            entry = digests["entries"].get(f"{trace.name}:{variant}")
-            expected = entry["digest"] if entry else None
-            results.append(GoldenResult(
-                trace=trace.name, variant=variant,
-                ok=digest == expected, digest=digest, expected=expected,
-                headline=_headline(metrics)))
-    return results + run_mixes(digests)
+    traces = [load_trace(path) for path in trace_files(golden_dir)]
+    results = [_replay(digests, "entries", trace, GOLDEN_PREFETCHER,
+                       variant, oracle)
+               for trace in traces for variant in GOLDEN_VARIANTS]
+    return results + run_mixes(digests) + run_prefetchers(digests, traces,
+                                                          oracle)
+
+
+def run_prefetchers(digests: dict, traces: list,
+                    oracle: bool = False) -> List[GoldenResult]:
+    """Replay the ``prefetchers`` section: the other L2 prefetchers on
+    the golden traces, then the longer catalog runs."""
+    results = [_replay(digests, "prefetchers", trace, prefetcher, variant,
+                       oracle)
+               for trace in traces
+               for prefetcher in GOLDEN_OTHER_PREFETCHERS
+               for variant in GOLDEN_VARIANTS]
+    specs = catalog(include_non_intensive=True)
+    for workload, accesses, prefetcher, variant in GOLDEN_LONG_RUNS:
+        results.append(_replay(
+            digests, "prefetchers", specs[workload].generate(accesses),
+            prefetcher, variant, oracle, name=f"{workload}@{accesses}"))
+    return results
 
 
 def run_mixes(digests: dict) -> List[GoldenResult]:
@@ -188,9 +236,10 @@ def bless(golden_dir: Optional[Path] = None) -> Path:
     """(Re)generate missing traces and freeze the current digests."""
     golden_dir = golden_dir or default_golden_dir()
     ensure_traces(golden_dir)
-    sections: Dict[str, dict] = {"entries": {}, "mixes": {}}
+    sections: Dict[str, dict] = {"entries": {}, "mixes": {},
+                                 "prefetchers": {}}
     for result in run_corpus(golden_dir):
-        sections[result.section][f"{result.trace}:{result.variant}"] = {
+        sections[result.section][result.key] = {
             "digest": result.digest, **result.headline}
     payload = {"schema": SCHEMA_VERSION, "prefetcher": GOLDEN_PREFETCHER,
                "variants": list(GOLDEN_VARIANTS),

@@ -251,6 +251,8 @@ class TestVerify:
         from repro.verify import golden
         monkeypatch.setattr(golden, "GOLDEN_WORKLOADS", {"lbm": 400})
         monkeypatch.setattr(golden, "GOLDEN_VARIANTS", ("psa",))
+        monkeypatch.setattr(golden, "GOLDEN_OTHER_PREFETCHERS", ("ppf",))
+        monkeypatch.setattr(golden, "GOLDEN_LONG_RUNS", ())
         corpus = tmp_path / "golden"
         assert main(["verify", "--bless",
                      "--golden-dir", str(corpus)]) == 0
