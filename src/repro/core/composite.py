@@ -24,14 +24,12 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.memory.address import PAGE_SIZE_2M
-from repro.core.psa import L2PrefetchModule, prefetch_window
+from repro.core.psa import L2PrefetchModule, PSAPrefetchModule, prefetch_window
 from repro.core.set_dueling import SetDuelingSelector
 from repro.prefetch.base import (
     ISSUER_PSA,
     ISSUER_PSA_2MB,
-    BoundaryStats,
     L2Prefetcher,
-    PrefetchContext,
     PrefetchRequest,
 )
 from repro.sim.config import DuelingConfig
@@ -51,62 +49,50 @@ class CompositePSAPrefetcher(L2PrefetchModule):
         if self.config.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, "
                              f"got {self.config.policy!r}")
-        self.pref_psa = factory(12)
-        self.pref_psa_2mb = factory(21)
+        #: Pref-PSA and Pref-PSA-2MB, two ordinary PSA modules indexed by
+        #: their issuer tags.  Feedback goes straight to a member's
+        #: prefetcher, so the e2e tracer counts one L2 callback per event.
+        self.members = (
+            PSAPrefetchModule(factory(12), issuer=ISSUER_PSA),
+            PSAPrefetchModule(factory(21), issuer=ISSUER_PSA_2MB))
         self.selector = SetDuelingSelector(num_l2_sets, self.config)
-        self.stats_psa = BoundaryStats()
-        self.stats_psa_2mb = BoundaryStats()
-        self.name = f"{self.pref_psa.name}-psa-sd"
+        self.name = f"{self.members[ISSUER_PSA].prefetcher.name}-psa-sd"
 
     # ------------------------------------------------------------------
-    def on_l2_access(self, block: int, ip: int, hit: bool, set_index: int,
+    def on_l2_access(self, block: int, ip: int, set_index: int,
                      page_size_bit: Optional[int],
                      true_page_size: int) -> List[PrefetchRequest]:
-        if self.config.policy == "page-size":
+        policy = self.config.policy
+        if policy == "page-size":
             selected = (ISSUER_PSA_2MB if page_size_bit == PAGE_SIZE_2M
                         else ISSUER_PSA)
         else:
             selected = self.selector.selected_for(set_index)
-        train_both = self.config.policy != "standard"
         lo, hi = prefetch_window(block, page_size_bit)
-        requests: List[PrefetchRequest] = []
-        # Pref-PSA trains first, then Pref-PSA-2MB; only the selected one
-        # collects the requests it emits.
-        if train_both or selected == ISSUER_PSA:
-            ctx = PrefetchContext(
-                block, ip, hit, lo, hi, self.stats_psa,
-                page_size_bit=page_size_bit, true_page_size=true_page_size,
-                collect=selected == ISSUER_PSA, issuer=ISSUER_PSA)
-            self.pref_psa.on_access(ctx)
-            if selected == ISSUER_PSA:
-                requests = ctx.requests
-        if train_both or selected == ISSUER_PSA_2MB:
-            ctx = PrefetchContext(
-                block, ip, hit, lo, hi, self.stats_psa_2mb,
-                page_size_bit=page_size_bit, true_page_size=true_page_size,
-                collect=selected == ISSUER_PSA_2MB, issuer=ISSUER_PSA_2MB)
-            self.pref_psa_2mb.on_access(ctx)
-            if selected == ISSUER_PSA_2MB:
-                requests = ctx.requests
-        return requests
+        if policy == "standard":   # only the selected member trains
+            return self.members[selected].train(
+                block, ip, lo, hi, page_size_bit, true_page_size)
+        # Pref-PSA trains first, then Pref-PSA-2MB; the unselected
+        # member's requests are dropped.
+        psa, psa_2mb = self.members
+        emitted = (
+            psa.train(block, ip, lo, hi, page_size_bit, true_page_size),
+            psa_2mb.train(block, ip, lo, hi, page_size_bit, true_page_size))
+        return emitted[selected]
 
     # ------------------------------------------------------------------
     def on_useful(self, block: int, issuer: int) -> None:
         self.selector.on_useful(issuer)
-        if issuer == ISSUER_PSA:
-            self.pref_psa.on_prefetch_useful(block)
-        elif issuer == ISSUER_PSA_2MB:
-            self.pref_psa_2mb.on_prefetch_useful(block)
+        if issuer == ISSUER_PSA or issuer == ISSUER_PSA_2MB:
+            self.members[issuer].prefetcher.on_prefetch_useful(block)
 
     def on_evicted_unused(self, block: int, issuer: int) -> None:
-        if issuer == ISSUER_PSA:
-            self.pref_psa.on_prefetch_evicted_unused(block)
-        elif issuer == ISSUER_PSA_2MB:
-            self.pref_psa_2mb.on_prefetch_evicted_unused(block)
+        if issuer == ISSUER_PSA or issuer == ISSUER_PSA_2MB:
+            self.members[issuer].prefetcher.on_prefetch_evicted_unused(block)
 
     def on_demand_miss(self, block: int) -> None:
-        self.pref_psa.on_demand_miss(block)
-        self.pref_psa_2mb.on_demand_miss(block)
+        for member in self.members:
+            member.prefetcher.on_demand_miss(block)
 
     # ------------------------------------------------------------------
     def selection_fractions(self) -> tuple:
@@ -119,11 +105,10 @@ class CompositePSAPrefetcher(L2PrefetchModule):
                 self.selector.follower_selects_psa_2mb / total)
 
     def storage_bits(self) -> int:
-        return (self.pref_psa.storage_bits()
-                + self.pref_psa_2mb.storage_bits()
+        return (sum(member.storage_bits() for member in self.members)
                 + self.config.csel_bits)
 
     def reset_stats(self) -> None:
         """Zero statistics at the measurement boundary (Csel survives)."""
-        self.stats_psa = BoundaryStats()
-        self.stats_psa_2mb = BoundaryStats()
+        for member in self.members:
+            member.reset_stats()

@@ -65,7 +65,7 @@ class L2PrefetchModule:
 
     name = "none"
 
-    def on_l2_access(self, block: int, ip: int, hit: bool, set_index: int,
+    def on_l2_access(self, block: int, ip: int, set_index: int,
                      page_size_bit: Optional[int],
                      true_page_size: int) -> List[PrefetchRequest]:
         return []
@@ -99,15 +99,20 @@ class PSAPrefetchModule(L2PrefetchModule):
         self.stats = BoundaryStats()
         self.name = f"{prefetcher.name}-{mode}"
 
-    def on_l2_access(self, block: int, ip: int, hit: bool, set_index: int,
+    def on_l2_access(self, block: int, ip: int, set_index: int,
                      page_size_bit: Optional[int],
                      true_page_size: int) -> List[PrefetchRequest]:
         window_size = page_size_bit if self.mode == "psa" else None
         lo, hi = prefetch_window(block, window_size)
-        ctx = PrefetchContext(
-            block, ip, hit, lo, hi, self.stats,
-            page_size_bit=page_size_bit, true_page_size=true_page_size,
-            collect=True, issuer=self.issuer)
+        return self.train(block, ip, lo, hi, page_size_bit, true_page_size)
+
+    def train(self, block: int, ip: int, lo: int, hi: int,
+              page_size_bit: Optional[int],
+              true_page_size: int) -> List[PrefetchRequest]:
+        """Train on one access inside the window ``[lo, hi]``; return the
+        requests the prefetcher emitted."""
+        ctx = PrefetchContext(block, ip, lo, hi, self.stats, page_size_bit,
+                              true_page_size, self.issuer)
         self.prefetcher.on_access(ctx)
         return ctx.requests
 

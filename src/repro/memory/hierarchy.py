@@ -181,7 +181,7 @@ class MemoryHierarchy:
             self.l2_module.on_useful(block, useful_issuer)
         set_index = self.l2c.set_index(block)
         requests = self.l2_module.on_l2_access(
-            block, ip, hit, set_index, page_size_bit, true_page_size)
+            block, ip, set_index, page_size_bit, true_page_size)
         if hit:
             if obs is not None:
                 obs.on_l2_demand(block, True, False, page_size_bit,
@@ -235,8 +235,8 @@ class MemoryHierarchy:
                 self.l2_module.on_useful(block, useful_issuer)
             if self.llc_module is not None:
                 llc_requests = self.llc_module.on_l2_access(
-                    block, ip, hit, self.llc.set_index(block),
-                    page_size_bit, true_page_size)
+                    block, ip, self.llc.set_index(block), page_size_bit,
+                    true_page_size)
         if hit:
             if obs is not None:
                 obs.on_llc_demand(block, True, False, count_demand,

@@ -11,7 +11,9 @@ policy; only the legal prefetch window and the table-index granularity
 
 The context also performs the bookkeeping behind Fig. 2: every candidate
 discarded for crossing a 4KB boundary while the trigger block actually
-resides in a 2MB page is a *missed opportunity*.
+resides in a 2MB page is a *missed opportunity*.  ``PrefetchContext.discard``
+is the one place a discard is counted and classified; ``emit`` calls it,
+and so does SPP's lookahead, which tests the window inline.
 """
 
 from __future__ import annotations
@@ -86,30 +88,28 @@ class BoundaryStats:
 class PrefetchContext:
     """Per-access emission window handed to the prefetcher.
 
-    ``lo``/``hi`` bound (inclusive) the blocks a prefetch may target for
-    this trigger access; they are derived from the page-size information
-    (or its absence) by the caller.  ``collect`` is False for shadow
-    training passes (the unselected prefetcher of a Set-Dueling composite
-    trains but does not issue).
+    ``block``/``ip`` are the trigger access.  ``lo``/``hi`` bound
+    (inclusive) the blocks a prefetch may target; the caller derives them
+    from the page-size information (or its absence).  ``page_size_bit``
+    is what PPM delivered, ``true_page_size`` the trigger's real page
+    size, read only to classify discards for Fig. 2 into ``stats``.
+    Accepted requests, tagged ``issuer``, are appended to ``requests``.
     """
 
-    __slots__ = ("block", "ip", "hit", "page_size_bit", "true_page_size",
-                 "lo", "hi", "requests", "stats", "collect", "issuer")
+    __slots__ = ("block", "ip", "page_size_bit", "true_page_size",
+                 "lo", "hi", "requests", "stats", "issuer")
 
-    def __init__(self, block: int, ip: int, hit: bool, lo: int, hi: int,
+    def __init__(self, block: int, ip: int, lo: int, hi: int,
                  stats: BoundaryStats, page_size_bit: Optional[int] = None,
-                 true_page_size: int = 0, collect: bool = True,
-                 issuer: int = ISSUER_PSA) -> None:
+                 true_page_size: int = 0, issuer: int = ISSUER_PSA) -> None:
         self.block = block
         self.ip = ip
-        self.hit = hit
         self.page_size_bit = page_size_bit
         self.true_page_size = true_page_size
         self.lo = lo
         self.hi = hi
         self.requests: List[PrefetchRequest] = []
         self.stats = stats
-        self.collect = collect
         self.issuer = issuer
 
     def emit(self, candidate_block: int, fill_l2: bool = True) -> bool:
@@ -120,14 +120,20 @@ class PrefetchContext:
         when it was discarded at a page boundary (the path must stop, as in
         the original prefetcher implementations).
         """
+        if self.lo <= candidate_block <= self.hi:
+            stats = self.stats
+            stats.proposed += 1
+            stats.issued += 1
+            self.requests.append((candidate_block, fill_l2, self.issuer))
+            return True
+        self.discard(candidate_block)
+        return False
+
+    def discard(self, candidate_block: int) -> None:
+        """Count a proposed candidate that lies outside the window,
+        classified for the Fig. 2 accounting."""
         stats = self.stats
         stats.proposed += 1
-        if self.lo <= candidate_block <= self.hi:
-            stats.issued += 1
-            if self.collect:
-                self.requests.append((candidate_block, fill_l2, self.issuer))
-            return True
-        # Discarded: classify for the Fig. 2 accounting.
         if page2m_of_block(candidate_block) == page2m_of_block(self.block):
             if self.true_page_size == PAGE_SIZE_2M:
                 stats.discarded_cross_4k_in_2m += 1
@@ -135,7 +141,6 @@ class PrefetchContext:
                 stats.discarded_cross_4k_in_4k += 1
         else:
             stats.discarded_beyond_2m += 1
-        return False
 
 
 class L2Prefetcher(ABC):

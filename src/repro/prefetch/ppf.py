@@ -21,7 +21,7 @@ decisions so this training can find them again.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.prefetch.base import PrefetchContext
 from repro.prefetch.spp import SPP, SIG_MASK
@@ -103,25 +103,26 @@ class PPF(SPP):
         self.rejected = 0
 
     # ------------------------------------------------------------------
-    def _issue(self, ctx: PrefetchContext, candidate: int,
-               path_confidence: float, depth: int, sig: int,
-               delta: int) -> bool:
+    def vet(self, ctx: PrefetchContext, candidate: int,
+            path_confidence: float, depth: int, sig: int,
+            delta: int) -> Optional[bool]:
+        """Score one lookahead candidate: fill the L2C (True), the LLC
+        (False), or reject it (None).  A rejected candidate does not stop
+        the walk: PPF keeps vetting deeper candidates along the same path."""
         confidence_bucket = min(15, int(path_confidence * 16))
         indices = self.filter.feature_indices(
             ctx.ip, candidate, ctx.block, sig, delta, depth,
             confidence_bucket, self.region_of(ctx.block))
         score = self.filter.predict(indices)
-        if score >= self.TAU_LO:
-            self.accepted += 1
-            ok = ctx.emit(candidate, fill_l2=score >= self.TAU_HI)
-            if ok:
-                self.prefetch_table.put(candidate, indices)
-            return ok
-        self.rejected += 1
-        self.reject_table.put(candidate, indices)
-        # A rejected candidate does not stop the lookahead walk: PPF keeps
-        # vetting deeper candidates along the same path.
-        return True
+        if score < self.TAU_LO:
+            self.rejected += 1
+            self.reject_table.put(candidate, indices)
+            return None
+        self.accepted += 1
+        if ctx.lo <= candidate <= ctx.hi:
+            # Only an issued prefetch comes back as feedback.
+            self.prefetch_table.put(candidate, indices)
+        return score >= self.TAU_HI
 
     # ------------------------------------------------------------------
     # Feedback hooks (invoked by the hierarchy via the PSA wrapper)

@@ -14,7 +14,7 @@ On each access SPP trains the Pattern Table with the observed delta, then
 performs *lookahead*: it repeatedly predicts the most confident next delta,
 multiplying per-step confidences into a path confidence, issuing a prefetch
 per step until confidence drops below ``PF_THRESHOLD`` or the candidate is
-rejected at a page boundary (``ctx.emit`` returning False).  Prefetches
+discarded at a page boundary (``ctx.discard``).  Prefetches
 whose path confidence exceeds ``FILL_THRESHOLD`` fill the L2C, the rest
 fill the LLC — this is the "internal confidence mechanism" the paper
 refers to.
@@ -35,11 +35,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.memory.address import BLOCK_BITS, PAGE_2M_BITS, PAGE_SIZE_2M
 from repro.prefetch.base import L2Prefetcher, PrefetchContext
 from repro.prefetch.tables import BoundedTable
-
-_PAGE2M_BLOCK_SHIFT = PAGE_2M_BITS - BLOCK_BITS
 
 SIG_BITS = 12
 SIG_MASK = (1 << SIG_BITS) - 1
@@ -128,6 +125,11 @@ class SPP(L2Prefetcher):
     #: perfectly repeating delta; without this decay a fully trained
     #: prefetcher would send arbitrarily deep speculation to the L2C.
     LOOKAHEAD_DAMPING = 0.95
+    #: Per-candidate filter, or None to issue every lookahead candidate:
+    #: ``vet(ctx, candidate, path_confidence, depth, sig, delta)`` runs
+    #: before the window test and returns the fill level (True: L2C), or
+    #: None to reject the candidate and walk on (PPF's perceptron).
+    vet = None
 
     def __init__(self, region_bits: int = 12, table_scale: float = 1.0,
                  use_ghr: bool = True) -> None:
@@ -218,9 +220,9 @@ class SPP(L2Prefetcher):
         invocation per trained access, up to MAX_DEPTH steps each).  Each
         step reads its row's cached ``top`` — ``best()`` and the next
         signature, computed by ``train`` — and the pattern table without
-        touching recency; with the stock ``_issue`` the body of
-        ``ctx.emit`` is flattened into the walk.  The emitted candidates
-        and all statistics are bit-for-bit those of the readable form.
+        touching recency, and tests the window inline, bit-for-bit as
+        ``ctx.emit`` would; a candidate outside it goes to ``ctx.discard``
+        and ends the walk.
         """
         self.lookahead_invocations += 1
         base_block = ctx.block - offset   # first block of the region
@@ -229,76 +231,44 @@ class SPP(L2Prefetcher):
         pt_get = self.pattern_table._data.get   # get(touch=False)
         damping = self.LOOKAHEAD_DAMPING
         threshold = self.PF_THRESHOLD
+        fill_threshold = self.FILL_THRESHOLD
+        vet = self.vet
+        lo = ctx.lo
+        hi = ctx.hi
+        issuer = ctx.issuer
+        requests = ctx.requests
+        requests_append = requests.append
+        first = len(requests)
         steps = 0
-        if type(self)._issue is SPP._issue:
-            fill_threshold = self.FILL_THRESHOLD
-            lo = ctx.lo
-            hi = ctx.hi
-            collect = ctx.collect
-            issuer = ctx.issuer
-            requests_append = ctx.requests.append
-            for _ in range(self.MAX_DEPTH):
-                entry = pt_get(sig)
-                if entry is None:
-                    break
-                delta, ratio, next_sig = entry.top
-                path_confidence *= ratio * damping
-                if path_confidence < threshold:
-                    break
-                cursor += delta
-                candidate = base_block + cursor
+        for _ in range(self.MAX_DEPTH):
+            entry = pt_get(sig)
+            if entry is None:
+                break
+            delta, ratio, next_sig = entry.top
+            path_confidence *= ratio * damping
+            if path_confidence < threshold:
+                break
+            cursor += delta
+            candidate = base_block + cursor
+            fill_l2 = (path_confidence >= fill_threshold if vet is None else
+                       vet(ctx, candidate, path_confidence, steps, sig, delta))
+            if fill_l2 is not None:
                 if not lo <= candidate <= hi:
                     # Discarded: Fig. 2 classification, then park the path
                     # in the GHR (cross-region learning continuity).
-                    stats = ctx.stats
-                    stats.proposed += 1
-                    if (candidate >> _PAGE2M_BLOCK_SHIFT
-                            == ctx.block >> _PAGE2M_BLOCK_SHIFT):
-                        if ctx.true_page_size == PAGE_SIZE_2M:
-                            stats.discarded_cross_4k_in_2m += 1
-                        else:
-                            stats.discarded_cross_4k_in_4k += 1
-                    else:
-                        stats.discarded_beyond_2m += 1
+                    ctx.discard(candidate)
                     if cursor >= self.region_blocks or cursor < 0:
                         self._ghr_record(sig, path_confidence, cursor, delta)
                     break
-                if collect:
-                    requests_append((candidate,
-                                     path_confidence >= fill_threshold,
-                                     issuer))
-                steps += 1
-                sig = next_sig
-            # Each completed step proposed and issued one candidate (a
-            # discarded one was counted where it stopped the walk).
-            ctx.stats.proposed += steps
-            ctx.stats.issued += steps
-        else:
-            issue = self._issue   # overridden (PPF's perceptron filter)
-            for depth in range(self.MAX_DEPTH):
-                entry = pt_get(sig)
-                if entry is None:
-                    break
-                delta, ratio, next_sig = entry.top
-                path_confidence *= ratio * damping
-                if path_confidence < threshold:
-                    break
-                cursor += delta
-                candidate = base_block + cursor
-                if not issue(ctx, candidate, path_confidence, depth, sig,
-                             delta):
-                    if cursor >= self.region_blocks or cursor < 0:
-                        self._ghr_record(sig, path_confidence, cursor, delta)
-                    break
-                steps += 1
-                sig = next_sig
+                requests_append((candidate, fill_l2, issuer))
+            steps += 1
+            sig = next_sig
+        # Each request appended here was proposed and issued (a discarded
+        # candidate was counted where it stopped the walk).
+        issued = len(requests) - first
+        ctx.stats.proposed += issued
+        ctx.stats.issued += issued
         self.lookahead_depth_total += steps
-
-    def _issue(self, ctx: PrefetchContext, candidate: int,
-               path_confidence: float, depth: int, sig: int,
-               delta: int) -> bool:
-        """Emit one lookahead candidate; PPF overrides this with its filter."""
-        return ctx.emit(candidate, fill_l2=path_confidence >= self.FILL_THRESHOLD)
 
     # ------------------------------------------------------------------
     def storage_bits(self) -> int:

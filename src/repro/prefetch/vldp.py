@@ -28,6 +28,22 @@ CONF_MAX = 3          # 2-bit accuracy counters
 HISTORY_LEN = 3
 
 
+def _train_entry(table: BoundedTable, key, delta: int) -> None:
+    """Teach *table* that *key* is followed by *delta*, the DPTs' and the
+    OPT's one rule: a repeat raises the ``[delta, confidence]`` entry's
+    2-bit counter, another delta lowers it and takes over at zero."""
+    entry = table.get(key)
+    if entry is None:
+        table.put(key, [delta, 1])
+    elif entry[0] == delta:
+        entry[1] = saturate(entry[1] + 1, 0, CONF_MAX)
+    else:
+        entry[1] -= 1
+        if entry[1] <= 0:
+            entry[0] = delta
+            entry[1] = 1
+
+
 class VLDP(L2Prefetcher):
     """Variable Length Delta Prefetcher."""
 
@@ -55,18 +71,7 @@ class VLDP(L2Prefetcher):
     def _train_tables(self, history: Tuple[int, ...], delta: int) -> None:
         """Teach each DPT that *history* is followed by *delta*."""
         for length in range(1, min(len(history), HISTORY_LEN) + 1):
-            key = history[-length:]
-            table = self.dpts[length - 1]
-            entry = table.get(key)
-            if entry is None:
-                table.put(key, [delta, 1])
-            elif entry[0] == delta:
-                entry[1] = saturate(entry[1] + 1, 0, CONF_MAX)
-            else:
-                entry[1] -= 1
-                if entry[1] <= 0:
-                    entry[0] = delta
-                    entry[1] = 1
+            _train_entry(self.dpts[length - 1], history[-length:], delta)
 
     def _predict(self, history: Tuple[int, ...]) -> Optional[int]:
         """Longest-history DPT prediction with non-zero confidence."""
@@ -92,17 +97,7 @@ class VLDP(L2Prefetcher):
         if not history:
             # First delta of the region trains the OPT under the region's
             # first offset.
-            first_offset = last_offset
-            opt_entry = self.opt.get(first_offset)
-            if opt_entry is None:
-                self.opt.put(first_offset, [delta, 1])
-            elif opt_entry[0] == delta:
-                opt_entry[1] = saturate(opt_entry[1] + 1, 0, CONF_MAX)
-            else:
-                opt_entry[1] -= 1
-                if opt_entry[1] <= 0:
-                    opt_entry[0] = delta
-                    opt_entry[1] = 1
+            _train_entry(self.opt, last_offset, delta)
         else:
             self._train_tables(history, delta)
         history = (history + (delta,))[-HISTORY_LEN:]

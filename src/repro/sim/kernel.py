@@ -411,7 +411,7 @@ def compile_runner(core, h, on_record=None):
                     l2_missc += 1
                 if useful_issuer is not None:
                     mod_useful(block, useful_issuer)
-                requests = mod_access(block, ip, hit2, s2, psb, ps)
+                requests = mod_access(block, ip, s2, psb, ps)
                 if not hit2:
                     mod_miss(block)
                 e = l2_ments.get(block)

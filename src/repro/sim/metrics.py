@@ -95,13 +95,13 @@ class RunMetrics:
 
 
 def module_boundary_stats(module) -> BoundaryStats:
-    """Aggregate BoundaryStats across a module's component prefetchers."""
+    """Aggregate BoundaryStats across a module's PSA modules."""
+    members = (module.members if isinstance(module, CompositePSAPrefetcher)
+               else (module,))
     stats = BoundaryStats()
-    if isinstance(module, PSAPrefetchModule):
-        stats.merge(module.stats)
-    elif isinstance(module, CompositePSAPrefetcher):
-        stats.merge(module.stats_psa)
-        stats.merge(module.stats_psa_2mb)
+    for member in members:
+        if isinstance(member, PSAPrefetchModule):
+            stats.merge(member.stats)
     return stats
 
 

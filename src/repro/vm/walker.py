@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import Callable, Tuple
 
-from repro.memory.address import PAGE_SIZE_1G, PAGE_SIZE_2M
+from repro.memory.address import (PAGE_1G_SIZE, PAGE_2M_SIZE, PAGE_4K_SIZE,
+                                  PAGE_SIZE_1G, PAGE_SIZE_2M)
 from repro.prefetch.tables import BoundedTable
 from repro.sim.config import SystemConfig
 from repro.vm.allocator import PhysicalMemoryAllocator
@@ -114,9 +115,6 @@ class AddressTranslator:
         prefetch is not free; it trades bandwidth for L1D page-crossing
         timeliness.
         """
-        from repro.memory.address import (
-            PAGE_1G_SIZE, PAGE_2M_SIZE, PAGE_4K_SIZE,
-            PAGE_SIZE_1G, PAGE_SIZE_2M)
         if page_size == PAGE_SIZE_1G:
             span = PAGE_1G_SIZE
         elif page_size == PAGE_SIZE_2M:

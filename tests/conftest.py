@@ -42,10 +42,9 @@ def _hermetic_disk_cache(tmp_path_factory):
         os.environ["REPRO_CACHE_DIR"] = previous
 
 
-def make_ctx(block: int, ip: int = 0x400, hit: bool = False,
+def make_ctx(block: int, ip: int = 0x400,
              window: str = "4k", true_page_size: int = PAGE_SIZE_4K,
              page_size_bit: Optional[int] = None,
-             collect: bool = True,
              stats: Optional[BoundaryStats] = None) -> PrefetchContext:
     """Build a PrefetchContext with a 4KB, 2MB, or unbounded window."""
     if window == "4k":
@@ -59,9 +58,8 @@ def make_ctx(block: int, ip: int = 0x400, hit: bool = False,
     else:
         raise ValueError(f"unknown window {window!r}")
     return PrefetchContext(
-        block, ip, hit, lo, hi, stats if stats is not None else BoundaryStats(),
-        page_size_bit=page_size_bit, true_page_size=true_page_size,
-        collect=collect)
+        block, ip, lo, hi, stats if stats is not None else BoundaryStats(),
+        page_size_bit=page_size_bit, true_page_size=true_page_size)
 
 
 @pytest.fixture

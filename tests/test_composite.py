@@ -42,8 +42,8 @@ def set_with_role(module, role):
 class TestConstruction:
     def test_two_granularities(self):
         module = make()
-        assert module.pref_psa.region_bits == 12
-        assert module.pref_psa_2mb.region_bits == 21
+        assert module.members[ISSUER_PSA].prefetcher.region_bits == 12
+        assert module.members[ISSUER_PSA_2MB].prefetcher.region_bits == 21
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -57,16 +57,16 @@ class TestTrainingPolicy:
     def test_proposed_trains_both(self):
         module = make(policy="proposed")
         leader = set_with_role(module, ROLE_PSA_LEADER)
-        module.on_l2_access(0, 0, False, leader, PAGE_SIZE_4K, PAGE_SIZE_4K)
-        assert module.pref_psa.trained == 1
-        assert module.pref_psa_2mb.trained == 1
+        module.on_l2_access(0, 0, leader, PAGE_SIZE_4K, PAGE_SIZE_4K)
+        assert module.members[ISSUER_PSA].prefetcher.trained == 1
+        assert module.members[ISSUER_PSA_2MB].prefetcher.trained == 1
 
     def test_standard_trains_selected_only(self):
         module = make(policy="standard")
         leader = set_with_role(module, ROLE_PSA_LEADER)
-        module.on_l2_access(0, 0, False, leader, PAGE_SIZE_4K, PAGE_SIZE_4K)
-        assert module.pref_psa.trained == 1
-        assert module.pref_psa_2mb.trained == 0
+        module.on_l2_access(0, 0, leader, PAGE_SIZE_4K, PAGE_SIZE_4K)
+        assert module.members[ISSUER_PSA].prefetcher.trained == 1
+        assert module.members[ISSUER_PSA_2MB].prefetcher.trained == 0
 
 
 class TestIssuing:
@@ -74,7 +74,7 @@ class TestIssuing:
         module = make()
         leader = set_with_role(module, ROLE_PSA_LEADER)
         requests = module.on_l2_access(
-            0, 0, False, leader, PAGE_SIZE_4K, PAGE_SIZE_4K)
+            0, 0, leader, PAGE_SIZE_4K, PAGE_SIZE_4K)
         assert len(requests) == 1
         assert requests[0][2] == ISSUER_PSA
 
@@ -82,26 +82,26 @@ class TestIssuing:
         module = make()
         leader = set_with_role(module, ROLE_PSA_2MB_LEADER)
         requests = module.on_l2_access(
-            0, 0, False, leader, PAGE_SIZE_4K, PAGE_SIZE_4K)
+            0, 0, leader, PAGE_SIZE_4K, PAGE_SIZE_4K)
         assert requests[0][2] == ISSUER_PSA_2MB
 
     def test_follower_follows_csel(self):
         module = make()
         follower = set_with_role(module, ROLE_FOLLOWER)
         requests = module.on_l2_access(
-            0, 0, False, follower, PAGE_SIZE_4K, PAGE_SIZE_4K)
+            0, 0, follower, PAGE_SIZE_4K, PAGE_SIZE_4K)
         assert requests[0][2] == ISSUER_PSA   # csel starts at 0
         module.selector.csel = module.selector.csel_max
         requests = module.on_l2_access(
-            64, 0, False, follower, PAGE_SIZE_4K, PAGE_SIZE_4K)
+            64, 0, follower, PAGE_SIZE_4K, PAGE_SIZE_4K)
         assert requests[0][2] == ISSUER_PSA_2MB
 
     def test_page_size_policy_static_selection(self):
         module = make(policy="page-size")
         follower = set_with_role(module, ROLE_FOLLOWER)
-        r4 = module.on_l2_access(0, 0, False, follower,
+        r4 = module.on_l2_access(0, 0, follower,
                                  PAGE_SIZE_4K, PAGE_SIZE_4K)
-        r2 = module.on_l2_access(64, 0, False, follower,
+        r2 = module.on_l2_access(64, 0, follower,
                                  PAGE_SIZE_2M, PAGE_SIZE_2M)
         assert r4[0][2] == ISSUER_PSA
         assert r2[0][2] == ISSUER_PSA_2MB
@@ -116,11 +116,11 @@ class TestWindows:
         # Trigger at the last block of a 4KB page in a 4KB-truth page:
         # the +1 candidate crosses and must be discarded.
         requests = module.on_l2_access(
-            63, 0, False, leader, PAGE_SIZE_4K, PAGE_SIZE_4K)
+            63, 0, leader, PAGE_SIZE_4K, PAGE_SIZE_4K)
         assert not requests
         # Same trigger inside a 2MB page: allowed.
         requests = module.on_l2_access(
-            1024 * 64 + 63, 0, False, leader, PAGE_SIZE_2M, PAGE_SIZE_2M)
+            1024 * 64 + 63, 0, leader, PAGE_SIZE_2M, PAGE_SIZE_2M)
         assert len(requests) == 1
 
 
@@ -129,10 +129,10 @@ class TestFeedback:
         module = make()
         module.on_useful(5, ISSUER_PSA_2MB)
         assert module.selector.csel == 1
-        assert module.pref_psa_2mb.useful_calls == [5]
+        assert module.members[ISSUER_PSA_2MB].prefetcher.useful_calls == [5]
         module.on_useful(6, ISSUER_PSA)
         assert module.selector.csel == 0
-        assert module.pref_psa.useful_calls == [6]
+        assert module.members[ISSUER_PSA].prefetcher.useful_calls == [6]
 
     def test_demand_miss_broadcast(self):
         calls = []
@@ -151,7 +151,7 @@ class TestDiagnostics:
         module = make()
         follower = set_with_role(module, ROLE_FOLLOWER)
         for i in range(10):
-            module.on_l2_access(i * 64, 0, False, follower,
+            module.on_l2_access(i * 64, 0, follower,
                                 PAGE_SIZE_4K, PAGE_SIZE_4K)
         psa, psa2 = module.selection_fractions()
         assert psa + psa2 == pytest.approx(1.0)
@@ -161,5 +161,5 @@ class TestDiagnostics:
 
     def test_storage_roughly_doubles(self):
         module = make()
-        single = module.pref_psa.storage_bits()
+        single = module.members[ISSUER_PSA].prefetcher.storage_bits()
         assert module.storage_bits() >= 2 * single

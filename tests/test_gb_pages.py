@@ -78,14 +78,14 @@ class TestPSAWindow1G:
         module = PSAPrefetchModule(
             RecordingPrefetcher(deltas=(BLOCKS_PER_2M,)), mode="psa")
         requests = module.on_l2_access(
-            0, 0, False, 0, PAGE_SIZE_1G, PAGE_SIZE_1G)
+            0, 0, 0, PAGE_SIZE_1G, PAGE_SIZE_1G)
         assert len(requests) == 1   # 2MB-crossing allowed inside a 1GB page
 
     def test_original_still_4k_bound(self):
         module = PSAPrefetchModule(
             RecordingPrefetcher(deltas=(70,)), mode="original")
         requests = module.on_l2_access(
-            0, 0, False, 0, PAGE_SIZE_1G, PAGE_SIZE_1G)
+            0, 0, 0, PAGE_SIZE_1G, PAGE_SIZE_1G)
         assert not requests
 
 

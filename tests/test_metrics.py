@@ -42,8 +42,8 @@ class TestModuleBoundaryStats:
     def test_composite_merged(self):
         module = CompositePSAPrefetcher(
             lambda rb: SPP(region_bits=rb), 1024, DuelingConfig())
-        module.stats_psa.proposed = 3
-        module.stats_psa_2mb.proposed = 4
+        module.members[0].stats.proposed = 3
+        module.members[1].stats.proposed = 4
         assert module_boundary_stats(module).proposed == 7
 
     def test_unknown_module_empty(self):

@@ -45,19 +45,6 @@ class TestEmitAcceptance:
         assert ctx.requests[0][2] == 1
 
 
-class TestShadowMode:
-    def test_collect_false_suppresses_requests(self):
-        ctx = make_ctx(block=0, window="4k", collect=False)
-        assert ctx.emit(1)          # accepted (training may continue)...
-        assert not ctx.requests     # ...but nothing issued
-
-    def test_collect_false_still_counts_stats(self):
-        stats = BoundaryStats()
-        ctx = make_ctx(block=0, window="4k", collect=False, stats=stats)
-        ctx.emit(1)
-        assert stats.issued == 1
-
-
 class TestFig2Accounting:
     def test_cross_4k_in_2m_counted(self):
         """The missed opportunity the paper's Fig. 2 quantifies."""

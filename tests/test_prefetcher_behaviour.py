@@ -1,15 +1,19 @@
 """Cross-cutting behavioural tests of the prefetcher zoo.
 
 These check properties that hold across prefetchers (window obedience,
-region-granularity effects, shadow-training equivalence) rather than
-single-implementation details.
+region-granularity effects, Pref-PSA-SD members training as standalone
+modules) rather than single-implementation details.
 """
+
+import pickle
 
 import pytest
 
-from repro.core.factory import PREFETCHERS
-from repro.memory.address import BLOCKS_PER_2M, BLOCKS_PER_4K, PAGE_SIZE_2M
+from repro.core.factory import PREFETCHERS, make_l2_module
+from repro.memory.address import (BLOCKS_PER_2M, BLOCKS_PER_4K, PAGE_SIZE_2M,
+                                  PAGE_SIZE_4K)
 from repro.prefetch.base import BoundaryStats, PrefetchContext
+from repro.sim.config import SystemConfig
 
 from conftest import make_ctx
 
@@ -67,27 +71,45 @@ class TestStreamProficiency:
         assert hits >= 20, f"{name} covered only {hits}/28 stream blocks"
 
 
-class TestShadowTrainingEquivalence:
-    """Training through a collect=False context must leave the prefetcher
-    in exactly the state of an issuing context (the composite's shadow
-    training depends on it)."""
+class TestCompositeMembersTrainStandalone:
+    """Each Pref-PSA-SD member trains exactly as a standalone module of its
+    granularity does: the composite drops the unselected member's
+    requests, and nothing else about the member may differ."""
 
-    @pytest.mark.parametrize("name", ["spp", "vldp", "bop", "ampm"])
-    def test_state_identical_after_shadow_run(self, name):
-        blocks = list(range(0, 50, 2)) + list(range(100, 140))
-        live = PREFETCHERS[name]()
-        shadow = PREFETCHERS[name]()
-        for block in blocks:
-            live.on_access(make_ctx(block, window="4k"))
-            shadow.on_access(make_ctx(block, window="4k", collect=False))
-        # Next access must produce identical candidates from both.
-        probe = blocks[-1] + 2
-        live_ctx = make_ctx(probe, window="4k")
-        shadow_ctx = make_ctx(probe, window="4k")
-        live.on_access(live_ctx)
-        shadow.on_access(shadow_ctx)
-        assert ([block for block, _, _ in live_ctx.requests]
-                == [block for block, _, _ in shadow_ctx.requests])
+    @staticmethod
+    def stream():
+        """``(block, page_size_bit, true_page_size)``: interleaved strided
+        walks across 4KB and 2MB boundaries (one in a 2MB page that PPM
+        does not report), and one footprint repeated over 50 2MB pages
+        (SMS replays it)."""
+        walks = [[(start + i * stride, bit, size) for i in range(150)]
+                 for start, stride, bit, size in (
+                     (0, 1, PAGE_SIZE_4K, PAGE_SIZE_4K),
+                     (BLOCKS_PER_2M, 3, PAGE_SIZE_2M, PAGE_SIZE_2M),
+                     (5 * BLOCKS_PER_2M + 40, -2, PAGE_SIZE_2M, PAGE_SIZE_2M),
+                     (9 * BLOCKS_PER_4K, 5, PAGE_SIZE_4K, PAGE_SIZE_4K),
+                     (12 * BLOCKS_PER_2M + 7, 2, None, PAGE_SIZE_2M))]
+        walks.append([((20 + i // 3) * BLOCKS_PER_2M + (0, 2, 5)[i % 3],
+                       PAGE_SIZE_2M, PAGE_SIZE_2M) for i in range(150)])
+        return [access for step in zip(*walks) for access in step]
+
+    @pytest.mark.parametrize("name", L2_PREFETCHERS)
+    def test_members_match_standalone_modules(self, name):
+        config = SystemConfig()
+        composite = make_l2_module(name, "psa-sd", config)
+        twins = (make_l2_module(name, "psa", config),
+                 make_l2_module(name, "psa-2mb", config))
+        set_mask = config.l2c.sets - 1
+        for block, page_size_bit, true_page_size in self.stream():
+            for module in (composite, *twins):
+                module.on_l2_access(block, 0x40, block & set_mask,
+                                    page_size_bit, true_page_size)
+                module.on_demand_miss(block)
+        for member, twin in zip(composite.members, twins):
+            assert member.stats.proposed > 0
+            assert member.stats == twin.stats
+            assert pickle.dumps(member.prefetcher) == \
+                pickle.dumps(twin.prefetcher)
 
 
 class TestRegionGranularity:

@@ -58,7 +58,7 @@ class TestOriginalMode:
         """Original prefetchers stop at 4KB even for blocks in 2MB pages."""
         module = PSAPrefetchModule(RecordingPrefetcher(), mode="original")
         requests = module.on_l2_access(
-            block=60, ip=0, hit=False, set_index=0,
+            block=60, ip=0, set_index=0,
             page_size_bit=PAGE_SIZE_2M, true_page_size=PAGE_SIZE_2M)
         # +70 crossed, discarded
         assert [block for block, _, _ in requests] == [61]
@@ -66,7 +66,7 @@ class TestOriginalMode:
 
     def test_discard_classified_4k_truth(self):
         module = PSAPrefetchModule(RecordingPrefetcher(), mode="original")
-        module.on_l2_access(60, 0, False, 0, PAGE_SIZE_4K, PAGE_SIZE_4K)
+        module.on_l2_access(60, 0, 0, PAGE_SIZE_4K, PAGE_SIZE_4K)
         assert module.stats.discarded_cross_4k_in_4k == 1
         assert module.stats.discarded_cross_4k_in_2m == 0
 
@@ -75,27 +75,27 @@ class TestPSAMode:
     def test_2m_bit_opens_window(self):
         module = PSAPrefetchModule(RecordingPrefetcher(), mode="psa")
         requests = module.on_l2_access(
-            60, 0, False, 0, PAGE_SIZE_2M, PAGE_SIZE_2M)
+            60, 0, 0, PAGE_SIZE_2M, PAGE_SIZE_2M)
         assert [block for block, _, _ in requests] == [61, 130]
 
     def test_4k_bit_keeps_4k_window(self):
         module = PSAPrefetchModule(RecordingPrefetcher(), mode="psa")
         requests = module.on_l2_access(
-            60, 0, False, 0, PAGE_SIZE_4K, PAGE_SIZE_4K)
+            60, 0, 0, PAGE_SIZE_4K, PAGE_SIZE_4K)
         assert [block for block, _, _ in requests] == [61]
 
     def test_missing_bit_conservative(self):
         """No PPM info (bit None): must behave like the original."""
         module = PSAPrefetchModule(RecordingPrefetcher(), mode="psa")
         requests = module.on_l2_access(
-            60, 0, False, 0, None, PAGE_SIZE_2M)
+            60, 0, 0, None, PAGE_SIZE_2M)
         assert [block for block, _, _ in requests] == [61]
 
     def test_never_crosses_2m(self):
         module = PSAPrefetchModule(
             RecordingPrefetcher(deltas=(BLOCKS_PER_2M,)), mode="psa")
         requests = module.on_l2_access(
-            0, 0, False, 0, PAGE_SIZE_2M, PAGE_SIZE_2M)
+            0, 0, 0, PAGE_SIZE_2M, PAGE_SIZE_2M)
         assert not requests
         assert module.stats.discarded_beyond_2m == 1
 
@@ -103,7 +103,7 @@ class TestPSAMode:
         module = PSAPrefetchModule(RecordingPrefetcher(), mode="psa",
                                    issuer=ISSUER_PSA_2MB)
         requests = module.on_l2_access(
-            0, 0, False, 0, PAGE_SIZE_2M, PAGE_SIZE_2M)
+            0, 0, 0, PAGE_SIZE_2M, PAGE_SIZE_2M)
         assert all(issuer == ISSUER_PSA_2MB for _, _, issuer in requests)
 
 
@@ -137,7 +137,7 @@ class TestModuleInterface:
 
     def test_stub_module_no_prefetches(self):
         stub = L2PrefetchModule()
-        assert stub.on_l2_access(0, 0, False, 0, None, 0) == []
+        assert stub.on_l2_access(0, 0, 0, None, 0) == []
         stub.on_useful(0, 0)
         stub.on_demand_miss(0)
         assert stub.storage_bits() == 0

@@ -59,7 +59,7 @@ def drive_prefetcher(pf, stream, window):
     """Feed a stream; return every (proposed, issued) decision made."""
     out = []
     for block, ip, hit in stream:
-        ctx = make_ctx(block, ip=ip, hit=hit, window=window)
+        ctx = make_ctx(block, ip=ip, window=window)
         pf.on_access(ctx)
         out.append(list(ctx.requests))
         if not hit:
