@@ -25,8 +25,8 @@ VARIANTS = ["psa", "psa-sd"]
 def collect(cores=CORES):
     config = multicore_config(SystemConfig(), cores)
     mixes = generate_mixes(mixes_for_scale(), cores)
-    # Engine-batched: isolation runs are one deduplicated run_batch, and
-    # the coupled mix simulations fan out across the worker pool.
+    # One engine batch: the isolation runs, then the mixes, each a
+    # deduplicated, cached run on the worker pool.
     return mix_weighted_speedups(mixes, config, "spp", VARIANTS)
 
 

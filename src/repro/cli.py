@@ -86,11 +86,22 @@ def _metrics_rows(metrics: RunMetrics) -> List[List]:
     ]
 
 
+def _accesses(text: str) -> int:
+    """Type of every ``--accesses`` flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--prefetcher", default="spp",
                         choices=sorted(PREFETCHERS))
     parser.add_argument("--l1d", default="none", choices=L1D_PREFETCHERS)
-    parser.add_argument("--accesses", type=int, default=None,
+    parser.add_argument("--accesses", type=_accesses, default=None,
                         help=f"memory accesses to simulate "
                              f"(default: REPRO_SCALE, small="
                              f"{SCALE_ACCESSES['small']})")
@@ -646,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--out", default=None)
     p_trace.add_argument("--describe", default=None)
     p_trace.add_argument("--simulate", default=None)
-    p_trace.add_argument("--accesses", type=int, default=None)
+    p_trace.add_argument("--accesses", type=_accesses, default=None)
     p_trace.add_argument("--prefetcher", default="spp",
                          choices=sorted(PREFETCHERS))
     p_trace.add_argument("--variant", default="psa", choices=VARIANTS)
@@ -661,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential-oracle and golden-corpus verification")
     p_ver.add_argument("workloads", nargs="*",
                        help="workload names, or 'all' (default)")
-    p_ver.add_argument("--accesses", type=int, default=3000,
+    p_ver.add_argument("--accesses", type=_accesses, default=3000,
                        help="trace length per oracle replay (default 3000)")
     p_ver.add_argument("--prefetcher", default="spp",
                        choices=sorted(PREFETCHERS))

@@ -3,9 +3,9 @@
 The figure benchmarks regenerate overlapping (workload, prefetcher,
 variant, config) runs across *pytest sessions*, not just within one; the
 in-process memo in ``repro.sim.runner`` cannot help there.  This module
-stores finished ``RunMetrics`` on disk, content-addressed by the complete
-run fingerprint, so a warm re-run of any figure driver is served from disk
-instead of re-simulating.
+stores finished runs (``RunMetrics``, a mix's ``MixResult``) on disk,
+content-addressed by the complete run fingerprint, so a warm re-run of
+any figure driver is served from disk instead of re-simulating.
 
 Layout (under ``REPRO_CACHE_DIR`` or ``~/.cache/repro``)::
 
@@ -35,11 +35,11 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from repro.prefetch.base import BoundaryStats
 from repro.sim import iofaults
-from repro.sim.metrics import RunMetrics
+from repro.sim.metrics import MixResult, RunMetrics
 
 #: Serialization format version: bump when the on-disk payload shape or the
 #: fields of ``RunMetrics``/``BoundaryStats`` change incompatibly.
@@ -116,8 +116,10 @@ def _quarantine(path: Path) -> Optional[Path]:
 # RunMetrics (de)serialization
 # ----------------------------------------------------------------------
 
-def metrics_to_dict(metrics: RunMetrics) -> dict:
-    """Flatten a RunMetrics (including BoundaryStats) to JSON-safe types."""
+def metrics_to_dict(metrics: Union[RunMetrics, MixResult]) -> dict:
+    """Flatten a RunMetrics (with its BoundaryStats) or a MixResult."""
+    if isinstance(metrics, MixResult):
+        return {"workloads": metrics.workloads, "ipcs": metrics.ipcs}
     data = {f.name: getattr(metrics, f.name)
             for f in dataclasses.fields(metrics) if f.name != "boundary"}
     data["boundary"] = {slot: getattr(metrics.boundary, slot)
@@ -125,8 +127,12 @@ def metrics_to_dict(metrics: RunMetrics) -> dict:
     return data
 
 
-def metrics_from_dict(data: dict) -> RunMetrics:
-    """Rebuild a RunMetrics; unknown keys are ignored, missing use defaults."""
+def metrics_from_dict(data: dict) -> Union[RunMetrics, MixResult]:
+    """Rebuild a MixResult if ``ipcs`` is set, else a RunMetrics (unknown
+    keys are ignored, missing use defaults)."""
+    if "ipcs" in data:
+        return MixResult(list(data["workloads"]),
+                         [float(ipc) for ipc in data["ipcs"]])
     known = {f.name for f in dataclasses.fields(RunMetrics)}
     fields = {k: v for k, v in data.items()
               if k in known and k != "boundary"}
@@ -141,7 +147,7 @@ def metrics_from_dict(data: dict) -> RunMetrics:
 # Load / store
 # ----------------------------------------------------------------------
 
-def store(key: tuple, metrics: RunMetrics) -> bool:
+def store(key: tuple, metrics: Union[RunMetrics, MixResult]) -> bool:
     """Atomically persist one finished run; returns False when disabled."""
     if not cache_enabled():
         return False
@@ -195,7 +201,7 @@ def load_payload(key: tuple) -> Optional[dict]:
         return None
 
 
-def load(key: tuple) -> Optional[RunMetrics]:
+def load(key: tuple) -> Optional[Union[RunMetrics, MixResult]]:
     """Fetch one run from disk; any corruption or mismatch is a miss."""
     payload = load_payload(key)
     if payload is None:
@@ -346,11 +352,12 @@ def list_entries() -> "list[CacheEntry]":
             metrics = payload.get("metrics", {})
             entries.append(CacheEntry(
                 path=path, size_bytes=stat_result.st_size,
-                workload=str(metrics.get("workload", "?")),
+                workload=("+".join(metrics["workloads"]) if "ipcs" in metrics
+                          else str(metrics.get("workload", "?"))),
                 prefetcher=str(metrics.get("prefetcher", "?")),
                 variant=str(metrics.get("variant", "?")),
                 current=payload.get("salt") == _salt()))
-        except (OSError, ValueError, TypeError, AttributeError):
+        except (OSError, ValueError, TypeError, KeyError, AttributeError):
             continue
     return entries
 

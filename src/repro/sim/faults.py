@@ -19,7 +19,7 @@ Parameters: ``secs=<float>`` (hang duration, default 30),
 ``first=<int>`` (fire only on the first N attempts; 0 = every attempt,
 so ``first=1`` models a transient that a retry cures), and
 ``at=<int>`` (``kill`` only: the access index after which the run dies —
-the snapshot/resume acceptance scenario; in a Figs. 14/15 mix task it
+the snapshot/resume acceptance scenario; in a Figs. 14/15 mix it
 counts the mix's records in execution order, across all cores).
 
 Indices refer to positions in the batch's *scheduled* run list (after
@@ -43,8 +43,8 @@ recovery) and raises :class:`InjectedCrash` in-process otherwise, so
 serial fallback resolves persistent crashers without killing the host.
 ``corrupt`` is applied by the parent *after* the run's cache entry is
 written (garbling the entry on disk) to exercise the cache quarantine
-path; a mix task writes no cache entry, so it never fires there.  A
-malformed spec raises :class:`FaultSpecError`.
+path, mix entries included.  A malformed spec raises
+:class:`FaultSpecError`.
 """
 
 from __future__ import annotations
@@ -204,9 +204,8 @@ def disarm() -> None:
 def checkpoint(site: str = "run") -> None:
     """Fire any armed in-run faults; a no-op when nothing is armed.
 
-    Called by ``simulate_workload`` at the start of every run, and by
-    each Figs. 14/15 mix task before its mix, so injected faults surface
-    inside the real execution stack.
+    Called by ``runner._execute`` at the start of every run, single-core
+    or mix, so injected faults surface inside the real execution stack.
     """
     if not _ARMED:
         return

@@ -10,7 +10,7 @@ from live simulator objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List
 
 from repro.core.composite import CompositePSAPrefetcher
 from repro.core.psa import PSAPrefetchModule
@@ -92,6 +92,19 @@ class RunMetrics:
                 f"speedup across different workloads: "
                 f"{self.workload!r} vs {baseline.workload!r}")
         return self.ipc / baseline.ipc if baseline.ipc else 0.0
+
+
+@dataclass
+class MixResult:
+    """Per-core IPCs of one mix run under one prefetching variant."""
+
+    workloads: List[str]
+    ipcs: List[float]
+    wall_time_s: float = field(default=0.0, compare=False)  # as RunMetrics
+
+    def weighted_ipc(self, isolation_ipcs: List[float]) -> float:
+        return sum(ipc / iso if iso else 0.0
+                   for ipc, iso in zip(self.ipcs, isolation_ipcs))
 
 
 def module_boundary_stats(module) -> BoundaryStats:

@@ -26,7 +26,6 @@ import dataclasses
 import heapq
 import math
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cpu.core import Core
@@ -36,7 +35,8 @@ from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
 from repro.sim import faults
 from repro.sim.config import SystemConfig, accesses_for_scale
-from repro.sim.runner import RunRequest, parallel_map, run_batch
+from repro.sim.metrics import MixResult
+from repro.sim.runner import RunRequest, run_batch
 from repro.sim.simulator import build_hierarchy
 from repro.workloads.suites import WorkloadSpec, catalog
 
@@ -55,18 +55,6 @@ def multicore_config(base: SystemConfig, num_cores: int) -> SystemConfig:
         base.dram, size_bytes=32 << 30,
         channels=max(base.dram.channels, 4))
     return cfg
-
-
-@dataclass
-class MixResult:
-    """Per-core IPCs of one mix run under one prefetching variant."""
-
-    workloads: List[str]
-    ipcs: List[float]
-
-    def weighted_ipc(self, isolation_ipcs: List[float]) -> float:
-        return sum(ipc / iso if iso else 0.0
-                   for ipc, iso in zip(self.ipcs, isolation_ipcs))
 
 
 def simulate_mix(specs: List[WorkloadSpec], config: SystemConfig,
@@ -226,13 +214,6 @@ def mix_weighted_speedup(specs: List[WorkloadSpec], config: SystemConfig,
                                  baseline_variant, n_accesses)[variant][0]
 
 
-def _mix_task(task) -> MixResult:
-    """Top-level (picklable) wrapper for one mix run on the worker pool."""
-    specs, config, prefetcher, variant, n_accesses = task
-    faults.checkpoint("mix")
-    return simulate_mix(specs, config, prefetcher, variant, n_accesses)
-
-
 def mix_weighted_speedups(mixes: List[List[WorkloadSpec]],
                           config: SystemConfig, prefetcher: str,
                           variants: List[str],
@@ -241,24 +222,25 @@ def mix_weighted_speedups(mixes: List[List[WorkloadSpec]],
                           ) -> Dict[str, List[float]]:
     """Weighted speedups of several variants across many mixes (batched).
 
-    The Figs. 14-15 driver loop, ported onto the engine: all isolation
-    runs go through ``run_batch`` in one deduplicated batch (a workload
-    appearing in several mixes is simulated once, or served from the disk
-    cache), and the coupled mix simulations — which cannot be split — are
-    fanned out across the supervised worker pool one mix/variant per
-    task, each under the engine's watchdog, retries and ``REPRO_FAULTS``.
+    The Figs. 14-15 driver loop as one ``run_batch``: an isolation run
+    per distinct workload, then a run per (variant, mix) whose workload
+    is the mix's tuple of specs, each deduplicated, cached and supervised
+    (``REPRO_FAULTS`` indices name the isolation runs first).
     """
     unique_specs = list({spec.name: spec
                          for mix in mixes for spec in mix}.values())
-    iso_by_name = dict(zip(
-        [spec.name for spec in unique_specs],
-        isolation_ipcs(unique_specs, config, prefetcher, baseline_variant,
-                       n_accesses)))
     all_variants = [baseline_variant] + [v for v in variants
                                          if v != baseline_variant]
-    tasks = [(mix, config, prefetcher, variant, n_accesses)
-             for variant in all_variants for mix in mixes]
-    mix_results = parallel_map(_mix_task, tasks)
+    results = run_batch(
+        [RunRequest(spec, prefetcher, baseline_variant,
+                    n_accesses=n_accesses, config=config)
+         for spec in unique_specs]
+        + [RunRequest(tuple(mix), prefetcher, variant,
+                      n_accesses=n_accesses, config=config)
+           for variant in all_variants for mix in mixes])
+    iso_by_name = {spec.name: metrics.ipc
+                   for spec, metrics in zip(unique_specs, results)}
+    mix_results = results[len(unique_specs):]
     by_variant = {
         variant: mix_results[i * len(mixes):(i + 1) * len(mixes)]
         for i, variant in enumerate(all_variants)}

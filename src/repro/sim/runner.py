@@ -23,9 +23,8 @@ engine removes that redundancy at three levels:
    resumes where it left off.  ``run_batch(strict=False)`` returns a
    ``BatchResult`` of per-request outcomes instead of raising on the
    first failure; deterministic fault injection (``REPRO_FAULTS``, see
-   ``repro.sim.faults``) exercises every one of those paths.
-   ``parallel_map`` (the multi-core mixes) runs on the same supervised
-   pool, so its tasks get the same watchdog, retries and fault plane.
+   ``repro.sim.faults``) exercises every one of those paths.  A
+   Figs. 14/15 multi-core mix is one request like any other.
 
 ``run``/``speedup``/``speedups_over_baseline``/``variant_sweep``/
 ``run_many``/``pair_metrics`` are all thin frontends over ``run_batch``.
@@ -37,7 +36,7 @@ import dataclasses
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.sim import cache as disk_cache
 from repro.sim import config
@@ -48,7 +47,7 @@ from repro.sim.supervisor import (   # re-exported for callers
     RunOutcome,
 )
 from repro.sim.config import DuelingConfig, SystemConfig, accesses_for_scale
-from repro.sim.metrics import RunMetrics
+from repro.sim.metrics import MixResult, RunMetrics
 from repro.sim.simulator import simulate_workload
 from repro.workloads.suites import WorkloadSpec
 
@@ -84,9 +83,14 @@ def _freeze(value):
 
 @dataclass
 class RunRequest:
-    """One (workload, prefetcher, variant, configuration) simulation."""
+    """One (workload, prefetcher, variant, configuration) simulation.
 
-    workload: Union[str, WorkloadSpec]
+    A tuple of ``WorkloadSpec``s, one per core, is a mix on the caller's
+    ``multicore_config`` (``resolved`` does not scale it); a mix honours
+    only ``prefetcher``, ``variant``, ``n_accesses``, ``config``, ``dueling``.
+    """
+
+    workload: Union[str, WorkloadSpec, Tuple[WorkloadSpec, ...]]
     prefetcher: str = "spp"
     variant: str = "psa"
     l1d: str = "none"
@@ -106,8 +110,11 @@ class RunRequest:
         config = self.config if self.config is not None else SystemConfig()
         if self.dueling is not None:
             config = dataclasses.replace(config, dueling=self.dueling)
+        workload = self.workload
+        if isinstance(workload, list):
+            workload = tuple(workload)
         return dataclasses.replace(
-            self,
+            self, workload=workload,
             n_accesses=(self.n_accesses if self.n_accesses is not None
                         else accesses_for_scale()),
             config=config, dueling=None)
@@ -206,23 +213,38 @@ def clear_cache() -> None:
 # Execution
 # ----------------------------------------------------------------------
 
-def _execute(request: RunRequest) -> RunMetrics:
+def _execute(request: RunRequest) -> Union[RunMetrics, MixResult]:
     """Simulate one resolved request, stamping per-run wall time.
 
+    Armed ``REPRO_FAULTS`` fire first, inside the real run call stack.
     The request's fingerprint doubles as the snapshot key: when
     ``REPRO_SNAPSHOT_EVERY`` is set, a retried/resumed attempt of the
     same request picks up its own mid-run checkpoint automatically.
     """
+    faults.checkpoint()
     start = time.perf_counter()
-    metrics = simulate_workload(
-        request.workload, config=request.config,
-        prefetcher=request.prefetcher, variant=request.variant,
-        l1d=request.l1d, oracle_page_size=request.oracle_page_size,
-        n_accesses=request.n_accesses, table_scale=request.table_scale,
-        gb_fraction=request.gb_fraction, dueling=request.dueling,
-        snapshot_key=request.key())
-    metrics.wall_time_s = time.perf_counter() - start
-    return metrics
+    if isinstance(request.workload, tuple):
+        # Run without these, a mix would be cached under a key naming them.
+        unsupported = [
+            name for name in ("l1d", "oracle_page_size", "table_scale",
+                              "gb_fraction")
+            if getattr(request, name) != getattr(RunRequest, name)]
+        if unsupported:
+            raise ValueError(f"a mix cannot set {', '.join(unsupported)}")
+        from repro.sim.multicore import simulate_mix  # it imports runner
+        result = simulate_mix(list(request.workload), request.config,
+                              request.prefetcher, request.variant,
+                              request.n_accesses)
+    else:
+        result = simulate_workload(
+            request.workload, config=request.config,
+            prefetcher=request.prefetcher, variant=request.variant,
+            l1d=request.l1d, oracle_page_size=request.oracle_page_size,
+            n_accesses=request.n_accesses, table_scale=request.table_scale,
+            gb_fraction=request.gb_fraction, dueling=request.dueling,
+            snapshot_key=request.key())
+    result.wall_time_s = time.perf_counter() - start
+    return result
 
 
 def _coerce(request) -> RunRequest:
@@ -240,7 +262,7 @@ def run_batch(requests: Iterable[Union[RunRequest, dict]],
               timeout: Optional[float] = None,
               retries: Optional[int] = None,
               fail_fast: Optional[bool] = None
-              ) -> Union[List[RunMetrics], BatchResult]:
+              ) -> Union[List[Union[RunMetrics, MixResult]], BatchResult]:
     """Execute a batch of runs under supervision.
 
     Requests are deduplicated by fingerprint; unique misses (after the
@@ -254,7 +276,7 @@ def run_batch(requests: Iterable[Union[RunRequest, dict]],
     fresh and nothing is read from or written to either cache.
 
     With ``strict=True`` (the default) the first failure re-raises its
-    original exception and a plain ``List[RunMetrics]`` is returned in
+    original exception and a plain list of results is returned in
     request order.  With ``strict=False`` a :class:`BatchResult` of
     per-request :class:`RunOutcome` records is returned and no exception
     propagates.  ``fail_fast`` (default: the value of ``strict``)
@@ -288,84 +310,49 @@ def run_batch(requests: Iterable[Union[RunRequest, dict]],
                 continue
         scheduled.add(key)
         pending.append((key, req))
+    plan = faults.plan_from_env(len(pending)) if pending else None
 
-    def _checkpoint(index: int, metrics: RunMetrics, corrupt) -> None:
+    def _checkpoint(index: int, metrics) -> None:
         key, req = pending[index]
+        cores = len(req.workload) if isinstance(req.workload, tuple) else 1
         _STATS.simulated += 1
         _STATS.sim_wall_s += metrics.wall_time_s
-        _STATS.simulated_accesses += req.n_accesses
+        _STATS.simulated_accesses += req.n_accesses * cores
         if use_cache:
             _CACHE[key] = metrics
             disk_cache.store(key, metrics)
-            for _ in corrupt:
+            for _ in plan.post_store_actions(index) if plan else ():
                 faults.corrupt_file(disk_cache.entry_path(key))
 
+    done: List[RunOutcome] = []
     try:
-        done = _supervised([req for _, req in pending], jobs, strict,
-                           on_result=_checkpoint, timeout=timeout,
-                           retries=retries, fail_fast=fail_fast)
+        if pending:
+            done, stats = supervisor.supervise(
+                [req for _, req in pending],
+                width=min(jobs if jobs is not None else job_count(),
+                          len(pending)),
+                timeout=(supervisor.run_timeout() if timeout is None
+                         else (timeout if timeout > 0 else None)),
+                retries=(supervisor.max_retries() if retries is None
+                         else max(0, retries)),
+                plan=plan, on_result=_checkpoint,
+                fail_fast=strict if fail_fast is None else fail_fast)
+            _STATS.retries += stats.retries
+            _STATS.failed += stats.failed
+            _STATS.timeouts += stats.timeouts
+            _STATS.pool_rebuilds += stats.pool_rebuilds
+            _STATS.serial_fallbacks += int(stats.serial_fallback)
     finally:
         _STATS.batch_wall_s += time.perf_counter() - batch_start
+    bad = [outcome for outcome in done if not outcome.ok]
+    if strict and bad:
+        supervisor.reraise(
+            next((o for o in bad if o.failure is not None), bad[0]))
     outcomes.update(zip((key for key, _ in pending), done))
     ordered = [outcomes[key] for key in keys]
     if strict:
         return [o.metrics for o in ordered]
     return BatchResult(ordered, requests=reqs)
-
-
-def parallel_map(fn: Callable, items: Sequence,
-                 jobs: Optional[int] = None) -> List:
-    """Map a picklable module-level function over items on the
-    supervised pool: one task per item (the multi-core mixes), with the
-    watchdog, retries, pool-break recovery and ``REPRO_FAULTS`` of a
-    ``run_batch``.  Results come back in item order; the first failure
-    re-raises."""
-    return [outcome.metrics for outcome in
-            _supervised(list(items), jobs, strict=True, execute=fn)]
-
-
-def _supervised(items: list, jobs: Optional[int], strict: bool,
-                execute: Optional[Callable] = None,
-                on_result: Optional[Callable] = None,
-                timeout: Optional[float] = None,
-                retries: Optional[int] = None,
-                fail_fast: Optional[bool] = None) -> List[RunOutcome]:
-    """Run each item as ``execute(item)`` under ``supervisor.supervise``:
-    the engine's one road to the pool.  Resolves the width, the
-    ``REPRO_FAULTS`` plan and the watchdog/retry defaults, and adds the
-    supervisor's counts to :func:`engine_stats`.  ``on_result(index,
-    result, corrupt)`` checkpoints a completed item, then garbles what it
-    stored once per ``corrupt`` fault aimed at it.  With ``strict`` the
-    first real failure re-raises, in preference to an item only skipped
-    after it."""
-    if not items:
-        return []
-    plan = faults.plan_from_env(len(items))
-
-    def _checkpoint(index: int, result) -> None:
-        on_result(index, result, () if plan is None
-                  else plan.post_store_actions(index))
-
-    outcomes, stats = supervisor.supervise(
-        items,
-        width=min(jobs if jobs is not None else job_count(), len(items)),
-        timeout=(supervisor.run_timeout() if timeout is None
-                 else (timeout if timeout > 0 else None)),
-        retries=(supervisor.max_retries() if retries is None
-                 else max(0, retries)),
-        plan=plan, on_result=None if on_result is None else _checkpoint,
-        fail_fast=strict if fail_fast is None else fail_fast,
-        execute=execute)
-    _STATS.retries += stats.retries
-    _STATS.failed += stats.failed
-    _STATS.timeouts += stats.timeouts
-    _STATS.pool_rebuilds += stats.pool_rebuilds
-    _STATS.serial_fallbacks += int(stats.serial_fallback)
-    bad = [outcome for outcome in outcomes if not outcome.ok]
-    if strict and bad:
-        supervisor.reraise(
-            next((o for o in bad if o.failure is not None), bad[0]))
-    return outcomes
 
 
 # ----------------------------------------------------------------------

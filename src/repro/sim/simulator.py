@@ -174,9 +174,6 @@ def simulate_workload(workload: Union[str, WorkloadSpec],
                       oracle: bool = False,
                       snapshot_key: Optional[tuple] = None) -> RunMetrics:
     """Generate a catalog workload's trace and simulate it."""
-    # Injected faults (REPRO_FAULTS) fire here, inside the real run
-    # call stack, so the supervision layer sees realistic failures.
-    faults.checkpoint("workload")
     spec = (catalog(include_non_intensive=True)[workload]
             if isinstance(workload, str) else workload)
     n = n_accesses if n_accesses is not None else accesses_for_scale()

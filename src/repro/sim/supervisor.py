@@ -1,8 +1,7 @@
 """Supervised execution for the batch engine: watchdogs, retries, fallback.
 
 ``repro.sim.runner.run_batch`` delegates the actual execution of cache
-misses to :func:`supervise`, and ``repro.sim.runner.parallel_map`` its
-items (the multi-core mixes); it runs every task under supervision:
+misses to :func:`supervise`, which runs each under supervision:
 
 - **Watchdog** — each run gets ``REPRO_RUN_TIMEOUT`` seconds (unset or
   <= 0 disables).  In a pool, workers report ``(run index, pid)`` over a
@@ -164,10 +163,10 @@ class SupervisorStats:
 
 
 def _label(request) -> str:
-    workload = getattr(request, "workload", request)
-    workload = getattr(workload, "name", workload)
-    variant = getattr(request, "variant", "")
-    return f"{workload}/{variant}" if variant else str(workload)
+    workload = request.workload
+    if isinstance(workload, tuple):
+        workload = "+".join(spec.name for spec in workload)
+    return f"{getattr(workload, 'name', workload)}/{request.variant}"
 
 
 @dataclass
@@ -266,13 +265,13 @@ def _failure_payload(exc: BaseException, pid: int,
 
 
 def _worker_run(task: tuple) -> dict:
-    """Execute one (index, request, attempt, actions, execute) task in a
-    worker.
+    """Execute one (index, request, attempt, actions) task in a worker.
 
     All ordinary exceptions are converted into a payload dict so they
     never travel through the future (and can never poison the pool).
     """
-    index, request, attempt, actions, execute = task
+    from repro.sim.runner import _execute
+    index, request, attempt, actions = task
     pid = os.getpid()
     if _REPORT_QUEUE is not None:
         try:
@@ -281,7 +280,7 @@ def _worker_run(task: tuple) -> dict:
             pass
     faults.arm(actions, attempt)
     try:
-        metrics = execute(request)
+        metrics = _execute(request)
         return {"ok": True, "pid": pid, "metrics": metrics}
     except faults.InjectedCrash as exc:
         return _failure_payload(exc, pid, kind="crash")
@@ -383,11 +382,8 @@ class _Supervisor:
                  timeout: Optional[float], retries: int,
                  plan: Optional[faults.FaultPlan],
                  on_result: Optional[Callable[[int, RunMetrics], None]],
-                 fail_fast: bool, execute: Optional[Callable] = None):
-        if execute is None:
-            from repro.sim.runner import _execute as execute
+                 fail_fast: bool):
         self.requests = list(requests)
-        self.execute = execute
         self.width = width
         self.timeout = timeout
         self.retries = retries
@@ -498,8 +494,7 @@ class _Supervisor:
                     if index in submitted:
                         continue
                     task = (index, self.requests[index],
-                            self.attempts[index], self._actions(index),
-                            self.execute)
+                            self.attempts[index], self._actions(index))
                     try:
                         future = pool.submit(_worker_run, task)
                     except (BrokenProcessPool, RuntimeError):
@@ -668,6 +663,7 @@ class _Supervisor:
     # -- serial phase --------------------------------------------------
 
     def _serial_phase(self, fallback: bool) -> None:
+        from repro.sim.runner import _execute
         remaining = self._unfinished()
         if fallback and remaining and not self._stop_new:
             self.stats.serial_fallback = True
@@ -687,10 +683,9 @@ class _Supervisor:
                 try:
                     if use_alarm:
                         metrics = _execute_with_alarm(
-                            self.execute, self.requests[index],
-                            self.timeout)
+                            _execute, self.requests[index], self.timeout)
                     else:
-                        metrics = self.execute(self.requests[index])
+                        metrics = _execute(self.requests[index])
                 except _SerialTimeout:
                     if self._retry_timeouts:
                         self._record_attempt_failure(
@@ -738,19 +733,17 @@ def supervise(requests: Sequence, width: int,
               timeout: Optional[float], retries: int,
               plan: Optional[faults.FaultPlan] = None,
               on_result: Optional[Callable[[int, RunMetrics], None]] = None,
-              fail_fast: bool = False,
-              execute: Optional[Callable] = None
+              fail_fast: bool = False
               ) -> Tuple[List[RunOutcome], SupervisorStats]:
     """Execute *requests* under supervision; see the module docstring.
 
-    Each request runs as ``execute(request)``: a picklable module-level
-    function, by default ``runner._execute`` (one simulation, returning
-    its ``RunMetrics``).  Returns one :class:`RunOutcome` per request (in
-    order), whose ``metrics`` holds what ``execute`` returned, plus the
+    Each request runs as ``runner._execute(request)``: one simulation,
+    returning its ``RunMetrics`` (a ``MixResult`` for a mix).  Returns
+    one :class:`RunOutcome` per request (in order), plus the
     :class:`SupervisorStats` describing retries/timeouts/degradations.
     ``on_result(index, metrics)`` is invoked as each run completes so
     the caller can checkpoint incrementally.
     """
     supervisor = _Supervisor(requests, width, timeout, retries, plan,
-                             on_result, fail_fast, execute)
+                             on_result, fail_fast)
     return supervisor.run()

@@ -30,6 +30,17 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "--workload", "lbm", "--variant", "turbo"])
 
+    @pytest.mark.parametrize("accesses", ["0", "-5"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--workload", "lbm"], ["compare", "--workload", "lbm"],
+        ["trace", "--workload", "lbm"], ["verify", "lbm"]],
+        ids=["run", "compare", "trace", "verify"])
+    def test_non_positive_accesses_exit_2(self, command, accesses, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--accesses", accesses])
+        assert exit_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
 
 class TestFailureReporting:
     """A failed run yields a summary and exit 1, not a stack trace."""

@@ -14,9 +14,9 @@ import time
 import pytest
 
 from repro.prefetch.base import BoundaryStats
-from repro.sim import cache, runner
+from repro.sim import cache, faults, runner
 from repro.sim.config import DuelingConfig, SystemConfig
-from repro.sim.metrics import RunMetrics
+from repro.sim.metrics import MixResult, RunMetrics
 from repro.sim.runner import RunRequest, engine_stats, reset_engine_stats
 
 N = 1200
@@ -71,6 +71,28 @@ class TestRoundtrip:
         payload["metrics"]["field_from_the_future"] = 1
         path.write_text(json.dumps(payload))
         assert cache.load(KEY) == sample_metrics()
+
+
+class TestMixEntries:
+    """A multi-core mix's ``MixResult`` is the cache's second payload
+    shape, told apart by its ``ipcs`` key."""
+
+    MIX = MixResult(workloads=["lbm", "mcf"], ipcs=[0.8125, 1.4375],
+                    wall_time_s=2.0)
+
+    def test_roundtrip_check_list_and_quarantine(self):
+        assert cache.store(KEY, self.MIX)
+        loaded = cache.load(KEY)
+        assert isinstance(loaded, MixResult)
+        assert loaded == self.MIX
+        path = cache.entry_path(KEY)
+        assert cache.check(path) == "ok"
+        assert [e.workload for e in cache.list_entries()] == ["lbm+mcf"]
+        faults.corrupt_file(path)
+        assert cache.check(path) == "corrupt"
+        assert cache.load(KEY) is None
+        assert not path.exists()
+        assert len(list(cache.quarantine_dir().glob("*.json"))) == 1
 
 
 class TestRobustness:

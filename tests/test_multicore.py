@@ -18,7 +18,8 @@ from repro.sim.multicore import (
     multicore_config,
     simulate_mix,
 )
-from repro.workloads.suites import catalog
+from repro.sim.runner import RunRequest
+from repro.workloads.suites import WorkloadSpec, catalog
 
 N = 2000
 
@@ -222,8 +223,25 @@ class TestWeightedIPC:
         assert ipcs["tiny"] == isolation_ipcs(specs, cfg, "spp", "none")
 
 
+@dataclasses.dataclass(frozen=True)
+class _LoggedSpec(WorkloadSpec):
+    """A catalog workload that appends its name to the file ``log``
+    whenever a run builds its trace, in whichever process runs it."""
+
+    log: str = ""
+
+    def generate(self, n_accesses):
+        with open(self.log, "a") as log:
+            log.write(f"{self.name}\n")
+        return super().generate(n_accesses)
+
+
 class TestMixWeightedSpeedups:
-    """The Figs. 14/15 driver: isolation batch plus supervised mix tasks."""
+    """The Figs. 14/15 driver: one batch of isolation runs, then mixes.
+
+    ``MIXES`` under ``VARIANTS`` and the baseline make a batch of 4
+    isolation runs (indices 0-3), then 6 mixes (4-9).
+    """
 
     MIXES = (("lbm", "mcf"), ("milc", "soplex"))
     VARIANTS = ["psa", "psa-sd"]
@@ -256,16 +274,20 @@ class TestMixWeightedSpeedups:
             self.mixes()[1], multicore_config(SystemConfig(), 2), "spp",
             "psa-sd", n_accesses=self.N) == serial["psa-sd"][1]
 
-    def test_faults_reach_the_mix_tasks(self, monkeypatch):
-        expected = self.speedups(monkeypatch, 1)
-        # The isolation runs are now memo hits, so the fault plan can
-        # only index the six mix tasks.
+    def fresh_caches(self, monkeypatch, tmp_path, name):
+        """An empty memo and disk cache, so every run is scheduled."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / name))
+        runner.clear_cache()
         runner.reset_engine_stats()
-        monkeypatch.setenv("REPRO_FAULTS", "crash@1:first=1")
+
+    def test_faults_reach_the_mix_tasks(self, monkeypatch, tmp_path):
+        expected = self.speedups(monkeypatch, 1)
+        self.fresh_caches(monkeypatch, tmp_path, "crash")
+        monkeypatch.setenv("REPRO_FAULTS", "crash@5:first=1")
         assert self.speedups(monkeypatch, 2) == expected
         assert runner.engine_stats().pool_rebuilds >= 1
-        runner.reset_engine_stats()
-        monkeypatch.setenv("REPRO_FAULTS", "error@0:first=1")
+        self.fresh_caches(monkeypatch, tmp_path, "error")
+        monkeypatch.setenv("REPRO_FAULTS", "error@4:first=1")
         assert self.speedups(monkeypatch, 2) == expected
         assert runner.engine_stats().retries == 1
 
@@ -273,6 +295,7 @@ class TestMixWeightedSpeedups:
         """``kill@i:at=N`` fires after the mix's N-th record; the retry
         gives the fault-free result."""
         monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
 
         def one_mix():
             return mix_weighted_speedups(
@@ -280,7 +303,62 @@ class TestMixWeightedSpeedups:
                 "spp", self.VARIANTS, n_accesses=self.N)
 
         expected = one_mix()
-        runner.reset_engine_stats()   # the isolation runs are memo hits now
-        monkeypatch.setenv("REPRO_FAULTS", "kill@0:at=10:first=1")
+        runner.clear_cache()
+        runner.reset_engine_stats()
+        # Runs 0 and 1 are the isolation runs: 2 is the first mix.
+        monkeypatch.setenv("REPRO_FAULTS", "kill@2:at=10:first=1")
         assert one_mix() == expected
         assert runner.engine_stats().retries == 1
+
+    def test_worker_death_reruns_only_unfinished_runs(self, monkeypatch,
+                                                      tmp_path):
+        expected = self.speedups(monkeypatch, 1)
+        self.fresh_caches(monkeypatch, tmp_path, "logged")
+        log = tmp_path / "generated"
+        mixes = [[_LoggedSpec(**dataclasses.asdict(spec), log=str(log))
+                  for spec in mix] for mix in self.mixes()]
+        # The last mix kills its worker, after the 8 runs before it.
+        monkeypatch.setenv("REPRO_FAULTS", "crash@9:first=1")
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        assert mix_weighted_speedups(
+            mixes, multicore_config(SystemConfig(), 2), "spp",
+            self.VARIANTS, n_accesses=self.N) == expected
+        assert runner.engine_stats().pool_rebuilds >= 1
+        # A clean batch builds 16 traces: one per isolation run and two
+        # per mix.  The crashing attempt dies before it builds any.  A
+        # death costs at most the two traces of the one mix in flight on
+        # the other worker, and there are at most two deaths: the dying
+        # worker's start report can be lost, leaving the crash uncharged
+        # to fire again on the rebuilt pool.  Rerunning the 8 finished
+        # runs would build 12 more.
+        assert 16 <= len(log.read_text().split()) <= 16 + 2 * 2
+
+    def test_warm_rerun_simulates_nothing(self, monkeypatch):
+        expected = self.speedups(monkeypatch, 2)
+        runner.clear_cache()
+        runner.reset_engine_stats()
+        assert self.speedups(monkeypatch, 2) == expected
+        stats = runner.engine_stats()
+        assert stats.simulated == 0
+        assert stats.disk_hits == 10        # the 6 mixes are cached too
+
+    def test_mix_rejects_a_field_it_cannot_honour(self):
+        request = RunRequest(tuple(self.mixes()[0]), "spp", "psa",
+                             l1d="ipcp", n_accesses=self.N,
+                             config=multicore_config(SystemConfig(), 2))
+        batch = runner.run_batch([request], jobs=1, strict=False)
+        [outcome] = batch.outcomes
+        assert outcome.failure.exc_type == "ValueError"
+        assert outcome.attempts == 1
+        assert runner.engine_stats().retries == 0
+        assert "FAILED lbm+mcf/psa: error: ValueError" in (
+            batch.describe_failures()[0])
+        with pytest.raises(ValueError, match="l1d"):
+            runner.run_batch([request], jobs=1)
+
+    def test_a_listed_mix_is_the_tuple_mix(self):
+        mix = self.mixes()[0]
+        listed = RunRequest(mix, "spp", "psa", n_accesses=self.N)
+        tupled = RunRequest(tuple(mix), "spp", "psa", n_accesses=self.N)
+        assert listed.resolved() == tupled.resolved()
+        assert listed.key() == tupled.key()
