@@ -86,8 +86,9 @@ def _metrics_rows(metrics: RunMetrics) -> List[List]:
     ]
 
 
-def _accesses(text: str) -> int:
-    """Type of every ``--accesses`` flag: an integer of at least 1."""
+def _positive_int(text: str) -> int:
+    """Type of every ``--accesses`` and ``--jobs`` flag: an integer of at
+    least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -101,7 +102,7 @@ def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--prefetcher", default="spp",
                         choices=sorted(PREFETCHERS))
     parser.add_argument("--l1d", default="none", choices=L1D_PREFETCHERS)
-    parser.add_argument("--accesses", type=_accesses, default=None,
+    parser.add_argument("--accesses", type=_positive_int, default=None,
                         help=f"memory accesses to simulate "
                              f"(default: REPRO_SCALE, small="
                              f"{SCALE_ACCESSES['small']})")
@@ -111,7 +112,7 @@ def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
                         help="disable the page-size propagation module")
     parser.add_argument("--tlb-prefetch", action="store_true",
                         help="enable the footnote-3 TLB prefetcher")
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--jobs", type=_positive_int, default=None,
                         help="engine worker processes (default: REPRO_JOBS "
                              "or all cores; 1 = serial)")
     parser.add_argument("--no-cache", action="store_true",
@@ -657,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--out", default=None)
     p_trace.add_argument("--describe", default=None)
     p_trace.add_argument("--simulate", default=None)
-    p_trace.add_argument("--accesses", type=_accesses, default=None)
+    p_trace.add_argument("--accesses", type=_positive_int, default=None)
     p_trace.add_argument("--prefetcher", default="spp",
                          choices=sorted(PREFETCHERS))
     p_trace.add_argument("--variant", default="psa", choices=VARIANTS)
@@ -672,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential-oracle and golden-corpus verification")
     p_ver.add_argument("workloads", nargs="*",
                        help="workload names, or 'all' (default)")
-    p_ver.add_argument("--accesses", type=_accesses, default=3000,
+    p_ver.add_argument("--accesses", type=_positive_int, default=3000,
                        help="trace length per oracle replay (default 3000)")
     p_ver.add_argument("--prefetcher", default="spp",
                        choices=sorted(PREFETCHERS))
@@ -768,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "skips the register/cache-sync "
                                 "writes)")
         if jobs:
-            p.add_argument("--jobs", type=int, default=None,
+            p.add_argument("--jobs", type=_positive_int, default=None,
                            help="engine worker processes")
             p.add_argument("--no-cache", action="store_true",
                            help="bypass the run caches")
@@ -861,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--quota", type=int, default=None,
                          help="in-flight jobs per client (default: "
                               "REPRO_CLIENT_QUOTA or 64; 0 = unlimited)")
-    p_serve.add_argument("--jobs", type=int, default=None,
+    p_serve.add_argument("--jobs", type=_positive_int, default=None,
                          help="engine worker processes per batch "
                               "(default: REPRO_JOBS or all cores)")
     p_serve.add_argument("--no-doctor", action="store_true",

@@ -7,11 +7,11 @@ what any other reader of that cache entry would serialize); misses are
 admitted into a bounded queue — duplicates coalescing onto the in-flight
 job — and executed by the supervised batch engine on a dedicated
 executor thread, inheriting every reliability property the engine
-already has (watchdog timeouts, retries, pool rebuilds, per-completion
-disk checkpointing).  That last property makes serving crash-safe: a
-daemon SIGKILLed mid-queue loses its queue but none of its completed
-work, and every finished request resubmitted to a fresh daemon is a
-cache hit.
+already has (watchdog timeouts, retries, worker restarts,
+per-completion disk checkpointing).  That last property makes serving
+crash-safe: a daemon SIGKILLed mid-queue loses its queue but none of its
+completed work, and every finished request resubmitted to a fresh daemon
+is a cache hit.
 
 Endpoints::
 
@@ -59,9 +59,9 @@ from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.sim import cache as disk_cache
-from repro.sim import runner, snapshot, supervisor
+from repro.sim import runner, snapshot
 from repro.sim.cache import metrics_to_dict
-from repro.sim.config import ConfigurationError, env_int, env_str
+from repro.sim.config import env_int, env_str
 from repro.serve import cluster as cluster_mod
 from repro.serve import netfaults, protocol
 from repro.serve.queue import (
@@ -152,20 +152,6 @@ class ServeApp:
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        # The serial engine's SIGALRM watchdog only works on the main
-        # thread, and the daemon always runs batches on an executor
-        # thread — so a run-timeout armed with a single engine job
-        # could never fire.  Refuse at startup instead of silently
-        # serving without the protection the operator asked for.
-        effective_jobs = (self.engine_jobs if self.engine_jobs
-                          is not None else runner.job_count())
-        if supervisor.run_timeout() is not None and effective_jobs < 2:
-            raise ConfigurationError(
-                f"repro serve needs >= 2 engine jobs when "
-                f"REPRO_RUN_TIMEOUT is set (got {effective_jobs}): the "
-                f"serial watchdog is SIGALRM-based and cannot run on "
-                f"the daemon's executor thread — raise --jobs/"
-                f"REPRO_JOBS or unset REPRO_RUN_TIMEOUT")
         # Heal before binding: a daemon restarted onto a damaged cache
         # (torn entries from its own SIGKILL, stale leases, a diverged
         # store) must not admit traffic until the durable state is

@@ -119,7 +119,9 @@ def _quarantine(path: Path) -> Optional[Path]:
 def metrics_to_dict(metrics: Union[RunMetrics, MixResult]) -> dict:
     """Flatten a RunMetrics (with its BoundaryStats) or a MixResult."""
     if isinstance(metrics, MixResult):
-        return {"workloads": metrics.workloads, "ipcs": metrics.ipcs}
+        return {"workloads": metrics.workloads, "ipcs": metrics.ipcs,
+                "prefetcher": metrics.prefetcher,
+                "variant": metrics.variant}
     data = {f.name: getattr(metrics, f.name)
             for f in dataclasses.fields(metrics) if f.name != "boundary"}
     data["boundary"] = {slot: getattr(metrics.boundary, slot)
@@ -132,7 +134,9 @@ def metrics_from_dict(data: dict) -> Union[RunMetrics, MixResult]:
     keys are ignored, missing use defaults)."""
     if "ipcs" in data:
         return MixResult(list(data["workloads"]),
-                         [float(ipc) for ipc in data["ipcs"]])
+                         [float(ipc) for ipc in data["ipcs"]],
+                         **{k: str(data[k]) for k in ("prefetcher", "variant")
+                            if k in data})
     known = {f.name for f in dataclasses.fields(RunMetrics)}
     fields = {k: v for k, v in data.items()
               if k in known and k != "boundary"}

@@ -38,9 +38,10 @@ Each kind fires at one hook:
 
 The :func:`checkpoint` kinds fire inside the real worker call stack.
 ``crash`` terminates the worker process with ``os._exit(137)`` when
-running in a supervised pool worker (exercising ``BrokenProcessPool``
-recovery) and raises :class:`InjectedCrash` in-process otherwise, so
-serial fallback resolves persistent crashers without killing the host.
+running in a supervisor's worker (exercising the death of a worker,
+which costs only the run it held) and raises :class:`InjectedCrash`
+in-process otherwise, so an in-process batch resolves persistent
+crashers without killing the host.
 ``corrupt`` is applied by the parent *after* the run's cache entry is
 written (garbling the entry on disk) to exercise the cache quarantine
 path, mix entries included.  A malformed spec raises
@@ -173,7 +174,7 @@ def plan_from_env(n_runs: int) -> Optional[FaultPlan]:
 # Injection points
 # ----------------------------------------------------------------------
 
-#: True only in a supervised pool worker (set by the pool initializer,
+#: True only in a supervisor's worker (set by the worker's main loop,
 #: NOT inherited through the environment) so ``crash`` hard-kills a real
 #: worker but raises in-process during serial execution.
 _IN_POOL_WORKER = False
@@ -237,7 +238,7 @@ def access_checkpoint(index: int) -> None:
     """Fire armed ``kill`` faults once access *index* has completed.
 
     Called after every access by the single-core run loop, and by a
-    mix's ``Core.step`` loop, when a kill is armed.  In a pool worker the
+    mix's ``Core.step`` loop, when a kill is armed.  In a worker the
     process dies with ``os._exit(137)`` (a real SIGKILL-style death: no
     cleanup, no snapshot flush beyond what is already on disk); serially
     an :class:`InjectedCrash` is raised, which the supervisor treats as

@@ -100,6 +100,8 @@ class MixResult:
 
     workloads: List[str]
     ipcs: List[float]
+    prefetcher: str = "none"
+    variant: str = "none"
     wall_time_s: float = field(default=0.0, compare=False)  # as RunMetrics
 
     def weighted_ipc(self, isolation_ipcs: List[float]) -> float:

@@ -65,7 +65,8 @@ def simulate_mix(specs: List[WorkloadSpec], config: SystemConfig,
     _, results = _run_mix(specs, config, prefetcher, variant, n_accesses,
                           warmup_fraction)
     return MixResult(workloads=[s.name for s in specs],
-                     ipcs=[r.ipc for r in results])
+                     ipcs=[r.ipc for r in results],
+                     prefetcher=prefetcher, variant=variant)
 
 
 def _run_mix(specs: List[WorkloadSpec], config: SystemConfig,

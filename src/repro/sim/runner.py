@@ -9,8 +9,8 @@ engine removes that redundancy at three levels:
 2. **Caching** — finished ``RunMetrics`` are memoised in-process *and*
    persisted to a content-addressed on-disk cache (``repro.sim.cache``),
    so they survive across pytest sessions and CLI invocations.
-3. **Parallelism** — unique uncached runs are fanned out over a
-   process pool sized by ``REPRO_JOBS`` (default: all cores; ``1``
+3. **Parallelism** — unique uncached runs are fanned out over worker
+   processes, ``REPRO_JOBS`` of them (default: all cores; ``1``
    recovers the serial path), then results fan back in request order.
    Runs are deterministic (see the stable allocator seeding in
    ``repro.sim.simulator``), so parallel metrics are bitwise-equal to
@@ -18,13 +18,14 @@ engine removes that redundancy at three levels:
 4. **Supervision** — execution is delegated to ``repro.sim.supervisor``:
    per-run watchdog timeouts (``REPRO_RUN_TIMEOUT``), retry with
    exponential backoff for transient failures (``REPRO_MAX_RETRIES``),
-   pool-break recovery (one rebuild, then serial fallback), and
-   per-completion checkpointing to the on-disk cache so a killed batch
-   resumes where it left off.  ``run_batch(strict=False)`` returns a
-   ``BatchResult`` of per-request outcomes instead of raising on the
-   first failure; deterministic fault injection (``REPRO_FAULTS``, see
-   ``repro.sim.faults``) exercises every one of those paths.  A
-   Figs. 14/15 multi-core mix is one request like any other.
+   a fresh worker in place of one that died, charged to the one run it
+   held, and per-completion checkpointing to the on-disk cache so a
+   killed batch resumes where it left off.  ``run_batch(strict=False)``
+   returns a ``BatchResult`` of per-request outcomes instead of raising
+   on the first failure; deterministic fault injection
+   (``REPRO_FAULTS``, see ``repro.sim.faults``) exercises every one of
+   those paths.  A Figs. 14/15 multi-core mix is one request like any
+   other.
 
 ``run``/``speedup``/``speedups_over_baseline``/``variant_sweep``/
 ``run_many``/``pair_metrics`` are all thin frontends over ``run_batch``.
@@ -53,12 +54,12 @@ from repro.workloads.suites import WorkloadSpec
 
 _CACHE: Dict[tuple, RunMetrics] = {}
 
-#: Set in pool workers so nested engine calls never spawn a second pool.
+#: Set in workers so nested engine calls never start workers of their own.
 _IN_WORKER_ENV = "REPRO_IN_WORKER"
 
 
 def job_count() -> int:
-    """Worker-pool width: ``REPRO_JOBS`` env, default ``os.cpu_count()``."""
+    """Batch width: ``REPRO_JOBS`` env, default ``os.cpu_count()``."""
     if os.environ.get(_IN_WORKER_ENV):
         return 1
     jobs = config.env_int("REPRO_JOBS", 0)
@@ -149,8 +150,7 @@ class EngineStats:
     failed: int = 0           # runs that exhausted retries
     timeouts: int = 0         # runs killed by the watchdog
     retries: int = 0          # extra attempts scheduled
-    pool_rebuilds: int = 0    # broken pools rebuilt
-    serial_fallbacks: int = 0  # batches degraded to serial execution
+    worker_restarts: int = 0  # dead workers replaced
 
     @property
     def cache_hits(self) -> int:
@@ -185,9 +185,11 @@ class EngineStats:
                 f"{self.simulated_accesses:,} accesses in "
                 f"{self.batch_wall_s:.2f}s = "
                 f"{self.accesses_per_sec:,.0f} accesses/s")
-        if self.failed or self.timeouts or self.retries:
+        if (self.failed or self.timeouts or self.retries
+                or self.worker_restarts):
             line += (f" | {self.failed} failed, {self.timeouts} timed out, "
-                     f"{self.retries} retried")
+                     f"{self.retries} retried, "
+                     f"{self.worker_restarts} worker restarts")
         return line
 
 
@@ -266,14 +268,14 @@ def run_batch(requests: Iterable[Union[RunRequest, dict]],
     """Execute a batch of runs under supervision.
 
     Requests are deduplicated by fingerprint; unique misses (after the
-    in-process memo and the on-disk cache) are scheduled across a process
-    pool of ``jobs`` workers (default ``REPRO_JOBS``) under
+    in-process memo and the on-disk cache) are scheduled across ``jobs``
+    worker processes (default ``REPRO_JOBS``; at least 1) under
     ``repro.sim.supervisor``: per-run watchdog ``timeout`` (default
     ``REPRO_RUN_TIMEOUT``), up to ``retries`` extra attempts for
-    transient failures (default ``REPRO_MAX_RETRIES``), broken-pool
-    rebuild then serial fallback, and per-completion cache
-    checkpointing.  With ``use_cache=False`` every request is simulated
-    fresh and nothing is read from or written to either cache.
+    transient failures (default ``REPRO_MAX_RETRIES``), a fresh worker
+    in place of a dead one, and per-completion cache checkpointing.
+    With ``use_cache=False`` every request is simulated fresh and
+    nothing is read from or written to either cache.
 
     With ``strict=True`` (the default) the first failure re-raises its
     original exception and a plain list of results is returned in
@@ -329,8 +331,8 @@ def run_batch(requests: Iterable[Union[RunRequest, dict]],
         if pending:
             done, stats = supervisor.supervise(
                 [req for _, req in pending],
-                width=min(jobs if jobs is not None else job_count(),
-                          len(pending)),
+                width=max(1, min(jobs if jobs is not None
+                                 else job_count(), len(pending))),
                 timeout=(supervisor.run_timeout() if timeout is None
                          else (timeout if timeout > 0 else None)),
                 retries=(supervisor.max_retries() if retries is None
@@ -340,8 +342,7 @@ def run_batch(requests: Iterable[Union[RunRequest, dict]],
             _STATS.retries += stats.retries
             _STATS.failed += stats.failed
             _STATS.timeouts += stats.timeouts
-            _STATS.pool_rebuilds += stats.pool_rebuilds
-            _STATS.serial_fallbacks += int(stats.serial_fallback)
+            _STATS.worker_restarts += stats.worker_restarts
     finally:
         _STATS.batch_wall_s += time.perf_counter() - batch_start
     bad = [outcome for outcome in done if not outcome.ok]

@@ -1,14 +1,19 @@
-"""Supervised execution for the batch engine: watchdogs, retries, fallback.
+"""Supervised execution for the batch engine: workers, watchdog, retries.
 
 ``repro.sim.runner.run_batch`` delegates the actual execution of cache
 misses to :func:`supervise`, which runs each under supervision:
 
+- **Workers** — a batch wider than one run, or any batch with a
+  watchdog, runs on up to ``width`` worker processes that the
+  supervisor owns.  Each has its own pipe and holds one run at a time,
+  so the parent knows which run every worker holds: a worker that dies
+  costs exactly its own run one attempt, and a fresh worker takes its
+  place at the next dispatch.  An untimed width-1 batch runs
+  in-process, and so does the rest of a batch when not even one worker
+  process can start.
 - **Watchdog** — each run gets ``REPRO_RUN_TIMEOUT`` seconds (unset or
-  <= 0 disables).  In a pool, workers report ``(run index, pid)`` over a
-  queue when they pick up a task, so the parent can time each run and
-  ``SIGKILL`` a hung worker.  Serially, a ``SIGALRM`` interval timer
-  raises a ``BaseException``-derived timeout the simulator cannot
-  swallow (POSIX main thread only; otherwise serial runs are untimed).
+  <= 0 disables), timed from its dispatch.  The parent ``SIGKILL``s the
+  worker of a run that outlives it, from whatever thread it runs on.
 - **Retry** — transient failures retry with exponential backoff and
   deterministic jitter up to ``REPRO_MAX_RETRIES`` extra attempts.
   *Permanent* errors (``ValueError``/``TypeError``/... — bad requests,
@@ -17,12 +22,6 @@ misses to :func:`supervise`, which runs each under supervision:
   like other transients — a resumed attempt continues from the last
   checkpoint instead of re-spending the whole budget — and finalize with
   ``TIMEOUT`` status when retries are exhausted.
-- **Pool degradation** — a ``BrokenProcessPool`` rebuilds the pool once;
-  a second break degrades to in-process serial execution.  Runs that
-  were merely in flight when the pool broke are requeued without an
-  attempt penalty; the penalty is charged only when exactly one run was
-  started-and-unfinished (unambiguous attribution) and the break was not
-  caused by our own watchdog kill.
 - **Structured outcomes** — every request resolves to a
   :class:`RunOutcome` (``ok``/``failed``/``timeout``/``skipped``) with a
   :class:`RunFailure` record (exception class, traceback, attempts,
@@ -31,23 +30,20 @@ misses to :func:`supervise`, which runs each under supervision:
   the on-disk cache.
 
 Exceptions raised by a run cross the process boundary as a payload dict
-(with the original exception pickled best-effort) rather than through
-the future, so an ordinary failure can never poison the pool.
+(with the original exception pickled best-effort), so an ordinary
+failure never costs a worker.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import signal
-import threading
 import time
 import traceback as traceback_mod
 import warnings
 import zlib
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import multiprocessing as mp
@@ -158,8 +154,7 @@ class SupervisorStats:
     timeouts: int = 0
     failed: int = 0
     crashes: int = 0
-    pool_rebuilds: int = 0
-    serial_fallback: bool = False
+    worker_restarts: int = 0   # dead workers replaced (not watchdog kills)
 
 
 def _label(request) -> str:
@@ -233,17 +228,6 @@ def reraise(outcome: RunOutcome) -> None:
 # Worker side
 # ----------------------------------------------------------------------
 
-_REPORT_QUEUE = None
-
-
-def _pool_worker_init(report_queue) -> None:
-    """Initializer for supervised pool workers."""
-    global _REPORT_QUEUE
-    _REPORT_QUEUE = report_queue
-    os.environ["REPRO_IN_WORKER"] = "1"
-    faults.mark_pool_worker()
-
-
 def _failure_payload(exc: BaseException, pid: int,
                      kind: str = "error") -> dict:
     permanent = (isinstance(exc, PERMANENT_EXCEPTIONS)
@@ -265,29 +249,32 @@ def _failure_payload(exc: BaseException, pid: int,
 
 
 def _worker_run(task: tuple) -> dict:
-    """Execute one (index, request, attempt, actions) task in a worker.
+    """Execute one (request, attempt, actions) task in a worker.
 
-    All ordinary exceptions are converted into a payload dict so they
-    never travel through the future (and can never poison the pool).
+    All ordinary exceptions are converted into a payload dict, so only
+    the death of the worker process is a crash.
     """
     from repro.sim.runner import _execute
-    index, request, attempt, actions = task
+    request, attempt, actions = task
     pid = os.getpid()
-    if _REPORT_QUEUE is not None:
-        try:
-            _REPORT_QUEUE.put(("start", index, pid, attempt))
-        except Exception:
-            pass
     faults.arm(actions, attempt)
     try:
-        metrics = _execute(request)
-        return {"ok": True, "pid": pid, "metrics": metrics}
+        return {"ok": True, "pid": pid, "metrics": _execute(request)}
     except faults.InjectedCrash as exc:
         return _failure_payload(exc, pid, kind="crash")
     except Exception as exc:
         return _failure_payload(exc, pid)
     finally:
         faults.disarm()
+
+
+def _worker_main(conn) -> None:
+    """A worker's life: run each task received, answer with its payload,
+    and exit on ``None``."""
+    os.environ["REPRO_IN_WORKER"] = "1"
+    faults.mark_pool_worker()
+    for task in iter(conn.recv, None):
+        conn.send(_worker_run(task))
 
 
 def _failure_from_payload(payload: dict, run_index: int,
@@ -305,76 +292,60 @@ def _failure_from_payload(payload: dict, run_index: int,
     )
 
 
-# ----------------------------------------------------------------------
-# Serial watchdog (SIGALRM)
-# ----------------------------------------------------------------------
+class _Worker:
+    """A worker process that the supervisor owns, with its own pipe.
 
-class _SerialTimeout(BaseException):
-    """Raised by the SIGALRM watchdog; BaseException so no ``except
-    Exception`` inside the simulator can swallow it."""
-
-
-def _serial_watchdog_available(warn: bool = False) -> bool:
-    """Whether the SIGALRM serial watchdog can be armed here.
-
-    Signal handlers can only be installed on the POSIX main thread.  With
-    ``warn=True``, an unarmable watchdog (while a timeout is configured)
-    emits a RuntimeWarning instead of silently running untimed — the
-    caller asked for a watchdog it cannot have.
+    It holds at most one run: ``index`` names that run (None while the
+    worker is idle) and ``started`` is its dispatch time, the watchdog's
+    t0.
     """
-    available = (hasattr(signal, "SIGALRM")
-                 and threading.current_thread() is threading.main_thread())
-    if not available and warn:
-        warnings.warn(
-            "serial watchdog disabled: SIGALRM requires the POSIX main "
-            "thread; serial runs will not be timed",
-            RuntimeWarning, stacklevel=3)
-    return available
 
+    def __init__(self) -> None:
+        ctx = mp.get_context()
+        self.conn, child = ctx.Pipe()
+        self.process = ctx.Process(target=_worker_main, args=(child,),
+                                   daemon=True)
+        try:
+            self.process.start()
+        except OSError:
+            self.conn.close()
+            raise
+        finally:
+            # Only the worker keeps the child end, so the parent's end
+            # reads EOF once the worker dies.
+            child.close()
+        self.index: Optional[int] = None
+        self.started = 0.0
 
-def _execute_with_alarm(execute: Callable, request, timeout: float):
-    def _on_alarm(signum, frame):
-        raise _SerialTimeout()
+    def dispatch(self, index: int, task: tuple) -> None:
+        self.conn.send(task)
+        self.index = index
+        self.started = time.monotonic()
 
-    try:
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-    except (ValueError, OSError):
-        # Lost the main thread between the availability probe and now
-        # (or the platform refuses): run untimed rather than crash.
-        warnings.warn(
-            "serial watchdog disabled: SIGALRM handler could not be "
-            "installed; this run is not timed",
-            RuntimeWarning, stacklevel=2)
-        return execute(request)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        return execute(request)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-# ----------------------------------------------------------------------
-# Pool construction (module-level so tests can monkeypatch it)
-# ----------------------------------------------------------------------
-
-def _make_pool(width: int):
-    """Build a supervised pool plus its worker->parent report queue."""
-    ctx = mp.get_context()
-    report_queue = ctx.Queue()
-    pool = ProcessPoolExecutor(max_workers=width, mp_context=ctx,
-                               initializer=_pool_worker_init,
-                               initargs=(report_queue,))
-    return pool, report_queue
+    def close(self) -> None:
+        """Stop and reap the worker: an idle one is told to exit, and
+        killed if it has not within a second; a busy one is killed.
+        Closing the pipe would not stop it, because every worker forked
+        later holds a copy of this pipe's parent end."""
+        if self.index is None:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass    # already dead
+            else:
+                self.process.join(1.0)
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
 
 
 # ----------------------------------------------------------------------
 # The supervisor
 # ----------------------------------------------------------------------
 
-#: Pool lifetimes before degrading to serial: the initial pool plus one
-#: rebuild, per the failure-semantics contract.
-_MAX_POOL_LIVES = 2
+#: How long the parent waits on its busy workers before it looks at the
+#: watchdog deadlines and the backoff releases again.
+_POLL_S = 0.05
 
 
 class _Supervisor:
@@ -396,7 +367,6 @@ class _Supervisor:
         self.not_before = [0.0] * n
         self.stats = SupervisorStats()
         self._stop_new = False
-        self._kill_initiated = False
         # With mid-run snapshots on, a timed-out run retries and resumes
         # from its last checkpoint; without them a retry would re-spend
         # the whole budget just to time out again, so it stays terminal.
@@ -455,221 +425,126 @@ class _Supervisor:
             index, failure,
             status=TIMEOUT if failure.kind == "timeout" else FAILED)
 
-    def _timeout_failure(self, index: int,
-                         pid: Optional[int]) -> RunFailure:
-        return RunFailure(
-            kind="timeout", exc_type="TimeoutError",
-            message=f"run exceeded the {self.timeout:g}s watchdog",
-            worker_pid=pid, run_index=index)
+    # -- worker phase --------------------------------------------------
 
-    # -- pool phase ----------------------------------------------------
-
-    def _pool_phase(self) -> None:
-        pool_lives = 0
-        while self._unfinished() and not self._stop_new:
-            if pool_lives >= _MAX_POOL_LIVES:
-                return  # degrade to serial
-            try:
-                pool, report_queue = _make_pool(self.width)
-            except OSError:
-                return
-            if pool_lives > 0:
-                self.stats.pool_rebuilds += 1
-            pool_lives += 1
-            self._kill_initiated = False
-            broke = self._drive(pool, report_queue)
-            if not broke:
-                return
-
-    def _drive(self, pool, report_queue) -> bool:
-        """Run the batch on one pool lifetime; True if the pool broke."""
-        futures: Dict[object, int] = {}
-        submitted = set()
-        running: Dict[int, Tuple[int, float]] = {}   # idx -> (pid, t0)
-        broke = False
+    def _worker_phase(self) -> None:
+        """Run the batch on owned workers until every run is resolved, or
+        after a fail-fast stop until the runs in flight are.  Returns
+        early, leaving the rest to the serial phase, only when no worker
+        is alive and none can start."""
+        workers: List[_Worker] = []
         try:
-            while True:
-                now = time.monotonic()
-                for index in self._eligible(now):
-                    if index in submitted:
-                        continue
-                    task = (index, self.requests[index],
-                            self.attempts[index], self._actions(index))
-                    try:
-                        future = pool.submit(_worker_run, task)
-                    except (BrokenProcessPool, RuntimeError):
-                        broke = True
-                        break
-                    futures[future] = index
-                    submitted.add(index)
-                if broke:
-                    break
-                # Wait on every uncollected future: wait() hands back
-                # already-done ones immediately, so a future that
-                # completed while the parent was busy (checkpointing,
-                # draining reports) is collected on the next pass
-                # instead of being orphaned.
-                pending = list(futures)
-                if not pending:
-                    waiting = [i for i in self._unfinished()
-                               if i not in submitted]
-                    if not waiting or self._stop_new:
-                        break
+            while self._dispatch(workers):
+                busy = [w for w in workers if w.index is not None]
+                if not busy:
+                    waiting = [] if self._stop_new else self._unfinished()
+                    if not waiting:
+                        return
                     # Everything left is backing off: sleep to the
                     # soonest retry release.
                     soonest = min(self.not_before[i] for i in waiting)
-                    time.sleep(max(0.0, min(soonest - now, 0.5)))
+                    time.sleep(max(0.0, min(soonest - time.monotonic(),
+                                            0.5)))
                     continue
-                done, _ = wait(pending, timeout=0.05,
-                               return_when=FIRST_COMPLETED)
-                self._drain_reports(report_queue, running)
-                for future in done:
-                    index = futures.pop(future)
-                    running.pop(index, None)
-                    if self.outcomes[index] is not None:
-                        continue  # watchdog already resolved it
-                    try:
-                        payload = future.result()
-                    except BrokenProcessPool:
-                        broke = True
-                        submitted.discard(index)   # requeue, no penalty
-                        continue
-                    if payload.get("ok"):
-                        self._finalize_ok(index, payload["metrics"])
-                    else:
-                        self._record_attempt_failure(
-                            index, _failure_from_payload(
-                                payload, index, self.attempts[index] + 1))
-                        if self.outcomes[index] is None:
-                            submitted.discard(index)  # retry later
-                if broke:
-                    break
-                self._reap_hung(running, submitted)
+                ready = set(wait([w.conn for w in busy]
+                                 + [w.process.sentinel for w in busy],
+                                 timeout=_POLL_S))
+                now = time.monotonic()
+                for worker in busy:
+                    if {worker.conn, worker.process.sentinel} & ready:
+                        self._collect(worker, workers)
+                    elif (self.timeout is not None
+                          and now - worker.started > self.timeout):
+                        self._kill_overdue(worker, workers)
         finally:
-            self._drain_reports(report_queue, running)
-            if broke:
-                self._harvest_done(futures, running)
-                self._attribute_break(futures, submitted, running)
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-            try:
-                report_queue.close()
-                report_queue.cancel_join_thread()
-            except Exception:
-                pass
-        return broke
+            for worker in workers:
+                worker.close()
+        if self.timeout is not None:
+            warnings.warn(
+                "no worker process could start: the rest of the batch "
+                "runs in-process, without the watchdog",
+                RuntimeWarning, stacklevel=3)
 
-    def _drain_reports(self, report_queue,
-                       running: Dict[int, Tuple[int, float]]) -> None:
-        while True:
-            try:
-                kind, index, pid, attempt = report_queue.get_nowait()
-            except Exception:
-                return
-            # Reports travel on a separate queue from results, so a
-            # "start" can arrive after that attempt already failed and
-            # a retry was scheduled.  Only the report matching the
-            # current attempt may (re)arm the watchdog — a stale one
-            # would reset t0 and aim a future SIGKILL at a pid that is
-            # by now running a different task.
-            if (kind == "start" and self.outcomes[index] is None
-                    and attempt == self.attempts[index]):
-                running[index] = (pid, time.monotonic())
-
-    def _harvest_done(self, futures: Dict[object, int],
-                      running: Dict[int, Tuple[int, float]]) -> None:
-        """Collect payloads that completed before a pool break.
-
-        A crash breaks only unfinished futures; payloads already in
-        hand must not be discarded with the pool.  Successes would be
-        re-simulated, and failures would lose their record and attempt
-        charge — letting a permanent error re-execute for free in the
-        next pool lifetime instead of failing immediately.
-        """
-        for future, index in list(futures.items()):
-            if not future.done() or self.outcomes[index] is not None:
+    def _dispatch(self, workers: List[_Worker]) -> bool:
+        """Hand each eligible run to an idle worker, starting workers up
+        to the width; False when no worker is alive and none can start."""
+        held = {w.index for w in workers}
+        idle = [w for w in workers if w.index is None]
+        for index in self._eligible(time.monotonic()):
+            if index in held:
                 continue
-            try:
-                payload = future.result()
-            except Exception:
-                continue
-            running.pop(index, None)
-            futures.pop(future)
-            if payload.get("ok"):
-                self._finalize_ok(index, payload["metrics"])
-            else:
-                self._record_attempt_failure(
-                    index, _failure_from_payload(
-                        payload, index, self.attempts[index] + 1))
-
-    def _reap_hung(self, running: Dict[int, Tuple[int, float]],
-                   submitted: Optional[set] = None) -> None:
-        """SIGKILL workers whose current run exceeded the watchdog."""
-        if self.timeout is None:
-            return
-        now = time.monotonic()
-        for index, (pid, started) in list(running.items()):
-            if self.outcomes[index] is not None:
-                running.pop(index, None)
-                continue
-            if now - started > self.timeout:
-                if self._retry_timeouts:
-                    # Snapshots enabled: charge the attempt, retry —
-                    # the resumed attempt continues from the last
-                    # checkpoint the killed worker flushed to disk.
-                    self._record_attempt_failure(
-                        index, self._timeout_failure(index, pid))
-                    if self.outcomes[index] is None and submitted is not None:
-                        submitted.discard(index)
-                else:
-                    self.attempts[index] += 1
-                    self._finalize_failure(
-                        index, self._timeout_failure(index, pid),
-                        status=TIMEOUT)
-                running.pop(index, None)
-                self._kill_initiated = True
+            if idle:
+                worker = idle.pop()
+            elif len(workers) < self.width:
                 try:
-                    os.kill(pid, signal.SIGKILL)
-                except (OSError, ProcessLookupError):
-                    pass
+                    worker = _Worker()
+                except OSError:
+                    return bool(workers)
+                workers.append(worker)
+            else:
+                break
+            try:
+                worker.dispatch(index, (self.requests[index],
+                                        self.attempts[index],
+                                        self._actions(index)))
+            except OSError:
+                # It died while idle: no run was on it.  The run stays
+                # eligible for the next pass.
+                self._drop(worker, workers)
+        return True
 
-    def _attribute_break(self, futures: Dict[object, int],
-                         submitted: set,
-                         running: Dict[int, Tuple[int, float]]) -> None:
-        """Requeue in-flight victims of a pool break.
+    def _drop(self, worker: _Worker, workers: List[_Worker]) -> None:
+        workers.remove(worker)
+        worker.close()
+        self.stats.worker_restarts += 1
 
-        An attempt penalty is charged only when exactly one run was
-        started-and-unfinished at break time (the crash is unambiguously
-        its doing) and the break was not our own watchdog kill.
-        Everything else is requeued for free — an innocent neighbour
-        must not burn its retry budget on someone else's crash.
-        """
-        victims = [i for i in running
-                   if self.outcomes[i] is None and i in submitted]
-        for future, index in list(futures.items()):
-            if self.outcomes[index] is None:
-                submitted.discard(index)
-        if self._kill_initiated or len(victims) != 1:
+    def _collect(self, worker: _Worker, workers: List[_Worker]) -> None:
+        """Take a worker's payload, or charge its run for its death."""
+        index = worker.index
+        try:
+            payload = worker.conn.recv() if worker.conn.poll() else None
+        except (EOFError, OSError):
+            payload = None
+        if payload is None:
+            self._drop(worker, workers)
+            self._record_attempt_failure(index, RunFailure(
+                kind="crash", exc_type="WorkerDied",
+                message=(f"worker process exited with code "
+                         f"{worker.process.exitcode}"),
+                worker_pid=worker.process.pid, run_index=index))
             return
-        index = victims[0]
-        pid = running[index][0]
-        self._record_attempt_failure(index, RunFailure(
-            kind="crash", exc_type="BrokenProcessPool",
-            message="worker process died unexpectedly",
-            worker_pid=pid, run_index=index))
+        worker.index = None
+        if payload["ok"]:
+            self._finalize_ok(index, payload["metrics"])
+        else:
+            self._record_attempt_failure(
+                index, _failure_from_payload(
+                    payload, index, self.attempts[index] + 1))
+
+    def _kill_overdue(self, worker: _Worker,
+                      workers: List[_Worker]) -> None:
+        """SIGKILL a worker whose run outlived the watchdog."""
+        index = worker.index
+        workers.remove(worker)
+        worker.close()
+        failure = RunFailure(
+            kind="timeout", exc_type="TimeoutError",
+            message=f"run exceeded the {self.timeout:g}s watchdog",
+            worker_pid=worker.process.pid, run_index=index)
+        if self._retry_timeouts:
+            # Snapshots enabled: charge the attempt, retry — the resumed
+            # attempt continues from the last checkpoint the killed
+            # worker flushed to disk.
+            self._record_attempt_failure(index, failure)
+        else:
+            self.attempts[index] += 1
+            self._finalize_failure(index, failure, status=TIMEOUT)
 
     # -- serial phase --------------------------------------------------
 
-    def _serial_phase(self, fallback: bool) -> None:
+    def _serial_phase(self) -> None:
         from repro.sim.runner import _execute
         remaining = self._unfinished()
-        if fallback and remaining and not self._stop_new:
-            self.stats.serial_fallback = True
-        # Arm (or warn about) the watchdog only when runs are left for it.
-        use_alarm = (bool(remaining) and self.timeout is not None
-                     and _serial_watchdog_available(warn=True))
         progress = True
         while remaining and progress:
             progress = False
@@ -681,22 +556,7 @@ class _Supervisor:
                     time.sleep(delay)
                 faults.arm(self._actions(index), self.attempts[index])
                 try:
-                    if use_alarm:
-                        metrics = _execute_with_alarm(
-                            _execute, self.requests[index], self.timeout)
-                    else:
-                        metrics = _execute(self.requests[index])
-                except _SerialTimeout:
-                    if self._retry_timeouts:
-                        self._record_attempt_failure(
-                            index,
-                            self._timeout_failure(index, os.getpid()))
-                    else:
-                        self.attempts[index] += 1
-                        self._finalize_failure(
-                            index,
-                            self._timeout_failure(index, os.getpid()),
-                            status=TIMEOUT)
+                    metrics = _execute(self.requests[index])
                 except faults.InjectedCrash as exc:
                     self._record_attempt_failure(
                         index, _failure_from_payload(
@@ -720,9 +580,9 @@ class _Supervisor:
     # -- entry ---------------------------------------------------------
 
     def run(self) -> Tuple[List[RunOutcome], SupervisorStats]:
-        if self.width > 1 and self.requests:
-            self._pool_phase()
-        self._serial_phase(fallback=self.width > 1)
+        if self.requests and (self.width > 1 or self.timeout is not None):
+            self._worker_phase()
+        self._serial_phase()
         for index in self._unfinished():
             self.outcomes[index] = RunOutcome(
                 status=SKIPPED, attempts=self.attempts[index])
@@ -740,9 +600,9 @@ def supervise(requests: Sequence, width: int,
     Each request runs as ``runner._execute(request)``: one simulation,
     returning its ``RunMetrics`` (a ``MixResult`` for a mix).  Returns
     one :class:`RunOutcome` per request (in order), plus the
-    :class:`SupervisorStats` describing retries/timeouts/degradations.
-    ``on_result(index, metrics)`` is invoked as each run completes so
-    the caller can checkpoint incrementally.
+    :class:`SupervisorStats` describing retries, timeouts and worker
+    restarts.  ``on_result(index, metrics)`` is invoked as each run
+    completes so the caller can checkpoint incrementally.
     """
     supervisor = _Supervisor(requests, width, timeout, retries, plan,
                              on_result, fail_fast)

@@ -41,6 +41,17 @@ class TestRun:
         assert exit_info.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    @pytest.mark.parametrize("command", [
+        ["run", "--workload", "lbm"], ["compare", "--workload", "lbm"],
+        ["campaign", "run", "--spec", "campaign.json"], ["serve"]],
+        ids=["run", "compare", "campaign-run", "serve"])
+    def test_non_positive_jobs_exit_2(self, command, jobs, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
 
 class TestFailureReporting:
     """A failed run yields a summary and exit 1, not a stack trace."""

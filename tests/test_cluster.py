@@ -304,12 +304,7 @@ class TestDoctorMembers:
 
 
 class TestStartupValidation:
-    """Satellite: serial watchdog cannot arm on the daemon's executor."""
-
-    def test_refuses_run_timeout_with_serial_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUN_TIMEOUT", "30")
-        with pytest.raises(ConfigurationError, match="REPRO_RUN_TIMEOUT"):
-            start_in_thread(engine_jobs=1)
+    """A daemon starts with or without the watchdog, at any width."""
 
     def test_allows_run_timeout_with_pool_engine(self, monkeypatch,
                                                  daemon):

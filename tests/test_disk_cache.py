@@ -78,7 +78,7 @@ class TestMixEntries:
     shape, told apart by its ``ipcs`` key."""
 
     MIX = MixResult(workloads=["lbm", "mcf"], ipcs=[0.8125, 1.4375],
-                    wall_time_s=2.0)
+                    prefetcher="spp", variant="psa", wall_time_s=2.0)
 
     def test_roundtrip_check_list_and_quarantine(self):
         assert cache.store(KEY, self.MIX)
@@ -87,12 +87,18 @@ class TestMixEntries:
         assert loaded == self.MIX
         path = cache.entry_path(KEY)
         assert cache.check(path) == "ok"
-        assert [e.workload for e in cache.list_entries()] == ["lbm+mcf"]
+        assert [(e.workload, e.prefetcher, e.variant)
+                for e in cache.list_entries()] == [("lbm+mcf", "spp", "psa")]
         faults.corrupt_file(path)
         assert cache.check(path) == "corrupt"
         assert cache.load(KEY) is None
         assert not path.exists()
         assert len(list(cache.quarantine_dir().glob("*.json"))) == 1
+
+    def test_entry_without_prefetcher_and_variant_decodes(self):
+        older = cache.metrics_from_dict({"workloads": ["lbm", "mcf"],
+                                         "ipcs": [0.8125, 1.4375]})
+        assert older == MixResult(["lbm", "mcf"], [0.8125, 1.4375])
 
 
 class TestRobustness:

@@ -357,27 +357,8 @@ class TestNetworkFaultKnobs:
 
 
 class TestServeWatchdogKnob:
-    """The serial SIGALRM watchdog cannot arm on the daemon's executor
-    thread, so ``REPRO_RUN_TIMEOUT`` + a single engine job must be
-    refused at startup — not silently served unprotected."""
-
-    def test_run_timeout_with_one_job_refused(self, monkeypatch,
-                                              tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_RUN_TIMEOUT", "30")
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        with pytest.raises(ConfigurationError) as excinfo:
-            serve_app.start_in_thread(engine_jobs=1)
-        message = str(excinfo.value)
-        assert "REPRO_RUN_TIMEOUT" in message and "jobs" in message
-
-    def test_run_timeout_via_repro_jobs_env(self, monkeypatch,
-                                            tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_RUN_TIMEOUT", "30")
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        with pytest.raises(ConfigurationError):
-            serve_app.start_in_thread()
+    """A daemon with one engine job starts (the watchdog, when set,
+    times its runs on a worker: see tests/test_serve_soak.py)."""
 
     def test_no_timeout_allows_serial_engine(self, monkeypatch,
                                              tmp_path):

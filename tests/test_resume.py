@@ -8,9 +8,6 @@ timed-out, and retried runs.
 """
 
 import os
-import signal
-import threading
-import warnings
 
 import pytest
 
@@ -206,15 +203,18 @@ class TestSupervisedResume:
         assert snapshot.COUNTERS["loads"] == 1
 
     def test_pool_kill_resumes(self, monkeypatch):
-        # In a pool worker the kill is os._exit(137): a real worker death
-        # (BrokenProcessPool), not an exception the worker can soften.
+        # A watchdog puts even a one-run batch on a worker, where the
+        # kill is os._exit(137): a real worker death, not an exception
+        # the worker can soften.
         expected = self.baseline(req("mcf", "psa-sd"))
         monkeypatch.setenv("REPRO_FAULTS", f"kill@0:at={KILL_AT}:first=1")
+        runner.reset_engine_stats()
         batch = run_batch([req("mcf", "psa-sd")], jobs=2, strict=False,
-                          retries=2)
+                          retries=2, timeout=120)
         outcome = batch.outcomes[0]
         assert outcome.ok and outcome.attempts == 2
         assert golden.metrics_digest(batch.metrics[0]) == expected
+        assert runner.engine_stats().worker_restarts == 1
 
     def test_timeout_retried_when_snapshots_enabled(self, monkeypatch):
         # A hang on the first attempt exceeds the watchdog; with
@@ -245,41 +245,6 @@ class TestSupervisedResume:
         assert not outcome.ok
         assert outcome.status == "timeout"
         assert outcome.attempts == 2
-
-
-class TestWatchdogHardening:
-    """Satellite: the serial SIGALRM watchdog must not crash off the main
-    thread, and must restore the previous handler when it exits."""
-
-    def test_previous_handler_restored(self):
-        marker = lambda signum, frame: None  # noqa: E731
-        previous = signal.signal(signal.SIGALRM, marker)
-        try:
-            batch = run_batch([req()], jobs=1, strict=False, timeout=30.0)
-            assert batch.ok
-            assert signal.getsignal(signal.SIGALRM) is marker
-        finally:
-            signal.signal(signal.SIGALRM, previous)
-
-    def test_non_main_thread_warns_and_runs_untimed(self):
-        results = {}
-
-        def worker():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                results["batch"] = run_batch([req()], jobs=1,
-                                             strict=False, timeout=30.0)
-                results["warnings"] = [w for w in caught
-                                       if issubclass(w.category,
-                                                     RuntimeWarning)]
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join(timeout=120)
-        assert not thread.is_alive()
-        assert results["batch"].ok
-        assert any("watchdog" in str(w.message)
-                   for w in results["warnings"])
 
 
 class TestKillFaultSpec:

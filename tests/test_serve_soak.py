@@ -6,10 +6,9 @@ REPRO_FAULTS crashing and hanging workers underneath it, **every**
 submission still terminates in a structured ok/failed/timeout result —
 no hung clients, no orphaned queue entries, no leaked quota slots.
 
-The daemon always runs with ``engine_jobs=2``: the pool watchdog
-SIGKILLs hung workers from the parent and therefore works from the
-daemon's executor thread, whereas the serial path's SIGALRM watchdog is
-main-thread-only (see tests/test_supervisor.py).
+The daemon runs with ``engine_jobs=2`` unless a test says otherwise.
+The watchdog SIGKILLs a hung worker from the parent, so it works from
+the daemon's executor thread at any width (see tests/test_supervisor.py).
 
 Fault indices refer to the *scheduled* run list of each engine batch
 (post-dedupe, post-cache), which is the dispatcher's FIFO claim order —
@@ -110,9 +109,9 @@ def collect(client, job_ids):
 class TestFaultSoak:
     def test_worker_crashes_heal_and_all_terminate(self, daemon,
                                                    monkeypatch):
-        """A worker that SIGKILLs itself (breaking the process pool)
-        must not take the daemon down: the supervisor rebuilds/degrades,
-        the crashed run is retried, and every client gets ``ok``."""
+        """A worker that SIGKILLs itself must not take the daemon down:
+        the supervisor replaces the worker, the crashed run is retried,
+        and every client gets ``ok``."""
         monkeypatch.setenv("REPRO_FAULTS", "crash@0:first=1")
         monkeypatch.setenv("REPRO_MAX_RETRIES", "2")
         handle = daemon()
@@ -125,10 +124,9 @@ class TestFaultSoak:
 
     def test_hung_worker_is_timed_out_by_watchdog(self, daemon,
                                                   monkeypatch):
-        """A hung worker is SIGKILLed by the pool watchdog (which works
-        from the daemon's executor thread, unlike the serial SIGALRM
-        path) and surfaces as a structured ``timeout``; its batch
-        neighbours finish ``ok``."""
+        """A hung worker is SIGKILLed by the watchdog from the daemon's
+        executor thread and surfaces as a structured ``timeout``; its
+        batch neighbours finish ``ok``."""
         monkeypatch.setenv("REPRO_FAULTS", "hang@1")
         monkeypatch.setenv("REPRO_RUN_TIMEOUT", "2")
         handle = daemon()
@@ -143,6 +141,21 @@ class TestFaultSoak:
         counters = handle.app.queue.counters
         assert counters["completed_ok"] == 3
         assert counters["completed_timeout"] == 1
+        assert_no_leaks(handle.app)
+
+    def test_one_engine_job_is_timed_too(self, daemon, monkeypatch):
+        """With one engine job the hung run is on a worker as well, so
+        the watchdog answers it with a structured ``timeout``."""
+        monkeypatch.setenv("REPRO_FAULTS", "hang@0")
+        monkeypatch.setenv("REPRO_RUN_TIMEOUT", "2")
+        handle = daemon(engine_jobs=1)
+        client = ServeClient(port=handle.port)
+        start = time.monotonic()
+        result = client.submit_and_wait(body("lbm"),
+                                        timeout=120).body["result"]
+        assert result["status"] == "timeout"
+        assert result["failure"]["kind"] == "timeout"
+        assert time.monotonic() - start < 25.0   # not the 30 s hang
         assert_no_leaks(handle.app)
 
     def test_persistent_error_exhausts_retries_as_failed(self, daemon,

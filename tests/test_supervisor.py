@@ -1,11 +1,12 @@
-"""Tests for the supervision layer: retries, watchdogs, pool degradation,
+"""Tests for the supervision layer: retries, watchdogs, worker deaths,
 checkpointing, and the ISSUE-4 acceptance scenario.
 
 Every failure here is injected deterministically via REPRO_FAULTS (see
-repro.sim.faults), so these tests exercise the real worker/pool/cache
+repro.sim.faults), so these tests exercise the real worker/cache
 machinery — no mocking of the failure itself.
 """
 
+import multiprocessing
 import os
 import threading
 import time
@@ -21,6 +22,7 @@ from repro.sim.runner import (
     reset_engine_stats,
     run_batch,
 )
+from repro.sim.faults import InjectedError
 from repro.sim.supervisor import (
     RunTimeoutError,
     backoff_delay,
@@ -99,14 +101,17 @@ class TestRetries:
         assert outcome.failure.exc_type == "InjectedError"
         assert outcome.failure.traceback        # full traceback captured
 
-    def test_permanent_error_fails_immediately(self):
-        batch = run_batch([req(l1d="bogus")], jobs=1, strict=False,
-                          retries=2)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_permanent_error_fails_immediately(self, jobs):
+        batch = run_batch([req(l1d="bogus"), req("milc")], jobs=jobs,
+                          strict=False, retries=2)
         outcome = batch.outcomes[0]
         assert outcome.status == "failed"
         assert outcome.attempts == 1            # no retry for a bad request
         assert outcome.failure.exc_type == "ValueError"
         assert outcome.failure.permanent
+        assert batch.outcomes[1].ok
+        assert engine_stats().retries == 0
 
 
 class TestStrictMode:
@@ -132,8 +137,6 @@ class TestStrictMode:
         assert [o.status for o in batch.outcomes] == ["failed", "skipped"]
 
 
-@pytest.mark.skipif(not supervisor._serial_watchdog_available(),
-                    reason="SIGALRM watchdog needs a POSIX main thread")
 class TestWatchdog:
     def test_serial_hang_times_out(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "hang@0:secs=10")
@@ -163,8 +166,8 @@ class TestWatchdog:
             run_batch([req()], jobs=1, timeout=0.4)
 
     def test_no_serial_warning_when_the_pool_ran_everything(self):
-        """Off the main thread SIGALRM is unavailable, but a serial phase
-        with nothing left to run needs no watchdog to warn about."""
+        """A timed batch off the main thread runs on workers, and warns
+        about no watchdog."""
         results = {}
 
         def worker():
@@ -179,77 +182,27 @@ class TestWatchdog:
         thread.join(timeout=120)
         assert not thread.is_alive()
         assert results["batch"].ok
-        assert engine_stats().serial_fallbacks == 0
+        assert engine_stats().worker_restarts == 0
         assert not [m for m in results["warnings"] if "watchdog" in m]
 
+    def test_serial_batch_off_the_main_thread_is_timed(self, monkeypatch):
+        """A timed width-1 batch runs on a worker, so the watchdog holds
+        on any thread, as on ``repro serve``'s engine thread."""
+        monkeypatch.setenv("REPRO_FAULTS", "hang@0:secs=30")
+        results = {}
 
-class _AlwaysBrokenPool:
-    """A pool whose submissions all die, simulating a broken pool."""
+        def worker():
+            start = time.monotonic()
+            results["batch"] = run_batch([req()], jobs=1, strict=False,
+                                         timeout=1.0)
+            results["elapsed"] = time.monotonic() - start
 
-    def submit(self, *args, **kwargs):
-        from concurrent.futures.process import BrokenProcessPool
-        raise BrokenProcessPool("injected pool break")
-
-    def shutdown(self, *args, **kwargs):
-        pass
-
-
-class TestPoolDegradation:
-    """Satellite: BrokenProcessPool -> one rebuild -> serial fallback,
-    bitwise-identical to a clean parallel run."""
-
-    def _requests(self):
-        return [req(), req("milc"), req("mcf")]
-
-    def test_double_break_degrades_to_serial(self, monkeypatch):
-        clean = run_batch(self._requests(), jobs=4, use_cache=False)
-
-        made = []
-        real_make_pool = supervisor._make_pool
-
-        def breaking_make_pool(width):
-            pool, queue = real_make_pool(width)
-            try:
-                pool.shutdown(wait=False)
-            except Exception:
-                pass
-            made.append(width)
-            return _AlwaysBrokenPool(), queue
-
-        monkeypatch.setattr(supervisor, "_make_pool", breaking_make_pool)
-        reset_engine_stats()
-        degraded = run_batch(self._requests(), jobs=4, use_cache=False)
-
-        assert len(made) == 2                   # initial pool + one rebuild
-        stats = engine_stats()
-        assert stats.pool_rebuilds == 1
-        assert stats.serial_fallbacks == 1
-        assert stats.simulated == 3
-        for clean_m, degraded_m in zip(clean, degraded):
-            assert clean_m == degraded_m        # bitwise dataclass equality
-
-    def test_single_break_recovers_on_rebuilt_pool(self, monkeypatch):
-        real_make_pool = supervisor._make_pool
-        calls = []
-
-        def flaky_make_pool(width):
-            calls.append(width)
-            if len(calls) == 1:
-                pool, queue = real_make_pool(width)
-                try:
-                    pool.shutdown(wait=False)
-                except Exception:
-                    pass
-                return _AlwaysBrokenPool(), queue
-            return real_make_pool(width)
-
-        monkeypatch.setattr(supervisor, "_make_pool", flaky_make_pool)
-        batch = run_batch(self._requests(), jobs=4, strict=False,
-                          use_cache=False)
-        assert batch.ok
-        stats = engine_stats()
-        assert stats.pool_rebuilds == 1
-        assert stats.serial_fallbacks == 0
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert results["batch"].outcomes[0].status == "timeout"
+        assert results["elapsed"] < 15.0        # SIGKILL, not a 30s sleep
 
 
 WORKLOADS_20 = ["lbm", "milc", "mcf", "soplex", "bwaves", "GemsFDTD",
@@ -327,114 +280,83 @@ class TestCheckpointing:
         assert from_memo.outcomes[0].source == "memo"
 
 
-class _FakeReportQueue:
-    """Stands in for the worker->parent mp.Queue in unit tests."""
+class TestWorkers:
+    """Each worker holds one run, so the parent knows what a death costs."""
 
-    def __init__(self, reports=()):
-        self._reports = list(reports)
+    def test_death_is_charged_to_its_run_only(self, monkeypatch,
+                                              tmp_path):
+        requests = [req(w) for w in ("lbm", "milc", "mcf", "soplex",
+                                     "bwaves", "GemsFDTD")]
+        clean = run_batch(requests, jobs=2, use_cache=False)
+        reset_engine_stats()
+        log = tmp_path / "executions"
+        real_execute = runner._execute
 
-    def get_nowait(self):
-        if self._reports:
-            return self._reports.pop(0)
-        import queue
-        raise queue.Empty
+        def logged_execute(request):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return real_execute(request)
 
-    def close(self):
-        pass
+        monkeypatch.setattr(runner, "_execute", logged_execute)
+        monkeypatch.setenv("REPRO_FAULTS", "crash@3:first=1")
+        batch = run_batch(requests, jobs=2, strict=False, use_cache=False)
+        assert [o.attempts for o in batch.outcomes] == [1, 1, 1, 2, 1, 1]
+        assert batch.metrics == clean
+        stats = engine_stats()
+        assert stats.retries == 1
+        assert stats.worker_restarts == 1
+        # Six runs plus the one crashed attempt, none of them in-process.
+        pids = log.read_text().split()
+        assert len(pids) == 7
+        assert str(os.getpid()) not in pids
 
-    def cancel_join_thread(self):
-        pass
+    def test_no_worker_outlives_its_batch(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "crash@0:first=1;hang@1:secs=30")
+        batch = run_batch([req(), req("milc"), req("mcf")], jobs=2,
+                          strict=False, timeout=1.0)
+        assert [o.status for o in batch.outcomes] == ["ok", "timeout", "ok"]
+        assert engine_stats().worker_restarts == 1
+        assert multiprocessing.active_children() == []
+        monkeypatch.delenv("REPRO_FAULTS")
+        with pytest.raises(ValueError, match="l1d"):
+            run_batch([req(l1d="bogus"), req("soplex")], jobs=2)
+        assert multiprocessing.active_children() == []
 
+    def test_fail_fast_checkpoints_the_run_in_flight(self, monkeypatch):
+        # Run 0 fails at once while run 1 is still running on the other
+        # worker: run 1 finishes and is cached, run 2 never starts.
+        monkeypatch.setenv("REPRO_FAULTS", "error@0;hang@1:secs=1")
+        with pytest.raises(InjectedError):
+            run_batch([req(), req("milc"), req("mcf")], jobs=2, retries=0)
+        assert disk_cache.stats().entries == 1
+        assert disk_cache.load(req("milc").resolved().key()) is not None
 
-class _PreResolvedPool:
-    """A pool whose futures are already done when submit() returns,
-    modelling workers that finish while the parent is busy elsewhere
-    (checkpointing via on_result, draining reports, ...)."""
+    def test_idle_worker_death_costs_no_attempt(self):
+        killed = []
 
-    def __init__(self):
-        self.submitted = []
+        def kill_idle_worker(index, metrics):
+            # The worker that just answered is idle now.
+            for child in multiprocessing.active_children():
+                if not killed:
+                    child.kill()
+                    child.join()
+                    killed.append(child.pid)
 
-    def submit(self, fn, task):
-        from concurrent.futures import Future
-        index = task[0]
-        self.submitted.append(index)
-        future = Future()
-        future.set_result(
-            {"ok": True, "pid": 1, "metrics": f"metrics-{index}"})
-        return future
-
-    def shutdown(self, *args, **kwargs):
-        pass
-
-
-def _payload(exc_type, permanent, pid=2):
-    return {"ok": False, "kind": "error", "pid": pid,
-            "exc_type": exc_type, "message": "boom", "traceback": "tb",
-            "permanent": permanent, "exc_bytes": None}
-
-
-class TestReviewRegressions:
-    """Pinned fixes from the supervision-layer review."""
-
-    def test_already_done_futures_are_collected(self, monkeypatch):
-        # A future that is done before the parent's next wait() pass
-        # must still be collected — not orphaned and re-simulated in
-        # the serial phase (or reaped as a bogus TIMEOUT).
-        pool = _PreResolvedPool()
-        monkeypatch.setattr(supervisor, "_make_pool",
-                            lambda width: (pool, _FakeReportQueue()))
-        monkeypatch.setattr(
-            runner, "_execute",
-            lambda request: pytest.fail("orphaned result re-simulated "
-                                        "in the serial phase"))
         outcomes, stats = supervisor.supervise(
-            ["a", "b", "c"], width=2, timeout=None, retries=0)
-        assert [o.status for o in outcomes] == ["ok"] * 3
-        assert [o.metrics for o in outcomes] == [
-            "metrics-0", "metrics-1", "metrics-2"]
-        assert sorted(pool.submitted) == [0, 1, 2]  # exactly one attempt each
-        assert not stats.serial_fallback
+            [req().resolved(), req("milc").resolved()], width=1,
+            timeout=60.0, retries=0, on_result=kill_idle_worker)
+        assert [o.status for o in outcomes] == ["ok", "ok"]
+        assert [o.attempts for o in outcomes] == [1, 1]
+        assert len(killed) == 1
+        assert stats.worker_restarts == 1
 
-    def test_stale_start_report_ignored(self):
-        # A "start" report from an attempt that already failed must not
-        # re-arm the watchdog: the pid it names is running another task.
-        sup = supervisor._Supervisor(["a"], 2, 5.0, 2, None, None, False)
-        sup.attempts[0] = 1                      # attempt 0 failed; retrying
-        running = {}
-        sup._drain_reports(
-            _FakeReportQueue([("start", 0, 111, 0)]), running)
-        assert running == {}
-        sup._drain_reports(
-            _FakeReportQueue([("start", 0, 222, 1)]), running)
-        assert running[0][0] == 222              # current attempt accepted
+    def test_no_worker_can_start_runs_in_process(self, monkeypatch):
+        def no_worker():
+            raise OSError("no process can start")
 
-    def test_harvest_preserves_failures_across_pool_break(self):
-        from concurrent.futures import Future
-        sup = supervisor._Supervisor(["a", "b"], 2, None, 1, None, None,
-                                     False)
-        ok_future = Future()
-        ok_future.set_result({"ok": True, "pid": 1, "metrics": "m0"})
-        bad_future = Future()
-        bad_future.set_result(_payload("ValueError", permanent=True))
-        futures = {ok_future: 0, bad_future: 1}
-        running = {1: (2, 0.0)}
-        sup._harvest_done(futures, running)
-        assert sup.outcomes[0].status == "ok"
-        # The permanent failure keeps its record and attempt charge
-        # instead of being requeued for a free re-execution.
-        assert sup.outcomes[1].status == "failed"
-        assert sup.outcomes[1].failure.exc_type == "ValueError"
-        assert sup.attempts[1] == 1
-        assert not futures and not running
-
-    def test_harvest_charges_transient_failures(self):
-        from concurrent.futures import Future
-        sup = supervisor._Supervisor(["a"], 2, None, 2, None, None, False)
-        future = Future()
-        future.set_result(_payload("RuntimeError", permanent=False))
-        futures = {future: 0}
-        sup._harvest_done(futures, {})
-        assert sup.outcomes[0] is None           # retry scheduled
-        assert sup.attempts[0] == 1              # ... but attempt charged
-        assert sup.not_before[0] > 0             # ... with backoff
-        assert not futures
+        monkeypatch.setattr(supervisor, "_Worker", no_worker)
+        with pytest.warns(RuntimeWarning, match="without the watchdog"):
+            batch = run_batch([req(), req("milc")], jobs=2, strict=False,
+                              timeout=60.0)
+        assert batch.ok
+        assert [o.attempts for o in batch.outcomes] == [1, 1]
