@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Failover pricing + disabled-overhead benchmark of the cluster layer.
 
-Every request now crosses the ``repro.serve.netfaults`` transport shim
-five times (client connect/send/recv, daemon accept/respond) so chaos
-tests can wreck any connection deterministically.  The shim's contract
+Every request crosses the ``repro.serve.netfaults`` transport shim
+three times (client send/recv, daemon respond), and each dial twice
+more (client connect, daemon accept), so chaos tests can wreck any
+connection deterministically.  The shim's contract
 is that when ``REPRO_NET_FAULTS`` is unset each crossing is a single
 ``None`` check; this benchmark prices that claim and *asserts* it,
 then prices what failover actually costs a client when a replica dies
@@ -105,7 +106,8 @@ def _paired_ns(hooked_fn, raw_fn, iters: int = 50000,
 
 
 def phase_hook_tax() -> dict:
-    """Price the five disarmed crossings one request makes.
+    """Price the five disarmed crossings of one request on a fresh
+    dial (a request on a kept-alive connection makes three of them).
 
     The raw twin of connect/send/accept is *nothing* — the hook guards
     a seam where unhooked code does no work at all — so the pair
@@ -268,7 +270,8 @@ def main() -> int:
         "disabled_overhead_pct": overhead,
         "note": (
             "'hook_tax' prices the five disarmed netfaults crossings "
-            "of one request against raw twins in paired tight loops "
+            "of one request on a fresh dial against raw twins in "
+            "paired tight loops "
             "(median paired difference, tens-of-ns resolution); "
             "disabled_overhead_pct = total tax / measured cache-hit "
             "p50, and <= 2 is the acceptance bar: an unset "

@@ -313,7 +313,7 @@ class CampaignStore:
         self._guard_write("sync from the disk cache")
         ingested = 0
         for cell in self.missing(campaign, cells):
-            metrics = disk_cache.load(cell.key)
+            metrics = disk_cache.load(cell.key, cell.digest)
             if metrics is not None:
                 self.record(campaign.campaign_id, cell, "ok",
                             metrics=metrics, source="disk",

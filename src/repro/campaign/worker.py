@@ -288,7 +288,7 @@ def _run_cell(campaign: Campaign, cell: CampaignCell,
     """Execute one claimed cell and publish its outcome."""
     # A peer may have finished this cell between our sync and our
     # claim; the content-addressed cache is the authority.
-    cached = disk_cache.load(cell.key)
+    cached = disk_cache.load(cell.key, cell.digest)
     if cached is not None:
         local_done.add(cell.index)
         _store_call(report, store.record, campaign.campaign_id, cell,

@@ -148,6 +148,9 @@ class ServeApp:
         self._engine_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-engine")
         self._handlers: set = set()
+        #: Writers of kept-alive connections waiting for their next
+        #: request line; a drain closes them.
+        self._idle: set = set()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -239,6 +242,12 @@ class ServeApp:
         self.queue.pending.clear()
         if self._server is not None:
             self._server.close()
+            # Kept-alive connections idle between requests would hold
+            # the drain (and, where ``Server.wait_closed`` waits for
+            # every connection, block it): close them.  A request in
+            # flight finishes, and its response says Connection: close.
+            for writer in list(self._idle):
+                writer.close()
             await self._server.wait_closed()
         # Grace period: let woken long-pollers flush their terminal
         # responses before the loop is torn down under them.
@@ -346,7 +355,7 @@ class ServeApp:
                 # Prefer the raw on-disk payload the engine just
                 # checkpointed: the served bytes are then identical to
                 # any other reader of the same cache entry.
-                payload = disk_cache.load_payload(job.key)
+                payload = disk_cache.load_payload(job.key, job.digest)
                 if payload is None:
                     payload = metrics_to_dict(run.metrics)
                 result["metrics"] = payload
@@ -359,12 +368,15 @@ class ServeApp:
         for client in job.clients:
             self.quotas.release(client)
         job.clients.clear()
-        LOG.info("%s", json.dumps(
-            {"event": "job_done", "job_id": job.job_id,
-             "status": result["status"], "attempts": result["attempts"],
-             "submissions": job.submissions,
-             "service_s": round(job.finished_at - job.submitted_at, 6)},
-            sort_keys=True))
+        if LOG.isEnabledFor(logging.INFO):
+            LOG.info("%s", json.dumps(
+                {"event": "job_done", "job_id": job.job_id,
+                 "status": result["status"],
+                 "attempts": result["attempts"],
+                 "submissions": job.submissions,
+                 "service_s": round(job.finished_at - job.submitted_at,
+                                    6)},
+                sort_keys=True))
 
     # -- admission -----------------------------------------------------
 
@@ -389,7 +401,7 @@ class ServeApp:
         digest = disk_cache.key_digest(key)
         job_id = digest[:16]
 
-        payload = disk_cache.load_payload(key)
+        payload = disk_cache.load_payload(key, digest)
         if payload is not None:
             self.queue.record_hit(time.monotonic() - begin)
             return 200, {"status": "ok", "source": "cache",
@@ -449,7 +461,7 @@ class ServeApp:
             # served (its job was force-finished by ``wait_closed``, so
             # the response is immediate); only keep-alive *reuse* stops.
             while True:
-                request = await self._read_request(reader)
+                request = await self._read_request(reader, writer)
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -459,12 +471,14 @@ class ServeApp:
                     "connection", "keep-alive").lower() != "close"
                 status = await self._route(
                     method, target, headers, body, client, writer)
-                LOG.info("%s", json.dumps(
-                    {"event": "request", "method": method,
-                     "target": target, "status": abs(status),
-                     "client": client,
-                     "duration_s": round(time.monotonic() - begin, 6)},
-                    sort_keys=True))
+                if LOG.isEnabledFor(logging.INFO):
+                    LOG.info("%s", json.dumps(
+                        {"event": "request", "method": method,
+                         "target": target, "status": abs(status),
+                         "client": client,
+                         "duration_s": round(time.monotonic() - begin,
+                                             6)},
+                        sort_keys=True))
                 if not keep_alive or status < 0 or self._closing:
                     break
         except (ConnectionResetError, BrokenPipeError,
@@ -477,12 +491,16 @@ class ServeApp:
             except Exception:
                 pass
 
-    async def _read_request(self, reader: asyncio.StreamReader
+    async def _read_request(self, reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter
                             ) -> Optional[tuple]:
+        self._idle.add(writer)         # idle until a request line arrives
         try:
             line = await reader.readline()
         except (ConnectionResetError, asyncio.LimitOverrunError):
             return None
+        finally:
+            self._idle.discard(writer)
         if not line or not line.strip():
             return None
         parts = line.decode("latin-1").split()
@@ -502,7 +520,9 @@ class ServeApp:
         except ValueError:
             length = -1
         if length < 0 or length > MAX_BODY_BYTES:
-            return method, target, headers, None   # routed to 413
+            # Routed to 413, which closes the connection: the unread
+            # body would otherwise be parsed as the next request.
+            return method, target, headers, None
         body = await reader.readexactly(length) if length else b""
         return method, target, headers, body
 
@@ -697,11 +717,20 @@ class ServeApp:
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload: dict,
                        extra_headers: Optional[dict] = None) -> int:
+        """Write one response; a negative return closes the connection.
+
+        The daemon ends the connection after a 413 (its body was left
+        unread) and while draining, and says so with ``Connection:
+        close``, so a keep-alive client does not pool the socket.
+        """
         body, action = netfaults.respond("daemon.respond",
                                          _json_bytes(payload))
+        closing = status == 413 or self._closing
         lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
                  "Content-Type: application/json",
                  f"Content-Length: {len(body)}"]
+        if closing:
+            lines.append("Connection: close")
         for name, value in (extra_headers or {}).items():
             lines.append(f"{name}: {value}")
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
@@ -710,7 +739,7 @@ class ServeApp:
                                                body, action)
         writer.write(head + body)
         await writer.drain()
-        return status
+        return -status if closing else status
 
     async def _respond_faulted(self, writer: asyncio.StreamWriter,
                                status: int, head: bytes, body: bytes,

@@ -1,8 +1,23 @@
 """Stdlib HTTP client for the ``repro serve`` daemon.
 
 Built on ``http.client`` (which transparently decodes the daemon's
-chunked progress streams), one connection per call, so it works from
-tests, benchmarks, scripts and other hosts without any dependency.
+chunked progress streams), so it works from tests, benchmarks, scripts
+and other hosts without any dependency.
+
+**Kept-alive connections.**  A client keeps a pool of idle HTTP/1.1
+connections and sends each request on one of them, so a cache hit is
+one request on an open socket rather than a dial, an accept and a
+teardown.  A connection goes back to the pool only after a complete
+response the daemon did not mark ``Connection: close``; any exception
+closes it.  Before reuse, an idle socket is polled without waiting: a
+readable idle socket means the daemon closed it (a restart, a drain)
+or left stray bytes (a duplicated reply), so it is closed and a new
+one dialled, and a stale reply is never read as the answer to the next
+request.  Threads sharing one client each take their own connection.
+``dials`` counts the connections opened; :meth:`ServeClient.close` (or
+a ``with`` block) closes the idle ones.  A progress stream uses a
+connection of its own, which the daemon closes at the end of the
+stream.
 
 Every method returns a :class:`Response` carrying the raw HTTP status
 and the parsed JSON body — tests assert on status codes directly
@@ -23,15 +38,18 @@ of (404 ``unknown_job``) is resubmitted, and completed work re-serves
 as a cache hit.
 
 Every client-side socket operation crosses the ``repro.serve.netfaults``
-shim, so ``REPRO_NET_FAULTS`` can deterministically refuse dials,
-reset sends, and garble reads to prove all of the above recovery paths
-actually fire.
+shim — ``client.connect`` once per dial, ``client.send`` and
+``client.recv`` once per request — so ``REPRO_NET_FAULTS`` can
+deterministically refuse dials, reset sends, and garble reads to prove
+all of the above recovery paths actually fire.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import select
+import threading
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -187,8 +205,23 @@ class Response:
         return None
 
 
+def _quiet(conn: http.client.HTTPConnection) -> bool:
+    """May this idle connection carry the next request?  Only if its
+    socket is open and has nothing to read: an idle socket that polls
+    readable holds the daemon's FIN or stray bytes."""
+    sock = conn.sock
+    if sock is None:
+        return False
+    try:
+        readable, _, _ = select.select([sock], [], [], 0)
+    except (OSError, ValueError):
+        return False
+    return not readable
+
+
 class ServeClient:
-    """Talks to one daemon; ``client_id`` scopes the server-side quota."""
+    """Talks to one daemon over kept-alive connections; ``client_id``
+    scopes the server-side quota.  Safe to share across threads."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8787,
                  client_id: Optional[str] = None, timeout: float = 60.0,
@@ -201,21 +234,57 @@ class ServeClient:
         self.breaker = CircuitBreaker(self.policy.breaker_threshold,
                                       self.policy.breaker_cooldown_s)
         self.transport_retries = 0   # observability: retries performed
+        self._dials = 0
+        self._idle: List[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    @property
+    def dials(self) -> int:
+        """Connections this client has opened (observability)."""
+        return self._dials
+
+    def close(self) -> None:
+        """Close the idle pooled connections.  The client stays usable:
+        a later request dials anew."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- plumbing ------------------------------------------------------
 
     def _headers(self) -> Dict[str, str]:
-        headers = {"Content-Type": "application/json",
-                   "Connection": "close"}
+        headers = {"Content-Type": "application/json"}
         if self.client_id:
             headers["X-Client-Id"] = self.client_id
         return headers
 
+    def _checkout(self) -> http.client.HTTPConnection:
+        """An idle pooled connection the daemon has not closed, else a
+        new dial (the only place ``client.connect`` is crossed)."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    break
+                conn = self._idle.pop()
+            if _quiet(conn):
+                return conn
+            conn.close()
+        netfaults.connect("client.connect")
+        with self._lock:
+            self._dials += 1
+        return http.client.HTTPConnection(self.host, self.port,
+                                          timeout=self.timeout)
+
     def _request_once(self, method: str, path: str,
                       payload: Optional[dict] = None) -> Response:
-        netfaults.connect("client.connect")
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+        conn = self._checkout()
         try:
             body = json.dumps(payload).encode() if payload is not None \
                 else None
@@ -230,10 +299,15 @@ class ServeClient:
                 raise GarbledResponseError(
                     f"{method} {path}: non-JSON body "
                     f"({data[:120]!r})") from exc
-            return Response(status=raw.status, body=parsed,
-                            headers=headers)
-        finally:
+        except BaseException:
             conn.close()
+            raise
+        if raw.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return Response(status=raw.status, body=parsed, headers=headers)
 
     def _request(self, method: str, path: str,
                  payload: Optional[dict] = None) -> Response:

@@ -185,19 +185,20 @@ def cluster_status(ttl_s: Optional[float] = None,
         if record.stale:
             info["health"] = "stale"
         else:
-            client = ServeClient(
-                record.host, record.port, timeout=probe_timeout,
-                policy=RetryPolicy(retries=0, backoff_s=0.0))
-            try:
-                reply = client.healthz()
-                info["health"] = ("draining"
-                                  if reply.body.get("draining")
-                                  else "ok")
-                info["queue_depth"] = reply.body.get("queue_depth")
-                alive += info["health"] == "ok"
-            except ServeClientError as exc:
-                info["health"] = "unreachable"
-                info["detail"] = str(exc)
+            with ServeClient(record.host, record.port,
+                             timeout=probe_timeout,
+                             policy=RetryPolicy(retries=0,
+                                                backoff_s=0.0)) as client:
+                try:
+                    reply = client.healthz()
+                    info["health"] = ("draining"
+                                      if reply.body.get("draining")
+                                      else "ok")
+                    info["queue_depth"] = reply.body.get("queue_depth")
+                    alive += info["health"] == "ok"
+                except ServeClientError as exc:
+                    info["health"] = "unreachable"
+                    info["detail"] = str(exc)
         entries.append(info)
     return {"members": entries, "alive": alive,
             "registry": str(members_dir()), "ttl_s": ttl_s
@@ -262,7 +263,12 @@ class ClusterClient:
             self._replicas = fresh
         for member in list(self._clients):
             if member not in self._replicas:
-                del self._clients[member]
+                self._clients.pop(member).close()
+
+    def close(self) -> None:
+        """Close every replica client's idle connections."""
+        for client in self._clients.values():
+            client.close()
 
     @property
     def members(self) -> List[str]:
@@ -284,13 +290,13 @@ class ClusterClient:
         healthy = []
         for member in self.members:
             host, port = self._replicas[member]
-            probe = ServeClient(host, port, timeout=probe_timeout,
-                                policy=RetryPolicy(retries=0,
-                                                   backoff_s=0.0))
-            try:
-                reply = probe.healthz()
-            except ServeClientError:
-                continue
+            with ServeClient(host, port, timeout=probe_timeout,
+                             policy=RetryPolicy(retries=0,
+                                                backoff_s=0.0)) as probe:
+                try:
+                    reply = probe.healthz()
+                except ServeClientError:
+                    continue
             if reply.ok and not reply.body.get("draining"):
                 healthy.append(member)
         return healthy

@@ -7,9 +7,14 @@ same adversarial treatment to the transport plane between
 
 Every client connect/send/recv and every daemon accept/respond crosses
 one of the hooks below (:func:`connect`, :func:`send`, :func:`recv`,
-:func:`accept`, :func:`respond`).  When no fault plan is armed each hook
-is a single ``None`` check in front of the real operation — the
-disabled overhead is bench-asserted ≤ 2% (``benchmarks/bench_cluster.py``).
+:func:`accept`, :func:`respond`).  Connections are kept alive, so the
+dial sites ``client.connect`` and ``daemon.accept`` fire once per
+connection, while ``client.send``, ``client.recv`` and
+``daemon.respond`` fire once per request: a seeded ``~count/seed``
+clause on a dial site samples dials, not requests.  When no fault plan
+is armed each hook is a single ``None`` check in front of the real
+operation — the disabled overhead is bench-asserted ≤ 2%
+(``benchmarks/bench_cluster.py``).
 
 ``REPRO_NET_FAULTS`` says which transport *operations* fail and how,
 in the spec language of :mod:`repro.sim.faultplan` (grammar, seeded

@@ -73,8 +73,10 @@ def key_digest(key: tuple) -> str:
     return hashlib.sha256(repr((_salt(), key)).encode()).hexdigest()
 
 
-def entry_path(key: tuple) -> Path:
-    digest = key_digest(key)
+def entry_path(key: tuple, digest: Optional[str] = None) -> Path:
+    """Where *key*'s entry lives; pass its ``digest`` if already known."""
+    if digest is None:
+        digest = key_digest(key)
     return cache_dir() / "objects" / digest[:2] / f"{digest[2:]}.json"
 
 
@@ -173,7 +175,8 @@ def store(key: tuple, metrics: Union[RunMetrics, MixResult]) -> bool:
     return True
 
 
-def load_payload(key: tuple) -> Optional[dict]:
+def load_payload(key: tuple, digest: Optional[str] = None
+                 ) -> Optional[dict]:
     """Fetch one run's *serialized* metrics dict exactly as stored.
 
     This is the serving layer's hot admission path: returning the raw
@@ -181,11 +184,13 @@ def load_payload(key: tuple) -> Optional[dict]:
     response bitwise-identical to the JSON any other reader of the same
     entry would serialize, with no decode/re-encode in between.  Any
     corruption or version mismatch is a miss (corrupt entries are
-    quarantined, exactly like :func:`load`).
+    quarantined, exactly like :func:`load`).  A caller that already
+    holds ``key_digest(key)`` passes it as *digest*, saving a second
+    hash of the key.
     """
     if not cache_enabled():
         return None
-    path = entry_path(key)
+    path = entry_path(key, digest)
     try:
         payload = json.loads(iofaults.read_bytes("cache.read", path))
         if (payload.get("version") != CACHE_VERSION
@@ -205,15 +210,17 @@ def load_payload(key: tuple) -> Optional[dict]:
         return None
 
 
-def load(key: tuple) -> Optional[Union[RunMetrics, MixResult]]:
-    """Fetch one run from disk; any corruption or mismatch is a miss."""
-    payload = load_payload(key)
+def load(key: tuple, digest: Optional[str] = None
+         ) -> Optional[Union[RunMetrics, MixResult]]:
+    """Fetch one run from disk; any corruption or mismatch is a miss
+    (*digest* as in :func:`load_payload`)."""
+    payload = load_payload(key, digest)
     if payload is None:
         return None
     try:
         return metrics_from_dict(payload)
     except (ValueError, TypeError, KeyError):
-        _quarantine(entry_path(key))
+        _quarantine(entry_path(key, digest))
         return None
 
 

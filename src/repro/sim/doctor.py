@@ -268,7 +268,7 @@ def _scan_store(report: DoctorReport, repair: bool) -> None:
                     continue
                 divergent = [
                     cell for cell in store.missing(campaign)
-                    if disk_cache.load(cell.key) is not None]
+                    if disk_cache.load(cell.key, cell.digest) is not None]
                 if divergent:       # _fix calls the repair right away
                     _fix(report, repair, "store", "divergence", path,
                          "sync_from_cache",

@@ -34,6 +34,7 @@ engine removes that redundancy at three levels:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import time
 from dataclasses import dataclass
@@ -70,11 +71,28 @@ def job_count() -> int:
 # Fingerprinting
 # ----------------------------------------------------------------------
 
+#: Types ``_freeze`` returns as they are (exact types, not subclasses).
+_LEAF_TYPES = frozenset((int, float, str, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    """The field names of dataclass *cls*, or None for any other type
+    (looked up once per class, not once per value)."""
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return None
+
+
 def _freeze(value):
     """Recursively convert a value into a hashable, order-stable tuple."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return tuple((f.name, _freeze(getattr(value, f.name)))
-                     for f in dataclasses.fields(value))
+    cls = type(value)
+    if cls in _LEAF_TYPES:
+        return value
+    names = _field_names(cls)
+    if names is not None:
+        return tuple((name, _freeze(getattr(value, name)))
+                     for name in names)
     if isinstance(value, (list, tuple)):
         return tuple(_freeze(item) for item in value)
     if isinstance(value, dict):

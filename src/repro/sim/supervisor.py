@@ -153,7 +153,6 @@ class SupervisorStats:
     retries: int = 0
     timeouts: int = 0
     failed: int = 0
-    crashes: int = 0
     worker_restarts: int = 0   # dead workers replaced (not watchdog kills)
 
 
@@ -405,8 +404,6 @@ class _Supervisor:
             self.stats.timeouts += 1
         else:
             self.stats.failed += 1
-            if failure.kind == "crash":
-                self.stats.crashes += 1
         if self.fail_fast:
             self._stop_new = True
 

@@ -243,6 +243,23 @@ class TestClusterClient:
         assert client.members == [
             cluster.member_id_for(handle.host, handle.port)]
 
+    def test_refresh_and_close_release_replica_connections(
+            self, monkeypatch):
+        kept = cluster.register("127.0.0.1", 1111)
+        dropped = cluster.register("127.0.0.1", 2222)
+        client = cluster.ClusterClient(client_id="t", policy=policy())
+        closed = []
+        monkeypatch.setattr(ServeClient, "close",
+                            lambda self: closed.append(self.port))
+        for member in client.members:
+            client._client(member)
+        cluster.deregister(dropped)
+        client.refresh()
+        assert closed == [2222]
+        client.close()
+        assert closed == [2222, 1111]
+        cluster.deregister(kept)
+
     def test_no_replicas_raises_cleanly(self):
         client = cluster.ClusterClient(client_id="t", policy=policy())
         with pytest.raises(ServeClientError):

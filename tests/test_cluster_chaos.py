@@ -36,7 +36,7 @@ import pytest
 from repro.serve import cluster, netfaults
 from repro.serve.client import RetryPolicy, ServeClient, ServeClientError
 from repro.sim import cache as disk_cache
-from repro.sim import doctor, runner
+from repro.sim import doctor, faultplan, runner
 from repro.sim.runner import RunRequest, run_batch
 
 N = 620
@@ -52,8 +52,10 @@ DAEMON_STORM = ("refuse~2/5:site=daemon.accept;"
                 "half-close~1/3:site=daemon.respond")
 
 #: Client-side storm (armed in-process): dials refused, sends reset,
-#: reads garbled.
-CLIENT_STORM = ("refuse~2/7:site=client.connect;"
+#: reads garbled.  Connections are kept alive, so ``client.connect``
+#: fires once per dial, not per request: its sample is drawn from the
+#: first 5 dials, which both tests below reach.
+CLIENT_STORM = ("refuse~2/7:site=client.connect:of=5;"
                 "reset~1/5:site=client.send;"
                 "garble~2/11:site=client.recv")
 
@@ -72,6 +74,17 @@ def isolated(tmp_path, monkeypatch):
     yield
     netfaults.disarm()
     runner.clear_cache()
+
+
+def assert_every_sampled_dial_was_made():
+    """The client dialled past the last refusal the storm samples, so
+    both refusals fired (call before ``disarm``, which zeroes the
+    counters)."""
+    [clause] = [c for c in netfaults.parse(CLIENT_STORM)
+                if c.site == "client.connect"]
+    sampled = faultplan.sample(clause.seed, clause.count, clause.window,
+                               "client.connect")
+    assert netfaults.PLANE.counters["client.connect"] > max(sampled)
 
 
 def req_body(n_accesses):
@@ -206,6 +219,7 @@ class TestClusterChaosSoak:
             assert payload is not None
             key = engine_request(body).key()
             assert digest(payload) == truth[key]
+        assert_every_sampled_dial_was_made()
 
         # 3. Healable: disarm, one doctor pass, registry + cache clean.
         netfaults.disarm()
@@ -246,3 +260,4 @@ class TestStormOnlyEquivalence:
             assert reply.run_status == "ok"
             key = engine_request(body).key()
             assert digest(reply.result["metrics"]) == truth[key]
+        assert_every_sampled_dial_was_made()

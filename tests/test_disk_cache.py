@@ -360,6 +360,69 @@ class TestFingerprintCompleteness:
         assert engine_stats().deduped == 1
 
 
+class TestPinnedDigests:
+    """Content addresses of five requests, pinned: a run-key change of
+    any kind, on purpose or not, orphans every cache entry and must show
+    up here, next to a ``CODE_VERSION`` bump."""
+
+    PINNED = {
+        "single": "c72a79319db33830daf674e7df64d57b"
+                  "fd4b37e17846ac3686f1e34d1c097ff6",
+        "dueling": "d33836bd3107566ccf5cb2d1da28cb1c"
+                   "4d0b4d1bfe6961514ec3a235c27e250b",
+        "campaign": "e590d9e9fe5375fc1a06dd31f488f32a"
+                    "4d00aac90a021265a8be126bf92f2847",
+        "mix": "2c9df06ca13d07a834a3cf738d9a117a"
+               "733550fce986439d60357d585f602f48",
+        "scaled": "04d524089812d01d1197eee81773240d"
+                  "5dfe9772263073d84666a6f7f926d59e",
+    }
+
+    @staticmethod
+    def requests():
+        from repro.campaign.grid import Campaign
+        from repro.sim.multicore import multicore_config
+        from repro.workloads.suites import catalog
+
+        specs = catalog()
+        duel = DuelingConfig(leader_sets=16, csel_bits=4, policy="standard")
+        return {
+            "single": RunRequest("lbm", "spp", "psa", n_accesses=2000),
+            "dueling": RunRequest("mcf", "spp", "psa-sd", n_accesses=2000,
+                                  dueling=duel),
+            "campaign": Campaign(
+                "pin", axes={"workload": ["milc"],
+                             "llc.size_bytes": [1 << 20]},
+                fixed={"variant": "psa", "n_accesses": 3000},
+            ).cells()[0].request,
+            "mix": RunRequest((specs["lbm"], specs["mcf"]), "spp", "psa-sd",
+                              n_accesses=1500,
+                              config=multicore_config(SystemConfig(), 2)),
+            "scaled": RunRequest("omnetpp", "spp", "original",
+                                 n_accesses=2500, table_scale=0.5,
+                                 gb_fraction=0.25),
+        }
+
+    def test_digests_are_pinned(self):
+        actual = {name: cache.key_digest(request.key())
+                  for name, request in self.requests().items()}
+        assert actual == self.PINNED
+
+    def test_both_dueling_spellings_hit_the_pin(self):
+        duel = self.requests()["dueling"].dueling
+        in_config = RunRequest("mcf", "spp", "psa-sd", n_accesses=2000,
+                               config=SystemConfig(dueling=duel))
+        assert cache.key_digest(in_config.key()) == self.PINNED["dueling"]
+
+    def test_a_held_digest_finds_the_same_entry(self):
+        key = self.requests()["single"].key()
+        cache.store(key, sample_metrics())
+        digest = cache.key_digest(key)
+        assert cache.entry_path(key, digest) == cache.entry_path(key)
+        assert cache.load_payload(key, digest) == cache.load_payload(key)
+        assert cache.load(key, digest).ipc == sample_metrics().ipc
+
+
 class TestEngineIntegration:
     def test_run_populates_disk_and_serves_from_it(self):
         first = runner.run("lbm", "spp", "psa", n_accesses=N)
