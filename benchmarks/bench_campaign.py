@@ -2,7 +2,7 @@
 """Benchmark the campaign layer's execution modes.
 
 Runs one Fig. 9-style campaign (original + PSA over SPP across the
-representative workload subset) through three phases:
+representative workload subset) through four phases:
 
 1. **cold**    — ``run_missing`` serial against an empty cache and an
    empty store: every cell is simulated.  This is the floor; it prices
@@ -12,10 +12,13 @@ representative workload subset) through three phases:
    index, or a second host joining with a shared cache dir): every cell
    must be synced from the content-addressed cache with zero
    re-simulation.  The cold/resumed ratio is the price of a resume.
-3. **workers** — four pull workers (``run_worker``) racing on a fresh
-   cache universe, coordinating only via atomic lease files: measures
-   the sharded-execution overhead (leases + per-cell 1-run batches +
-   sqlite contention) against the same serial cold floor.
+3. **parallel** — ``run_missing(jobs=WIDTH)`` against an empty cache:
+   the local route at ``WIDTH`` engine jobs.
+4. **served**   — ``run_missing(replicas=...)`` against an empty cache,
+   through ``WIDTH`` ``repro serve --cluster --jobs 1`` subprocesses
+   sharing it: the multi-host route at the same total engine width.
+   The served/parallel ratio is what sending a sweep through the
+   cluster costs on one host.
 
 Each phase reports cells/sec and the cache-hit-rate (fraction of its
 cells served from cache instead of simulated).  Emits
@@ -30,9 +33,10 @@ Usage::
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import platform
+import socket
+import subprocess
 import sys
 import tempfile
 import time
@@ -44,12 +48,16 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from bench_common import representative_workloads  # noqa: E402
 
-from repro.campaign import Campaign, CampaignStore, run_missing, run_worker  # noqa: E402
+from repro.campaign import Campaign, CampaignStore, run_missing  # noqa: E402
+from repro.serve.client import RetryPolicy, ServeClient  # noqa: E402
+from repro.serve.client import ServeClientError  # noqa: E402
 from repro.sim import runner  # noqa: E402
 from repro.sim.config import accesses_for_scale, current_scale  # noqa: E402
 
 RESULTS_PATH = REPO_ROOT / "BENCH_campaign.json"
-N_WORKERS = 4
+
+#: Total engine width of the parallel and served phases.
+WIDTH = 2
 
 
 def bench_campaign(workloads) -> Campaign:
@@ -100,56 +108,77 @@ def phase_resumed(campaign, cache_dir, db_path) -> dict:
             "cache_hit_rate": _hit_rate(report.total, report.ok)}
 
 
-def _worker_main(spec, db_path, name, queue) -> None:
-    campaign = Campaign.from_dict(spec)
-    with CampaignStore(db_path) as store:
-        report = run_worker(campaign, store=store, worker=name)
-    queue.put(report.to_dict())
-
-
-def phase_workers(campaign, cache_dir, db_path) -> dict:
+def phase_parallel(campaign, cache_dir, db_path) -> dict:
     _fresh_engine(cache_dir)
-    ctx = multiprocessing.get_context("fork")
-    queue = ctx.Queue()
-    start = time.perf_counter()
-    procs = [ctx.Process(target=_worker_main,
-                         args=(campaign.to_dict(), db_path,
-                               f"bench-w{i}", queue))
-             for i in range(N_WORKERS)]
-    for proc in procs:
-        proc.start()
-    reports = [queue.get() for _ in procs]
-    for proc in procs:
-        proc.join()
-    elapsed = time.perf_counter() - start
     with CampaignStore(db_path) as store:
-        status = store.status(campaign)
-    assert status.complete, status.describe()
-    total = status.total
-    simulated = sum(r["simulated"] for r in reports)
-    assert simulated == total, \
-        f"leases must partition exactly: {simulated} != {total}"
-    return {"mode": f"{N_WORKERS} pull workers, atomic leases, "
-                    f"empty cache",
-            "cells": total, "simulated": simulated,
-            "reclaimed_leases": sum(r["reclaimed"] for r in reports),
-            "seconds": round(elapsed, 3),
-            "cells_per_sec": round(total / elapsed, 3) if elapsed else 0,
-            "cache_hit_rate": _hit_rate(total, simulated)}
+        report = run_missing(campaign, store=store, jobs=WIDTH)
+    assert report.complete and report.ok == report.total, report.describe()
+    return {"mode": f"run_missing, {WIDTH} engine jobs, empty cache",
+            "cells": report.total, "simulated": report.ok,
+            "seconds": round(report.wall_s, 3),
+            "cells_per_sec": round(report.cells_per_sec, 3)}
+
+
+def _spawn_replica(cache_dir: str) -> tuple:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    env = dict(os.environ, REPRO_CACHE_DIR=cache_dir,
+               PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", str(port),
+         "--cluster", "--jobs", "1", "--log-level", "warning"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    probe = ServeClient(port=port, timeout=5.0,
+                        policy=RetryPolicy(retries=0, backoff_s=0.0))
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        try:
+            if probe.healthz().ok:
+                return port, proc
+        except ServeClientError:
+            time.sleep(0.1)
+    proc.kill()
+    raise RuntimeError(f"replica on port {port} never became healthy")
+
+
+def phase_served(campaign, cache_dir, db_path) -> dict:
+    _fresh_engine(cache_dir)
+    replicas = []
+    try:
+        for _ in range(WIDTH):
+            replicas.append(_spawn_replica(cache_dir))
+        with CampaignStore(db_path) as store:
+            report = run_missing(
+                campaign, store=store,
+                replicas=[("127.0.0.1", port) for port, _ in replicas])
+    finally:
+        for _, proc in replicas:
+            proc.terminate()
+            proc.wait(timeout=60)
+    assert report.complete and report.ok == report.total, report.describe()
+    return {"mode": (f"run_missing through {WIDTH} repro serve --cluster "
+                     f"--jobs 1 replicas, empty cache"),
+            "cells": report.total, "simulated": report.ok,
+            "seconds": round(report.wall_s, 3),
+            "cells_per_sec": round(report.cells_per_sec, 3)}
 
 
 def main() -> int:
     workloads = representative_workloads()
     campaign = bench_campaign(workloads)
     phases = {}
-    with tempfile.TemporaryDirectory() as serial_dir, \
-            tempfile.TemporaryDirectory() as worker_dir:
+    with tempfile.TemporaryDirectory() as serial_dir:
         db = str(Path(serial_dir) / "bench-a.sqlite")
         phases["cold"] = phase_cold(campaign, serial_dir, db)
         phases["resumed"] = phase_resumed(
             campaign, serial_dir, str(Path(serial_dir) / "bench-b.sqlite"))
-        phases["workers"] = phase_workers(
-            campaign, worker_dir, str(Path(worker_dir) / "bench-w.sqlite"))
+    with tempfile.TemporaryDirectory() as parallel_dir:
+        phases["parallel"] = phase_parallel(
+            campaign, parallel_dir, str(Path(parallel_dir) / "c.sqlite"))
+    with tempfile.TemporaryDirectory() as served_dir:
+        phases["served"] = phase_served(
+            campaign, served_dir, str(Path(served_dir) / "d.sqlite"))
 
     cold_rate = phases["cold"]["cells_per_sec"]
     payload = {
@@ -166,17 +195,14 @@ def main() -> int:
         "resume_speedup_vs_cold": round(
             phases["resumed"]["cells_per_sec"] / cold_rate, 3)
         if cold_rate else None,
-        "workers_speedup_vs_cold": round(
-            phases["workers"]["cells_per_sec"] / cold_rate, 3)
-        if cold_rate else None,
+        "served_vs_parallel": round(
+            phases["served"]["cells_per_sec"]
+            / phases["parallel"]["cells_per_sec"], 3),
         "note": (
             "'resumed' rebuilds a lost sqlite store purely from the "
             "content-addressed disk cache (zero re-simulation, enforced "
-            "by assertion); 'workers' is 4 pull processes coordinating "
-            "only via O_CREAT|O_EXCL lease files in the shared cache "
-            "dir, so its scaling over 'cold' prices the whole sharded "
-            "path: leases, per-cell 1-run batches and sqlite WAL "
-            "contention included."),
+            "by assertion). 'served' runs the sweep on replicas whose "
+            "engine widths sum to 'parallel''s."),
     }
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))

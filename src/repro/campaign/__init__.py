@@ -11,13 +11,10 @@ makes such grids first-class objects instead of hand-rolled loops:
   CSV/JSON export.
 - :mod:`repro.campaign.execute` — :func:`run_missing`, the incremental
   executor: only cells absent from store + disk cache are simulated,
-  so killed sweeps resume with zero re-simulation.
-- :mod:`repro.campaign.worker` — :func:`run_worker`, the pull worker:
-  N processes/hosts sharing one cache dir lease cells via atomic claim
-  files and converge on one complete store.
+  so killed sweeps resume with zero re-simulation.  The missing cells
+  run in this process or on ``repro serve`` replicas (``replicas=``).
 
-Driven from the CLI as ``repro campaign new|status|run|worker|query|
-export``.
+Driven from the CLI as ``repro campaign new|status|run|query|export``.
 """
 
 from repro.campaign.grid import (       # noqa: F401
@@ -34,14 +31,9 @@ from repro.campaign.execute import (    # noqa: F401
     CampaignRunReport,
     run_missing,
 )
-from repro.campaign.worker import (     # noqa: F401
-    WorkerReport,
-    run_worker,
-)
 
 __all__ = [
     "Campaign", "CampaignCell", "CampaignSpecError",
     "CampaignStatus", "CampaignStore", "store_path",
     "CampaignRunReport", "run_missing",
-    "WorkerReport", "run_worker",
 ]

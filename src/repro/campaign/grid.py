@@ -13,12 +13,14 @@ declaration order) into :class:`CampaignCell`\\ s, each carrying the
 fully-resolved ``RunRequest``, its engine fingerprint ``key`` and the
 same content-address ``digest`` the on-disk run cache uses.  That shared
 address is the whole coordination model of the campaign layer: any
-process that simulated a cell — this host or another sharing the cache
-directory — has already published its result under the cell's digest.
+process that simulated a cell — this host, or a ``repro serve`` replica
+sharing the cache directory — has already published its result under
+the cell's digest.
 
 Campaign declarations are JSON round-trippable (``save``/``load``) so a
 grid can be declared once from the CLI and then driven by any number of
-``repro campaign run`` / ``repro campaign worker`` processes.
+``repro campaign run`` invocations, locally or through replicas
+(``--serve``).
 """
 
 from __future__ import annotations
@@ -140,6 +142,15 @@ class CampaignCell:
 
     def label(self) -> str:
         return "/".join(str(v) for _, v in self.params)
+
+    def submit_body(self) -> dict:
+        """This cell's ``repro serve`` ``/submit`` body, its run length
+        pinned against the replica's ``REPRO_SCALE``."""
+        body = {"n_accesses": self.request.resolved().n_accesses,
+                "config": {}}
+        for name, value in self.params:
+            (body if name in REQUEST_AXES else body["config"])[name] = value
+        return body
 
 
 @dataclass

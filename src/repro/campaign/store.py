@@ -17,8 +17,8 @@ Layout: a single database file, default ``<cache dir>/campaigns.sqlite``
     engine_stats(campaign_id, recorded_at, stats_json)
 
 Writes are short idempotent transactions (``INSERT OR IGNORE`` /
-guarded replace) under WAL with a busy timeout, so concurrent pull
-workers on one host converge on one database; a completed (``ok``)
+guarded replace) under WAL with a busy timeout, so concurrent writers
+on one host converge on one database; a completed (``ok``)
 result is never overwritten by a later failure, and re-recording an
 identical cached result is a no-op.  Metrics are stored as the same
 JSON the disk cache uses, so a row queried from the store is
@@ -84,7 +84,7 @@ def store_path() -> Path:
 
     Validated through the :class:`ConfigurationError` machinery: a set
     knob must not point at an existing directory (sqlite would fail with
-    an unhelpful ``unable to open database file`` deep in a worker).
+    an unhelpful ``unable to open database file`` mid-sweep).
     """
     raw = os.environ.get("REPRO_CAMPAIGN_DB")
     if raw is None or not raw.strip():
@@ -106,7 +106,6 @@ class CampaignStatus:
     total: int = 0
     ok: int = 0
     failed: int = 0
-    leased: int = 0
 
     @property
     def missing(self) -> int:
@@ -120,13 +119,8 @@ class CampaignStatus:
         state = "complete" if self.complete else "incomplete"
         line = (f"campaign {self.name} [{self.campaign_id}]: "
                 f"{self.ok}/{self.total} cells done ({state})")
-        extras = []
         if self.failed:
-            extras.append(f"{self.failed} failed")
-        if self.leased:
-            extras.append(f"{self.leased} leased")
-        if extras:
-            line += " | " + ", ".join(extras)
+            line += f" | {self.failed} failed"
         return line
 
 
@@ -305,7 +299,8 @@ class CampaignStore:
                         ) -> int:
         """Ingest results other processes published to the disk cache.
 
-        This is what lets N workers (or a killed-and-restarted sweep)
+        This is what lets a killed-and-restarted sweep, or one whose
+        cells ran on ``repro serve`` replicas over the shared cache dir,
         converge on one complete store with zero re-simulation: any cell
         whose digest already resolves in the content-addressed cache is
         recorded as done without touching the engine.
@@ -321,14 +316,14 @@ class CampaignStore:
                 ingested += 1
         return ingested
 
-    def status(self, campaign: Campaign, leased: int = 0) -> CampaignStatus:
+    def status(self, campaign: Campaign) -> CampaignStatus:
         done = self.done_indices(campaign.campaign_id)
         total = len(campaign.cells())
         ok = sum(1 for s in done.values() if s == "ok")
         failed = sum(1 for s in done.values() if s != "ok")
         return CampaignStatus(campaign_id=campaign.campaign_id,
                               name=campaign.name, total=total, ok=ok,
-                              failed=failed, leased=leased)
+                              failed=failed)
 
     # -- queries -------------------------------------------------------
 

@@ -16,10 +16,10 @@ Commands
 - ``snapshot`` : inspect (``snapshot stats|list``) or prune the
   crash-consistent mid-run snapshots left by interrupted runs.
 - ``campaign`` : declare (``campaign new``), execute (``campaign run``
-  incrementally, ``campaign worker`` sharded across processes/hosts),
-  and query (``campaign status|query|export``, ``--read-only`` for a
-  query-only view of a live sweep's store) parameter sweeps backed by a
-  sqlite results store.
+  incrementally, here or on ``--serve HOST:PORT`` replicas), and query
+  (``campaign status|query|export``, ``--read-only`` for a query-only
+  view of a live sweep's store) parameter sweeps backed by a sqlite
+  results store.
 - ``serve``    : run the simulation-as-a-service HTTP daemon
   (cache-hit admission, bounded queue, per-client quotas, progress
   streaming; see ``repro.serve``).
@@ -96,6 +96,15 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _address(text: str) -> tuple:
+    """Type of ``campaign run --serve``: ``HOST:PORT``, a TCP port."""
+    host, _, port = text.rpartition(":")
+    if not host or not port.isdigit() or not 0 < int(port) < 65536:
+        raise argparse.ArgumentTypeError(
+            f"expected HOST:PORT, got {text!r}")
+    return host, int(port)
 
 
 def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
@@ -283,9 +292,7 @@ def cmd_doctor(args) -> int:
 
     if args.dir:
         os.environ["REPRO_CACHE_DIR"] = args.dir
-    report = doctor.diagnose(repair=args.repair,
-                             lease_ttl_s=args.lease_ttl,
-                             tmp_age_s=args.tmp_age)
+    report = doctor.diagnose(repair=args.repair, tmp_age_s=args.tmp_age)
     if args.json:
         print(json_mod.dumps(report.to_dict(), indent=2))
     else:
@@ -335,7 +342,6 @@ def cmd_campaign_new(args) -> int:
 
 def cmd_campaign_status(args) -> int:
     from repro.campaign import CampaignStore
-    from repro.campaign.worker import active_leases
 
     campaign = _campaign_from(args)
     read_only = getattr(args, "read_only", False)
@@ -343,8 +349,7 @@ def cmd_campaign_status(args) -> int:
         if not read_only:
             store.register(campaign)
             store.sync_from_cache(campaign)
-        status = store.status(campaign,
-                              leased=len(active_leases(campaign)))
+        status = store.status(campaign)
     print(campaign.describe())
     print(status.describe())
     return 0
@@ -354,22 +359,16 @@ def cmd_campaign_run(args) -> int:
     from repro.campaign import run_missing
 
     campaign = _campaign_from(args)
-    report = run_missing(campaign, jobs=args.jobs,
-                         use_cache=not args.no_cache,
-                         timeout=args.timeout, retries=args.retries)
+    try:
+        report = run_missing(campaign, jobs=args.jobs,
+                             use_cache=not args.no_cache,
+                             timeout=args.timeout, retries=args.retries,
+                             replicas=args.serve)
+    except ConnectionError as exc:       # no --serve replica answers
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(report.describe())
-    return 0 if report.complete else 1
-
-
-def cmd_campaign_worker(args) -> int:
-    from repro.campaign import run_worker
-
-    campaign = _campaign_from(args)
-    report = run_worker(campaign, worker=args.worker_id, ttl=args.ttl,
-                        max_cells=args.max_cells, timeout=args.timeout,
-                        retries=args.retries)
-    print(report.describe())
-    return 0 if not report.failed else 1
+    return 0 if report.complete and not report.store_errors else 1
 
 
 def cmd_campaign_query(args) -> int:
@@ -729,11 +728,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_doc = sub.add_parser(
         "doctor",
         help="scan (and --repair) the whole durable state: cache, "
-             "snapshots, campaign store, leases")
+             "snapshots, campaign store, cluster member records")
     p_doc.add_argument("--repair", action="store_true",
                        help="heal what has a safe fix (quarantine "
                             "corrupt entries, sweep orphans, sync the "
-                            "store from the cache, free stale leases)")
+                            "store from the cache, reap stale member "
+                            "records)")
     p_doc.add_argument("--json", action="store_true",
                        help="emit the DoctorReport as JSON")
     p_doc.add_argument("--out", default=None,
@@ -741,9 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_doc.add_argument("--dir", default=None,
                        help="cache directory (default: REPRO_CACHE_DIR "
                             "or ~/.cache/repro)")
-    p_doc.add_argument("--lease-ttl", type=float, default=None,
-                       help="age in seconds past which a claim lease "
-                            "is stale (default: REPRO_LEASE_TTL, else 300)")
     p_doc.add_argument("--tmp-age", type=float, default=None,
                        help="age in seconds past which a writer temp "
                             "file is an orphan (default 60)")
@@ -804,22 +801,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_crun = camp_sub.add_parser(
         "run", help="simulate every cell the store is missing")
     _camp_common(p_crun, jobs=True, engine=True)
+    p_crun.add_argument("--serve", action="append", type=_address,
+                        metavar="HOST:PORT",
+                        help="run the missing cells on this repro serve "
+                             "replica (repeatable; the replicas share "
+                             "this cache dir)")
     p_crun.set_defaults(func=cmd_campaign_run)
-
-    p_worker = camp_sub.add_parser(
-        "worker", help="pull-execute cells under an atomic lease "
-                       "(run N of these for a sharded sweep)")
-    _camp_common(p_worker, engine=True)
-    p_worker.add_argument("--worker-id", default=None,
-                          help="identity in lease files (default: "
-                               "REPRO_WORKER_ID or host-pid)")
-    p_worker.add_argument("--ttl", type=float, default=None,
-                          help="seconds before a peer's lease is "
-                               "presumed dead (default: "
-                               "REPRO_LEASE_TTL or 300)")
-    p_worker.add_argument("--max-cells", type=int, default=None,
-                          help="stop after claiming this many cells")
-    p_worker.set_defaults(func=cmd_campaign_worker)
 
     p_query = camp_sub.add_parser(
         "query", help="tabulate results straight from the store")

@@ -15,7 +15,8 @@ is a cache hit.
 
 Endpoints::
 
-    GET  /healthz                 liveness probe (+ draining/member_id)
+    GET  /healthz                 liveness probe (+ draining, member_id,
+                                  engine_jobs, client_quota)
     GET  /cluster                 membership registry view
     GET  /metrics                 queue depth, hit rate, p50/p99, workers
     POST /submit                  one run request (see serve.protocol)
@@ -156,8 +157,8 @@ class ServeApp:
 
     async def start(self) -> None:
         # Heal before binding: a daemon restarted onto a damaged cache
-        # (torn entries from its own SIGKILL, stale leases, a diverged
-        # store) must not admit traffic until the durable state is
+        # (torn entries from its own SIGKILL, stale member records, a
+        # diverged store) must not admit traffic until the durable state is
         # trustworthy again — a corrupt entry served as a "hit" is the
         # one failure mode this layer can never have.
         if self.heal_on_start:
@@ -539,6 +540,8 @@ class ServeApp:
             return await self._respond(writer, 200, {
                 "ok": True, "queue_depth": self.queue.depth(),
                 "draining": self._closing,
+                "engine_jobs": self.engine_jobs or runner.job_count(),
+                "client_quota": self.quotas.limit,
                 "member_id": self.member.member_id
                 if self.member is not None else None,
                 "uptime_s": round(time.monotonic() - self.started_at, 3)})

@@ -12,9 +12,9 @@ result identically**.  What is left to coordinate is tiny:
   same crash-consistent temp-fsync-rename publish as every other
   durable file (``iofaults.publish_bytes``, layer ``member`` — so the
   registry is wreckable by ``REPRO_IO_FAULTS`` and healable by
-  ``repro doctor``).  Like campaign worker leases these are TTL
-  records (:mod:`repro.sim.records`) judged against ``REPRO_MEMBER_TTL``;
-  any replica (or the doctor) reaps records whose owner stopped renewing.
+  ``repro doctor``).  These are TTL records (:mod:`repro.sim.records`)
+  judged against ``REPRO_MEMBER_TTL``; any replica (or the doctor)
+  reaps records whose owner stopped renewing.
 * **Placement** — :class:`ClusterClient` ranks replicas per run key
   with rendezvous (highest-random-weight) hashing, so every client
   sends the same key to the same replica while it is alive — in-flight
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 import zlib
 from dataclasses import dataclass
@@ -174,6 +175,14 @@ def reap_stale(ttl_s: Optional[float] = None) -> List[str]:
             if record.status == "stale" and records.reap(record.path, tag)]
 
 
+def probe(host: str, port: int, timeout: float = 2.0) -> Response:
+    """One ``/healthz`` answer, without retries (raises
+    :class:`ServeClientError` when the replica does not answer)."""
+    with ServeClient(host, port, timeout=timeout,
+                     policy=RetryPolicy(retries=0, backoff_s=0.0)) as client:
+        return client.healthz()
+
+
 def cluster_status(ttl_s: Optional[float] = None,
                    probe_timeout: float = 2.0) -> dict:
     """Registry + live health sweep for ``repro cluster status``."""
@@ -185,20 +194,15 @@ def cluster_status(ttl_s: Optional[float] = None,
         if record.stale:
             info["health"] = "stale"
         else:
-            with ServeClient(record.host, record.port,
-                             timeout=probe_timeout,
-                             policy=RetryPolicy(retries=0,
-                                                backoff_s=0.0)) as client:
-                try:
-                    reply = client.healthz()
-                    info["health"] = ("draining"
-                                      if reply.body.get("draining")
-                                      else "ok")
-                    info["queue_depth"] = reply.body.get("queue_depth")
-                    alive += info["health"] == "ok"
-                except ServeClientError as exc:
-                    info["health"] = "unreachable"
-                    info["detail"] = str(exc)
+            try:
+                reply = probe(record.host, record.port, probe_timeout)
+                info["health"] = ("draining" if reply.body.get("draining")
+                                  else "ok")
+                info["queue_depth"] = reply.body.get("queue_depth")
+                alive += info["health"] == "ok"
+            except ServeClientError as exc:
+                info["health"] = "unreachable"
+                info["detail"] = str(exc)
         entries.append(info)
     return {"members": entries, "alive": alive,
             "registry": str(members_dir()), "ttl_s": ttl_s
@@ -232,7 +236,8 @@ class ClusterClient:
     cache dir (refreshed between failover sweeps).  Each replica keeps
     its own :class:`ServeClient` so transport retries and the circuit
     breaker are scoped per replica — one dead daemon fails fast while
-    the others stay hot.
+    the others stay hot.  Safe to share across threads: the replica
+    clients are created, dropped and counted under one lock.
     """
 
     def __init__(self, replicas: Optional[List[Tuple[str, int]]] = None,
@@ -247,6 +252,7 @@ class ClusterClient:
         self._static = replicas is not None
         self._replicas: Dict[str, Tuple[str, int]] = {}
         self._clients: Dict[str, ServeClient] = {}
+        self._lock = threading.Lock()
         if replicas is not None:
             for host, port in replicas:
                 self._replicas[member_id_for(host, port)] = (host, port)
@@ -259,15 +265,20 @@ class ClusterClient:
             return
         fresh = {record.member_id: (record.host, record.port)
                  for record in load_members()}
-        if fresh:
-            self._replicas = fresh
-        for member in list(self._clients):
-            if member not in self._replicas:
-                self._clients.pop(member).close()
+        with self._lock:
+            if fresh:
+                self._replicas = fresh
+            gone = [self._clients.pop(member)
+                    for member in list(self._clients)
+                    if member not in self._replicas]
+        for client in gone:
+            client.close()
 
     def close(self) -> None:
         """Close every replica client's idle connections."""
-        for client in self._clients.values():
+        with self._lock:
+            clients = list(self._clients.values())
+        for client in clients:
             client.close()
 
     @property
@@ -275,36 +286,35 @@ class ClusterClient:
         return sorted(self._replicas)
 
     def _client(self, member: str) -> ServeClient:
-        if member not in self._clients:
-            host, port = self._replicas[member]
-            self._clients[member] = ServeClient(
-                host, port, client_id=self.client_id,
-                timeout=self.timeout, policy=self.policy)
-        return self._clients[member]
+        with self._lock:
+            if member not in self._clients:
+                host, port = self._replicas[member]
+                self._clients[member] = ServeClient(
+                    host, port, client_id=self.client_id,
+                    timeout=self.timeout, policy=self.policy)
+            return self._clients[member]
 
     def ranked(self, digest: str) -> List[str]:
         return rendezvous_rank(digest, self.members)
 
-    def healthy_members(self, probe_timeout: float = 2.0) -> List[str]:
-        """The members answering ``/healthz`` and not draining."""
-        healthy = []
+    def healthy_members(self, probe_timeout: float = 2.0
+                        ) -> Dict[str, dict]:
+        """Each member answering ``/healthz`` and not draining, with
+        the body of its answer."""
+        healthy = {}
         for member in self.members:
-            host, port = self._replicas[member]
-            with ServeClient(host, port, timeout=probe_timeout,
-                             policy=RetryPolicy(retries=0,
-                                                backoff_s=0.0)) as probe:
-                try:
-                    reply = probe.healthz()
-                except ServeClientError:
-                    continue
+            try:
+                reply = probe(*self._replicas[member], probe_timeout)
+            except ServeClientError:
+                continue
             if reply.ok and not reply.body.get("draining"):
-                healthy.append(member)
+                healthy[member] = reply.body
         return healthy
 
     def submit_and_wait(self, request: dict,
                         timeout: float = 300.0) -> Response:
         """Submit to the rendezvous-preferred replica; fail over on
-        transport death.
+        transport death and on a failed run.
 
         Each replica gets a bounded slice of the deadline; a replica
         that dies mid-wait (circuit open, retries exhausted, garbled
@@ -312,12 +322,16 @@ class ClusterClient:
         same request.  Because results are content-addressed in the
         shared cache, a resubmission of work the dead replica already
         finished is answered inline as a hit — failover deduplicates
-        by construction.  Raises :class:`ServeClientError` only when
-        no replica produced a terminal outcome before *timeout*.
+        by construction.  A replica that answers but does not finish
+        the run ok (a broken engine or host) is walked past the same
+        way; when none did, the last such reply is returned.  Raises
+        :class:`ServeClientError` only when no replica produced a
+        terminal outcome before *timeout*.
         """
         deadline = time.monotonic() + timeout
         digest = protocol.request_digest(request)
         last_error: Optional[Exception] = None
+        failed: Optional[Response] = None
         sweep = 0
         while True:
             remaining = deadline - time.monotonic()
@@ -342,13 +356,19 @@ class ClusterClient:
                               max(self.min_slice_s,
                                   remaining / len(order)))
                 try:
-                    return self._client(member).submit_and_wait(
+                    reply = self._client(member).submit_and_wait(
                         request, timeout=slice_s)
                 except ServeClientError as exc:
                     last_error = exc
-                    if position + 1 < len(order):
+                else:
+                    if reply.run_status in (None, "ok"):
+                        return reply
+                    failed = reply
+                if position + 1 < len(order):
+                    with self._lock:
                         self.failovers += 1
-                    continue
+            if failed is not None:
+                return failed
             sweep += 1
             self.refresh()
             pause = self.policy.delay_s(min(sweep, 6), "cluster")

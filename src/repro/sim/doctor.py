@@ -2,8 +2,8 @@
 
 Every layer already *tolerates* damage locally — the cache quarantines
 torn entries on read, snapshots refuse to resume from doubtful bytes,
-the store never downgrades an ok row, stale leases get reclaimed — but
-each of those heals lazily, on the next unlucky reader.  The doctor
+the store never downgrades an ok row, stale member records get reaped —
+but each of those heals lazily, on the next unlucky reader.  The doctor
 makes healing eager and global: one command (or one daemon startup)
 walks the whole durable state, reports every finding, and with
 ``repair=True`` fixes what has a safe fix.  What "valid" means for a
@@ -20,11 +20,9 @@ snapshot       stale file (old salt, unresumable)      unlink
 store          sqlite integrity failure                move DB aside
                                                        (rebuilt by sync)
 store          rows missing vs. cache                  ``sync_from_cache``
-lease          claim older than ``REPRO_LEASE_TTL``    reap
-               (``worker.lease_records``)
 member         record older than ``REPRO_MEMBER_TTL``  reap (re-published
                or corrupt (``cluster.parse_record``)   on next heartbeat)
-lease, member  a crashed reaper's takeover tombstone   unlink
+member         a crashed reaper's takeover tombstone   unlink
                (``repro.sim.records``)
 cache, snap-   orphaned writer ``*.tmp``               unlink
 shot, member
@@ -33,7 +31,8 @@ shot, member
 Nothing is ever deleted that could hold evidence (corrupt bytes go to
 quarantine; a broken database is renamed ``*.corrupt.<pid>``, not
 dropped) and nothing is repaired that might belong to a live writer
-(temp files younger than the orphan age, leases younger than the TTL).
+(temp files younger than the orphan age, member records younger than
+the TTL).
 
 The scan itself never injects faults: :func:`diagnose` runs with the
 ``REPRO_IO_FAULTS`` shim disarmed for the duration, so the doctor can
@@ -61,7 +60,7 @@ from repro.sim import snapshot as snapshot_store
 class DoctorFinding:
     """One problem the scan surfaced (and possibly repaired)."""
 
-    layer: str          # cache | snapshot | store | lease | member
+    layer: str          # cache | snapshot | store | member
     kind: str           # corrupt | stale | tmp-orphan | divergence | ...
     path: str
     detail: str = ""
@@ -286,19 +285,18 @@ def _scan_store(report: DoctorReport, repair: bool) -> None:
 # ----------------------------------------------------------------------
 
 #: Every layer, in scan order.
-LAYERS = ("cache", "snapshot", "store", "lease", "member")
+LAYERS = ("cache", "snapshot", "store", "member")
 _TREES = {"cache": disk_cache.OBJECTS, "snapshot": snapshot_store.OBJECTS}
 
 
 def diagnose(repair: bool = False,
-             lease_ttl_s: Optional[float] = None,
              tmp_age_s: Optional[float] = None,
              layers: Sequence[str] = LAYERS) -> DoctorReport:
     """Scan (and with ``repair=True`` heal) *layers* of the durable state.
 
-    A lease is stale past ``lease_ttl_s`` (default: the workers' own
-    TTL, ``REPRO_LEASE_TTL``), a writer temp file an orphan past
-    ``tmp_age_s`` (default ``cache.TMP_ORPHAN_AGE_S``).  The IO fault
+    A member record is stale past ``REPRO_MEMBER_TTL``, a writer temp
+    file an orphan past ``tmp_age_s`` (default
+    ``cache.TMP_ORPHAN_AGE_S``).  The IO fault
     shim is disarmed for the duration so an armed ``REPRO_IO_FAULTS``
     plan cannot sabotage its own cleanup; the previous arming (even a
     lazy one from the environment) is restored afterwards.
@@ -312,10 +310,6 @@ def diagnose(repair: bool = False,
         for layer in layers:
             if layer == "store":
                 _scan_store(report, repair)
-            elif layer == "lease":
-                from repro.campaign import worker
-                _scan_records(report, repair, layer,
-                              worker.lease_records(lease_ttl_s), tmp_age_s)
             elif layer == "member":
                 from repro.serve import cluster
                 _scan_records(report, repair, layer,

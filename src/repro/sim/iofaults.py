@@ -3,8 +3,7 @@
 ``repro.sim.faults`` proves the *engine* degrades instead of dying; this
 module gives the same adversarial treatment to the durable state every
 layer depends on — the content-addressed run cache, the snapshot store,
-the campaign sqlite store, the worker claim leases and the cluster
-member records.
+the campaign sqlite store and the cluster member records.
 
 Every write/fsync/rename/read on those paths goes through the hooks
 below (:func:`write`, :func:`fsync`, :func:`replace`, :func:`read_bytes`,
@@ -24,7 +23,7 @@ per-site sequencing)::
     REPRO_IO_FAULTS="fsync-lost@0:site=snapshot;slow:secs=0.01"
 
 **Sites** are dotted ``<layer>.<op>`` names (layers ``cache``,
-``snapshot``, ``store``, ``lease``, ``member``); the op suffix decides
+``snapshot``, ``store``, ``member``); the op suffix decides
 which kinds can fire there:
 
     ========== =====================================================

@@ -1,12 +1,12 @@
 """TTL records: files whose mtime is their owner's liveness signal.
 
-Campaign claim leases (``repro.campaign.worker``) and cluster member
-records (``repro.serve.cluster``) are files in the shared cache dir that
-a live owner keeps fresh and anyone may remove once it stopped.  The
-worker, the cluster and ``repro doctor`` share these rules:
+Cluster member records (``repro.serve.cluster``) are files in the shared
+cache dir that a live owner keeps fresh and anyone may remove once it
+stopped; writer temp files are judged the same way.  The cluster and
+``repro doctor`` share these rules:
 
-- age is read from the mtime, behind an optional ``REPRO_IO_FAULTS``
-  site; an unreadable age is None, and never stale;
+- age is read from the mtime; an unreadable age is None, and never
+  stale;
 - a record is stale once its age exceeds its TTL;
 - a stale record is reaped by renaming it to a unique takeover name
   (``<name>.stale.<tag>``), then unlinking that: ``os.replace`` is
@@ -23,17 +23,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, List, NamedTuple, Optional
 
-from repro.sim import iofaults
-
 #: Infix of a takeover name; one left behind is a crashed reaper's.
 TAKEOVER = ".stale."
 
 
-def age_s(path: Path, site: Optional[str] = None) -> Optional[float]:
+def age_s(path: Path) -> Optional[float]:
     """Seconds since *path* was last written, or None when unreadable."""
     try:
-        if site is not None:
-            iofaults.check(site)
         return max(0.0, time.time() - path.stat().st_mtime)
     except OSError:
         return None
@@ -65,10 +61,10 @@ class Record(NamedTuple):
 
 
 def classify(path: Path, ttl_s: float,
-             parse: Optional[Callable[[bytes], Any]] = None,
-             site: Optional[str] = None) -> Optional[Record]:
+             parse: Optional[Callable[[bytes], Any]] = None
+             ) -> Optional[Record]:
     """Classify one record; None when it is gone or its age unreadable."""
-    age = age_s(path, site)
+    age = age_s(path)
     if age is None:
         return None
     try:
@@ -92,11 +88,10 @@ class RecordSet:
     pattern: str                       # glob of live records under root
     ttl_s: float
     parse: Optional[Callable[[bytes], Any]] = None
-    site: Optional[str] = None         # iofaults site of the age read
 
     def scan(self) -> List[Record]:
         """Every record still present, classified, in path order."""
-        found = (classify(path, self.ttl_s, self.parse, self.site)
+        found = (classify(path, self.ttl_s, self.parse)
                  for path in sorted(self.root.glob(self.pattern)))
         return [record for record in found if record is not None]
 

@@ -267,13 +267,22 @@ def _worker_run(task: tuple) -> dict:
         faults.disarm()
 
 
-def _worker_main(conn) -> None:
+def _worker_main(conn, parent_end) -> None:
     """A worker's life: run each task received, answer with its payload,
-    and exit on ``None``."""
+    and exit on ``None`` or once the supervisor is gone.
+
+    A forked worker inherits *parent_end*, the supervisor's end of its
+    own pipe; closing it lets ``conn.recv`` read EOF when the supervisor
+    dies, SIGKILL included, instead of blocking forever.
+    """
+    parent_end.close()
     os.environ["REPRO_IN_WORKER"] = "1"
     faults.mark_pool_worker()
-    for task in iter(conn.recv, None):
-        conn.send(_worker_run(task))
+    try:
+        for task in iter(conn.recv, None):
+            conn.send(_worker_run(task))
+    except (EOFError, OSError):
+        pass
 
 
 def _failure_from_payload(payload: dict, run_index: int,
@@ -302,8 +311,8 @@ class _Worker:
     def __init__(self) -> None:
         ctx = mp.get_context()
         self.conn, child = ctx.Pipe()
-        self.process = ctx.Process(target=_worker_main, args=(child,),
-                                   daemon=True)
+        self.process = ctx.Process(target=_worker_main,
+                                   args=(child, self.conn), daemon=True)
         try:
             self.process.start()
         except OSError:

@@ -2,11 +2,14 @@
 
 import contextlib
 import os
+import time
+from pathlib import Path
 from typing import Optional
 
 import pytest
 from hypothesis import settings as hypothesis_settings
 
+from repro.campaign.grid import Campaign
 from repro.memory.address import BLOCKS_PER_2M, BLOCKS_PER_4K, PAGE_SIZE_4K
 from repro.prefetch.base import BoundaryStats, PrefetchContext
 from repro.sim import kernel
@@ -40,6 +43,47 @@ def _hermetic_disk_cache(tmp_path_factory):
         os.environ.pop("REPRO_CACHE_DIR", None)
     else:
         os.environ["REPRO_CACHE_DIR"] = previous
+
+
+def tiny_campaign(n_accesses=1300, workloads=("lbm", "milc")) -> Campaign:
+    """A small SPP sweep: *workloads* x original/psa."""
+    return Campaign(name="tiny-t",
+                    axes={"workload": list(workloads),
+                          "variant": ["original", "psa"]},
+                    fixed={"prefetcher": "spp",
+                           "n_accesses": n_accesses})
+
+
+def live_children(pid: int) -> list:
+    """Pids of the running (not zombie) processes whose parent is *pid*,
+    read from ``/proc``."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue             # exited while we looked
+        if fields[0] != "Z" and int(fields[1]) == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+def wait_until_gone(pids, deadline_s: float = 30.0) -> list:
+    """Wait for *pids* to exit; returns those still running (not zombie)
+    after *deadline_s*."""
+    deadline = time.monotonic() + deadline_s
+    while True:
+        running = []
+        for pid in pids:
+            try:
+                state = Path(f"/proc/{pid}/stat").read_text()
+            except OSError:
+                continue
+            if state.rsplit(")", 1)[1].split()[0] != "Z":
+                running.append(pid)
+        if not running or time.monotonic() > deadline:
+            return running
+        time.sleep(0.1)
 
 
 def make_ctx(block: int, ip: int = 0x400,

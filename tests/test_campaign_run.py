@@ -125,6 +125,58 @@ class TestFailures:
         assert store.status(campaign).complete
 
 
+class TestStoreFaults:
+    def test_store_write_faults_are_counted_not_raised(self, store):
+        # Every sqlite write fails; the sweep still completes (the disk
+        # cache is the ground truth) and a later healthy sync converges
+        # the store with zero re-simulation.
+        from repro.sim import iofaults
+        campaign = tiny_campaign(n_accesses=1250)
+        store.register(campaign)            # registered while healthy
+        iofaults.arm("eio:site=store.commit")
+        try:
+            report = run_missing(campaign, store=store, jobs=1)
+        finally:
+            iofaults.disarm()
+        assert report.ok == 4 and report.failed == 0 and report.complete
+        # register + 4 results + the engine-stats row
+        assert report.store_errors == 6
+        assert "6 store write(s) failed" in report.describe()
+        assert not store.status(campaign).complete   # rows lost...
+        assert store.sync_from_cache(campaign) == 4  # ...and recovered
+        assert store.status(campaign).complete
+
+
+class TestSubmitBody:
+    def test_body_digest_is_the_cell_digest(self):
+        from repro.serve import protocol
+        mixed = Campaign(name="body-t",
+                         axes={"workload": ["lbm", "milc"],
+                               "llc.size_bytes": [1 << 20, 2 << 20],
+                               "variant": ["original", "psa"]},
+                         fixed={"prefetcher": "spp",
+                                "ppm_enabled": False})
+        scaled = Campaign(name="scaled-t",
+                          axes={"workload": ["lbm"],
+                                "table_scale": [0.5, 2.0, 1, 2],
+                                "gb_fraction": [0.0, 0.25, 0, 1]},
+                          fixed={"prefetcher": "spp", "variant": "psa"})
+        cells = mixed.cells() + tiny_campaign().cells() + scaled.cells()
+        for cell in cells:
+            body = cell.submit_body()
+            params = cell.param_dict()
+            # The daemon reads table_scale and gb_fraction as floats,
+            # so an int there names another address; the cluster route
+            # copies such a cell's result to its own.
+            as_float = all(isinstance(params[name], float)
+                           for name in ("table_scale", "gb_fraction")
+                           if name in params)
+            assert (protocol.request_digest(body) == cell.digest) \
+                == as_float, cell.params
+        assert mixed.cells()[0].submit_body()["config"] == {
+            "ppm_enabled": False, "llc.size_bytes": 1 << 20}
+
+
 class TestEngineStatsDict:
     def test_to_dict_mirrors_counters(self):
         stats = EngineStats(requests=10, deduped=2, memo_hits=3,

@@ -348,23 +348,80 @@ class TestCampaign:
         assert "(4 already stored, 0 synced from cache, 0 simulated)" \
             in capsys.readouterr().out
 
-    def test_worker_drains_grid(self, spec, capsys):
-        assert main(["campaign", "worker", "--spec", spec,
-                     "--worker-id", "cli-worker"]) == 0
-        out = capsys.readouterr().out
-        assert "worker cli-worker" in out
+    def test_serve_drains_grid(self, spec, tmp_path, monkeypatch, capsys):
+        from repro.campaign import Campaign, CampaignStore
+        from repro.serve.app import start_in_thread
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        handle = start_in_thread(engine_jobs=1, batch_linger_s=0.01)
+        address = f"{handle.host}:{handle.port}"
+        try:
+            assert main(["campaign", "run", "--spec", spec,
+                         "--serve", address, "--serve", address]) == 0
+            assert "(0 already stored, 0 synced from cache, 4 simulated)" \
+                in capsys.readouterr().out
+            assert main(["campaign", "run", "--spec", spec,
+                         "--serve", address]) == 0
+            assert "(4 already stored, 0 synced from cache, 0 simulated)" \
+                in capsys.readouterr().out
+        finally:
+            handle.stop()
         assert main(["campaign", "status", "--spec", spec]) == 0
         assert "complete" in capsys.readouterr().out
+        # The replica's engine ran the cells: no local engine row.
+        with CampaignStore() as store:
+            campaign_id = Campaign.load(spec).campaign_id
+            assert store.engine_stats_rows(campaign_id) == []
+
+    @pytest.mark.parametrize("flag", [["--jobs", "1"], ["--no-cache"],
+                                      ["--timeout", "5"],
+                                      ["--retries", "1"]])
+    def test_serve_with_engine_flag_exits_2(self, spec, flag, capsys):
+        assert main(["campaign", "run", "--spec", spec,
+                     "--serve", "127.0.0.1:9"] + flag) == 2
+        assert "replicas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("address", ["localhost", "localhost:http",
+                                         ":8787", "localhost:0",
+                                         "localhost:65536"])
+    def test_malformed_serve_address_exits_2(self, spec, address, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "run", "--spec", spec, "--serve", address])
+        assert exit_info.value.code == 2
+        assert "HOST:PORT" in capsys.readouterr().err
+
+    def test_serve_without_live_replica_exits_1(self, spec, tmp_path,
+                                                monkeypatch, capsys):
+        import socket
+        import time
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        with socket.socket() as sock:          # a port nobody listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        begin = time.monotonic()
+        assert main(["campaign", "run", "--spec", spec,
+                     "--serve", f"127.0.0.1:{port}"]) == 1
+        assert time.monotonic() - begin < 30
+        assert "no replica answers /healthz" in capsys.readouterr().err
+
+    def test_absorbed_store_write_exits_1(self, spec, capsys):
+        from repro.sim import iofaults
+
+        iofaults.arm("eio@0:site=store.commit")   # the registration
+        try:
+            assert main(["campaign", "run", "--spec", spec,
+                         "--jobs", "1"]) == 1
+        finally:
+            iofaults.disarm()
+        out = capsys.readouterr().out
+        assert "4/4 cells done" in out and "1 store write(s) failed" in out
+        assert main(["campaign", "run", "--spec", spec, "--jobs", "1"]) == 0
 
     def test_missing_spec_exits_2(self, tmp_path, capsys):
         assert main(["campaign", "status",
                      "--spec", str(tmp_path / "absent.json")]) == 2
         assert "no campaign spec" in capsys.readouterr().err
-
-    def test_bad_worker_id_exits_2(self, spec, capsys):
-        assert main(["campaign", "worker", "--spec", spec,
-                     "--worker-id", "not ok"]) == 2
-        assert "worker id" in capsys.readouterr().err
 
     def test_read_only_status_query_export(self, spec, tmp_path, capsys):
         """``--read-only`` serves status/query/export against a store

@@ -8,18 +8,28 @@ walking the rendezvous order, deduplicated by the content-addressed
 cache (work a dead replica published re-serves as a hit anywhere).
 """
 
+import collections
 import json
 import os
+import socket
+import sys
+import threading
 import time
 
 import pytest
 
+from repro.campaign.execute import run_missing
+from repro.campaign.grid import Campaign
+from repro.campaign.store import CampaignStore
 from repro.sim import cache as disk_cache
-from repro.sim import doctor, runner
+from repro.sim import doctor, records, runner
 from repro.sim.config import ConfigurationError
 from repro.serve import cluster, netfaults, protocol
 from repro.serve.app import start_in_thread
 from repro.serve.client import RetryPolicy, ServeClient, ServeClientError
+from repro.verify.golden import metrics_digest
+
+from conftest import tiny_campaign
 
 N = 600
 
@@ -153,12 +163,14 @@ class TestRendezvous:
 
 class TestEndpoints:
     def test_healthz_carries_member_and_draining(self, daemon):
-        handle = daemon(cluster=True)
+        handle = daemon(cluster=True, engine_jobs=3, quota=5)
         client = ServeClient(port=handle.port, policy=policy())
         reply = client.healthz()
         assert reply.body["draining"] is False
         assert reply.body["member_id"] == cluster.member_id_for(
             handle.host, handle.port)
+        assert reply.body["engine_jobs"] == 3
+        assert reply.body["client_quota"] == 5
 
     def test_cluster_endpoint_lists_members(self, daemon):
         first = daemon(cluster=True)
@@ -270,11 +282,176 @@ class TestClusterClient:
         dead = cluster.register("127.0.0.1", live.port + 1)
         client = cluster.ClusterClient(client_id="t", policy=policy())
         healthy = client.healthy_members(probe_timeout=2.0)
-        assert healthy == [cluster.member_id_for(live.host, live.port)]
+        assert list(healthy) == [cluster.member_id_for(live.host,
+                                                       live.port)]
         cluster.deregister(dead)
 
 
+def _age(path, seconds=1000):
+    old = time.time() - seconds
+    os.utime(path, (old, old))
+
+
+def _run_threads(target, count, timeout=300.0):
+    threads = [threading.Thread(target=target, args=(i,))
+               for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=timeout)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestSharedClusterClient:
+    def test_threads_share_one_serve_client_per_replica(self, daemon,
+                                                        monkeypatch):
+        handles = [daemon(), daemon()]
+        members = {cluster.member_id_for(h.host, h.port): (h.host, h.port)
+                   for h in handles}
+        # Two bodies preferred by each replica, so every thread reaches
+        # both replica clients.
+        bodies = []
+        for first in members:
+            bodies += [body for body in (req_body(n_accesses=N + i)
+                                         for i in range(64))
+                       if cluster.rendezvous_rank(
+                           protocol.request_digest(body),
+                           sorted(members))[0] == first][:2]
+        built = []
+
+        class CountingClient(ServeClient):
+            def __init__(self, host, port, **kwargs):
+                built.append((host, port))
+                time.sleep(0.01)             # widen a check-then-act race
+                super().__init__(host, port, **kwargs)
+
+        monkeypatch.setattr(cluster, "ServeClient", CountingClient)
+        client = cluster.ClusterClient(replicas=list(members.values()),
+                                       client_id="threads", policy=policy())
+        barrier = threading.Barrier(8)
+        errors = []
+
+        def submitter(thread_no):
+            barrier.wait()
+            try:
+                for i in range(25):
+                    body = bodies[(thread_no + i) % len(bodies)]
+                    reply = client.submit_and_wait(body, timeout=120)
+                    assert reply.run_status == "ok", reply.body
+            except Exception as exc:          # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads(submitter, 8)
+        finally:
+            sys.setswitchinterval(interval)
+            client.close()
+        assert errors == []
+        assert collections.Counter(built) == collections.Counter(
+            members.values())
+
+
 class TestDoctorMembers:
+    def test_reap_race_has_one_winner(self):
+        for round_no in range(10):
+            record = cluster.register("127.0.0.1", 9100 + round_no)
+            _age(record.path)
+            barrier = threading.Barrier(8)
+            reaped = {}
+
+            def reaper(thread_no):
+                barrier.wait()
+                reaped[thread_no] = cluster.reap_stale(ttl_s=5)
+
+            _run_threads(reaper, 8)
+            assert sum(map(len, reaped.values())) == 1
+            assert not record.path.exists()
+            assert not list(cluster.members_dir().glob("*.stale.*"))
+
+    def test_deregister_vs_reap_race(self):
+        # A reaper firing while the (alive) owner deregisters: whichever
+        # wins, the record ends gone and no takeover tombstone leaks.
+        for round_no in range(25):
+            record = cluster.register("127.0.0.1", 9200 + round_no)
+            _age(record.path)
+            barrier = threading.Barrier(2)
+
+            def racer(thread_no):
+                barrier.wait()
+                if thread_no:
+                    cluster.deregister(record)
+                else:
+                    cluster.reap_stale(ttl_s=5)
+
+            _run_threads(racer, 2)
+            assert not record.path.exists()
+            assert not list(cluster.members_dir().glob("*.stale.*"))
+
+    def test_fresh_member_not_reaped(self):
+        record = cluster.register("127.0.0.1", 9300)
+        assert cluster.reap_stale(ttl_s=3600) == []
+        assert record.path.exists()
+
+    def test_stale_member_reaped_once(self):
+        record = cluster.register("127.0.0.1", 9301)
+        _age(record.path)
+        assert cluster.reap_stale(ttl_s=5) == [record.member_id]
+        assert not record.path.exists()
+        # A second (late) reaper finds nothing to take over.
+        assert cluster.reap_stale(ttl_s=5) == []
+
+    def test_vanished_record_has_no_age(self, tmp_path):
+        # An unreadable age is never stale: nothing to classify or reap.
+        gone = tmp_path / "gone.json"
+        assert records.age_s(gone) is None
+        assert records.classify(gone, 0.0) is None
+
+    def test_unreadable_record_reads_as_absent(self):
+        # A record whose bytes cannot be read is classified as gone, so
+        # an aged one is never stale and no reaper removes it.
+        path = cluster.members_dir() / "unreadable.json"
+        path.mkdir(parents=True)
+        _age(path)
+        assert records.classify(path, 0.0, cluster.parse_record) is None
+        assert cluster.reap_stale(ttl_s=0.0) == []
+        assert path.is_dir()
+        path.rmdir()
+        record = cluster.register("127.0.0.1", 9302)
+        _age(record.path)
+        assert records.classify(record.path, 0.0,
+                                cluster.parse_record).status == "stale"
+
+    def test_stale_member_and_tombstone_freed_fresh_kept(self):
+        fresh = cluster.register("127.0.0.1", 9001)
+        stale = cluster.register("127.0.0.1", 9002)
+        _age(stale.path)
+        tombstone = cluster.members_dir() / (
+            f"127.0.0.1-9003.json{records.TAKEOVER}reaper.123")
+        tombstone.write_text("{}")
+
+        report = doctor.diagnose(repair=True)
+        assert report.count("member", "stale") == 1
+        assert report.count("member", "tombstone") == 1
+        assert report.healthy
+        assert not stale.path.exists() and not tombstone.exists()
+        assert fresh.path.exists()
+
+    def test_default_ttl_is_the_member_ttl(self, monkeypatch):
+        # A record younger than REPRO_MEMBER_TTL belongs to a live
+        # replica: the doctor (and a daemon's startup repair) keeps it.
+        from repro.cli import main
+        monkeypatch.setenv("REPRO_MEMBER_TTL", "3600")
+        record = cluster.register("127.0.0.1", 9001)
+        _age(record.path)
+        assert doctor.diagnose(repair=True).count("member") == 0
+        assert main(["doctor", "--repair"]) == 0
+        assert record.path.exists()
+        monkeypatch.setenv("REPRO_MEMBER_TTL", "500")
+        assert main(["doctor", "--repair"]) == 0
+        assert not record.path.exists()
+
     def test_doctor_heals_corrupt_stale_and_orphans(self):
         cluster.register("127.0.0.1", 9001)
         root = cluster.members_dir()
@@ -318,6 +495,98 @@ class TestDoctorMembers:
         cluster.register("127.0.0.1", 9001)
         report = doctor.diagnose(repair=True)
         assert report.count(layer="member") == 0
+
+
+class TestCampaignOverReplicas:
+    """``run_missing(replicas=...)``: the missing cells run on daemons
+    over this cache dir, and the store converges as on the local route."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        with CampaignStore(tmp_path / "campaigns.sqlite") as s:
+            yield s
+
+    @staticmethod
+    def address(handle):
+        return (handle.host, handle.port)
+
+    def test_drains_grid(self, daemon, store):
+        campaign = tiny_campaign(n_accesses=1310)
+        report = run_missing(campaign, store=store,
+                             replicas=[self.address(daemon())])
+        assert report.ok == 4 and report.failed == 0
+        assert store.status(campaign).complete
+        # The replica's engine ran the cells: no local engine-stats row.
+        assert store.engine_stats_rows(campaign.campaign_id) == []
+
+    def test_noop_when_complete(self, daemon, store):
+        campaign = tiny_campaign(n_accesses=1330)
+        replicas = [self.address(daemon())]
+        assert run_missing(campaign, store=store, replicas=replicas).complete
+        report = run_missing(campaign, store=store, replicas=replicas)
+        assert report.scheduled == 0 and report.ok == 0
+        assert report.done_before == 4 and report.complete
+
+    def test_two_replicas_one_complete_store(self, daemon, store):
+        campaign = tiny_campaign(n_accesses=1350,
+                                 workloads=("lbm", "milc", "mcf"))
+        handles = [daemon(), daemon()]
+        report = run_missing(campaign, store=store,
+                             replicas=[self.address(h) for h in handles])
+        # Every cell was sent once and came back ok: no duplicate rows.
+        assert report.scheduled == 6 and report.ok == 6
+        assert report.failed == 0
+        status = store.status(campaign)
+        assert status.complete and status.total == 6
+        rows = store.rows(campaign)
+        assert len(rows) == 6
+        assert all(row["status"] == "ok" for row in rows)
+
+    def test_int_valued_float_axes_land_at_the_cell_address(
+            self, daemon, store, tmp_path, monkeypatch):
+        # The daemon runs table_scale=1 as 1.0, another address; the
+        # result still lands at the cell's own, equal to a local run.
+        campaign = Campaign(name="int-t",
+                            axes={"workload": ["lbm"],
+                                  "table_scale": [1, 2]},
+                            fixed={"prefetcher": "spp", "variant": "psa",
+                                   "n_accesses": 1320})
+        report = run_missing(campaign, store=store,
+                             replicas=[self.address(daemon())])
+        assert report.ok == 2, report.describe()
+        served = store.metrics_for(campaign)
+        with CampaignStore(tmp_path / "synced.sqlite") as fresh:
+            assert fresh.sync_from_cache(campaign) == 2
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clean"))
+        runner.clear_cache()
+        with CampaignStore(tmp_path / "clean.sqlite") as clean:
+            assert run_missing(campaign, store=clean, jobs=1).ok == 2
+            local = clean.metrics_for(campaign)
+        assert ({i: metrics_digest(m) for i, m in served.items()}
+                == {i: metrics_digest(m) for i, m in local.items()})
+
+    def test_dead_replica_peer_completes(self, daemon, store):
+        # A listed replica that died before the sweep (nothing listens
+        # on its port) costs failovers, not cells: its live peer
+        # finishes every cell, those ranked on the dead one included.
+        campaign = tiny_campaign(n_accesses=1360,
+                                 workloads=("lbm", "milc", "mcf"))
+        handle = daemon()
+        live = cluster.member_id_for(*self.address(handle))
+        while True:
+            with socket.socket() as sock:
+                sock.bind(("127.0.0.1", 0))
+                port = sock.getsockname()[1]
+            dead = cluster.member_id_for("127.0.0.1", port)
+            if any(cluster.rendezvous_rank(cell.digest,
+                                           sorted([live, dead]))[0] == dead
+                   for cell in campaign.cells()):
+                break
+        report = run_missing(campaign, store=store,
+                             replicas=[("127.0.0.1", port),
+                                       self.address(handle)])
+        assert report.failed == 0, report.describe()
+        assert report.complete and store.status(campaign).complete
 
 
 class TestStartupValidation:

@@ -17,6 +17,10 @@ for the transport plane:
    the shared cache healthy and the membership registry free of the
    dead replica's record.
 
+A campaign sweep through the replicas (``run_missing(replicas=...)``)
+meets the same gates with one replica SIGKILLed mid-sweep: it completes
+with every cell equal to a local sweep's.
+
 Replicas are real ``repro serve --cluster`` subprocesses over one
 shared cache dir, so kill -9 is a genuine process death: the queue and
 member heartbeat die instantly, the published cache entries survive.
@@ -33,11 +37,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign.execute import run_missing
+from repro.campaign.store import CampaignStore
 from repro.serve import cluster, netfaults
 from repro.serve.client import RetryPolicy, ServeClient, ServeClientError
 from repro.sim import cache as disk_cache
 from repro.sim import doctor, faultplan, runner
 from repro.sim.runner import RunRequest, run_batch
+from repro.verify.golden import metrics_digest
+
+from conftest import live_children, tiny_campaign, wait_until_gone
 
 N = 620
 REPLICAS = 3
@@ -53,11 +62,12 @@ DAEMON_STORM = ("refuse~2/5:site=daemon.accept;"
 
 #: Client-side storm (armed in-process): dials refused, sends reset,
 #: reads garbled.  Connections are kept alive, so ``client.connect``
-#: fires once per dial, not per request: its sample is drawn from the
-#: first 5 dials, which both tests below reach.
+#: fires once per dial, not per request, and the single-replica test
+#: makes only ~7 reads: the dial and read samples are drawn from the
+#: first 5 ops, which both tests below reach.
 CLIENT_STORM = ("refuse~2/7:site=client.connect:of=5;"
                 "reset~1/5:site=client.send;"
-                "garble~2/11:site=client.recv")
+                "garble~2/11:site=client.recv:of=5")
 
 
 @pytest.fixture(autouse=True)
@@ -76,15 +86,15 @@ def isolated(tmp_path, monkeypatch):
     runner.clear_cache()
 
 
-def assert_every_sampled_dial_was_made():
-    """The client dialled past the last refusal the storm samples, so
-    both refusals fired (call before ``disarm``, which zeroes the
+def assert_every_sampled_fault_fired():
+    """Each client-side site ran past the last op its clause samples, so
+    every sampled fault fired (call before ``disarm``, which zeroes the
     counters)."""
-    [clause] = [c for c in netfaults.parse(CLIENT_STORM)
-                if c.site == "client.connect"]
-    sampled = faultplan.sample(clause.seed, clause.count, clause.window,
-                               "client.connect")
-    assert netfaults.PLANE.counters["client.connect"] > max(sampled)
+    for clause in netfaults.parse(CLIENT_STORM):
+        sampled = faultplan.sample(clause.seed, clause.count,
+                                   clause.window, clause.site)
+        assert netfaults.PLANE.counters[clause.site] > max(sampled), \
+            (clause.site, netfaults.PLANE.counters)
 
 
 def req_body(n_accesses):
@@ -149,19 +159,23 @@ def wait_healthy(port: int, deadline_s: float = 60.0) -> None:
 def replicas(tmp_path):
     procs = []
 
-    def _boot(count, extra_env):
-        for _ in range(count):
-            port = free_port()
+    def _boot(count, extra_env, port=None):
+        for port in [port] if port else [free_port()
+                                         for _ in range(count)]:
             procs.append((port, spawn_replica(port, extra_env)))
         for port, _ in procs:
             wait_healthy(port)
         return procs
 
     yield _boot
+    workers = []
     for _, proc in procs:
+        workers += live_children(proc.pid)
         if proc.poll() is None:
             proc.kill()
         proc.wait(timeout=30)
+    # A SIGKILLed replica's engine workers exit on their own.
+    assert wait_until_gone(workers) == []
 
 
 class TestClusterChaosSoak:
@@ -219,7 +233,7 @@ class TestClusterChaosSoak:
             assert payload is not None
             key = engine_request(body).key()
             assert digest(payload) == truth[key]
-        assert_every_sampled_dial_was_made()
+        assert_every_sampled_fault_fired()
 
         # 3. Healable: disarm, one doctor pass, registry + cache clean.
         netfaults.disarm()
@@ -260,4 +274,93 @@ class TestStormOnlyEquivalence:
             assert reply.run_status == "ok"
             key = engine_request(body).key()
             assert digest(reply.result["metrics"]) == truth[key]
-        assert_every_sampled_dial_was_made()
+        assert_every_sampled_fault_fired()
+
+
+class TestCampaignOverCluster:
+    def test_sweep_survives_a_killed_replica(self, tmp_path, monkeypatch,
+                                             replicas):
+        campaign = tiny_campaign(n_accesses=3000, workloads=(
+            "lbm", "milc", "mcf", "omnetpp", "soplex", "libquantum"))
+        assert len(campaign.cells()) == 12
+
+        # The truth: a local sweep in a fresh cache universe.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "clean"))
+        runner.clear_cache()
+        with CampaignStore(tmp_path / "clean.sqlite") as store:
+            assert run_missing(campaign, store=store, jobs=2).complete
+            truth = {index: metrics_digest(metrics) for index, metrics
+                     in store.metrics_for(campaign).items()}
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "chaos"))
+        runner.clear_cache()
+
+        procs = replicas(2, {"REPRO_CACHE_DIR": str(tmp_path / "chaos"),
+                             "REPRO_MEMBER_TTL": "2.0",
+                             "REPRO_RETRY_BACKOFF": "0.01"})
+        objects = tmp_path / "chaos" / "objects"
+        done = threading.Event()
+        killed_mid_sweep = []
+        orphans = []
+
+        def kill_after_two_cells():
+            victim = procs[0][1]
+            while not done.is_set():
+                workers = live_children(victim.pid)
+                if len(list(objects.glob("*/*.json"))) >= 2 and workers:
+                    victim.kill()
+                    killed_mid_sweep.append(not done.is_set())
+                    orphans.extend(workers)
+                    return
+                time.sleep(0.01)
+
+        killer = threading.Thread(target=kill_after_two_cells)
+        killer.start()
+        try:
+            with CampaignStore(tmp_path / "chaos.sqlite") as store:
+                report = run_missing(
+                    campaign, store=store,
+                    replicas=[("127.0.0.1", port) for port, _ in procs])
+                stored = store.metrics_for(campaign)
+        finally:
+            done.set()
+            killer.join(timeout=30)
+        assert not killer.is_alive()
+        assert killed_mid_sweep == [True]
+        # Its engine workers did not outlive it.
+        assert wait_until_gone(orphans) == []
+        assert report.complete and report.failed == 0, report.describe()
+        assert report.ok == 12
+        assert {index: metrics_digest(metrics)
+                for index, metrics in stored.items()} == truth
+
+    def test_crashing_replica_peer_completes(self, tmp_path, monkeypatch,
+                                             replicas):
+        # One replica answers /healthz but crashes the first run of every
+        # batch it drains (REPRO_FAULTS=crash@0); each cell it fails goes
+        # to the healthy peer before anything is recorded.
+        campaign = tiny_campaign(n_accesses=1360,
+                                 workloads=("lbm", "milc", "mcf"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "shared"))
+        runner.clear_cache()
+        env = {"REPRO_CACHE_DIR": str(tmp_path / "shared"),
+               "REPRO_RETRY_BACKOFF": "0.01"}
+        healthy = free_port()
+        while True:
+            crashing = free_port()
+            if crashing != healthy and any(cluster.rendezvous_rank(
+                    cell.digest, sorted(
+                        cluster.member_id_for("127.0.0.1", port)
+                        for port in (healthy, crashing)))[0]
+                    == cluster.member_id_for("127.0.0.1", crashing)
+                    for cell in campaign.cells()):
+                break
+        replicas(1, dict(env, REPRO_FAULTS="crash@0"), port=crashing)
+        procs = replicas(1, env, port=healthy)
+        with CampaignStore(tmp_path / "crash.sqlite") as store:
+            report = run_missing(
+                campaign, store=store,
+                replicas=[("127.0.0.1", port) for port, _ in procs])
+            assert store.status(campaign).complete
+        assert report.failed == 0 and report.ok == 6, report.describe()
+        engine = ServeClient(port=crashing).metrics().body["engine"]
+        assert engine["failed"] >= 1          # the fault did fire there

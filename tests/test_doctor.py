@@ -1,5 +1,5 @@
 """Tests for ``repro doctor`` (repro.sim.doctor): the one-command
-scan-and-heal pass over cache + snapshots + campaign store + leases,
+scan-and-heal pass over cache + snapshots + campaign store + member records,
 its CLI verb, and the serve-startup healing wire-up.
 """
 
@@ -13,7 +13,7 @@ from repro.campaign.store import CampaignStore, store_path
 from repro.sim import cache, doctor, iofaults, runner
 from repro.sim import snapshot as snapshot_store
 
-from test_campaign_worker import tiny_campaign
+from conftest import tiny_campaign
 from test_disk_cache import KEY, sample_metrics
 
 
@@ -167,46 +167,6 @@ class TestStoreHealing:
     def test_absent_store_is_clean(self):
         report = doctor.diagnose()
         assert report.scanned["store"] == 0 and report.clean
-
-
-class TestLeaseHealing:
-    def test_stale_lease_and_tombstone_freed_fresh_kept(self, tmp_path):
-        leases = (tmp_path / "campaigns" / "deadbeef" / "leases")
-        leases.mkdir(parents=True)
-        stale = leases / "cell0.lease"
-        stale.write_text("{}")
-        _age(stale)
-        fresh = leases / "cell1.lease"
-        fresh.write_text("{}")
-        tombstone = leases / "cell2.lease.stale.w1.123"
-        tombstone.write_text("{}")
-
-        report = doctor.diagnose(repair=True, lease_ttl_s=5)
-        assert report.count("lease", "stale") == 1
-        assert report.count("lease", "tombstone") == 1
-        assert report.healthy
-        assert not stale.exists() and not tombstone.exists()
-        assert fresh.exists()
-
-    def test_default_ttl_is_the_workers_own(self, tmp_path, monkeypatch):
-        # A peer worker refuses to reclaim a lease younger than
-        # REPRO_LEASE_TTL; the doctor (and the serve daemon's startup
-        # repair) must not reap it either, or a peer re-simulates a
-        # cell that is still running.
-        from repro.campaign import worker
-        from repro.cli import main
-        monkeypatch.setenv("REPRO_LEASE_TTL", "3600")
-        lease = tmp_path / "campaigns" / "deadbeef" / "leases" / "c.lease"
-        assert worker.try_claim(lease, "holder")
-        _age(lease, 1000)
-        assert not worker.reclaim_if_stale(lease, worker.lease_ttl(),
-                                           "peer")
-        report = doctor.diagnose(repair=True)
-        assert report.count("lease") == 0 and lease.exists()
-        assert main(["doctor", "--repair"]) == 0
-        assert lease.exists()
-        assert main(["doctor", "--repair", "--lease-ttl", "500"]) == 0
-        assert not lease.exists()
 
 
 def damage_universe():

@@ -6,7 +6,6 @@ supervisor would misclassify as a permanent simulation failure)."""
 import pytest
 
 from repro.campaign import store as campaign_store
-from repro.campaign import worker as campaign_worker
 from repro.serve import app as serve_app
 from repro.serve import client as serve_client
 from repro.serve import cluster as serve_cluster
@@ -115,46 +114,6 @@ class TestKnobConsumers:
 
 class TestCampaignKnobs:
     """The campaign layer's knobs go through the same machinery."""
-
-    def test_lease_ttl_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEASE_TTL", "forever")
-        with pytest.raises(ConfigurationError) as excinfo:
-            campaign_worker.lease_ttl()
-        assert "REPRO_LEASE_TTL" in str(excinfo.value)
-        assert "forever" in str(excinfo.value)
-
-    def test_lease_ttl_non_positive(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEASE_TTL", "0")
-        with pytest.raises(ConfigurationError):
-            campaign_worker.lease_ttl()
-
-    def test_lease_ttl_override_validated(self):
-        with pytest.raises(ConfigurationError):
-            campaign_worker.lease_ttl(-1.0)
-
-    def test_lease_ttl_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LEASE_TTL", raising=False)
-        assert campaign_worker.lease_ttl() == \
-               campaign_worker.DEFAULT_LEASE_TTL_S
-        monkeypatch.setenv("REPRO_LEASE_TTL", "12.5")
-        assert campaign_worker.lease_ttl() == 12.5
-        assert campaign_worker.lease_ttl(7.0) == 7.0
-
-    def test_worker_id_pattern(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_ID", "no spaces allowed")
-        with pytest.raises(ConfigurationError) as excinfo:
-            campaign_worker.worker_id()
-        assert "REPRO_WORKER_ID" in str(excinfo.value)
-
-    def test_worker_id_override_validated(self):
-        with pytest.raises(ConfigurationError):
-            campaign_worker.worker_id("../escape")
-
-    def test_worker_id_values(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_ID", "host-3.shard_1")
-        assert campaign_worker.worker_id() == "host-3.shard_1"
-        monkeypatch.delenv("REPRO_WORKER_ID")
-        assert campaign_worker.worker_id()   # host-pid default
 
     def test_campaign_db_directory_rejected(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CAMPAIGN_DB", str(tmp_path))

@@ -317,27 +317,6 @@ class TestPeekUnderFaults:
         assert snapshot_store.load(KEY) == (500, self.STATE)
 
 
-class TestLeaseLayer:
-    def test_lease_write_fault_reads_as_contended(self, tmp_path):
-        from repro.campaign import worker as worker_mod
-        path = tmp_path / "leases" / "cell.lease"
-        iofaults.arm("eio:site=lease.write")
-        assert worker_mod.try_claim(path, "w1") is False
-        iofaults.disarm()
-        assert worker_mod.try_claim(path, "w1") is True
-
-    def test_lease_read_fault_reads_as_absent(self, tmp_path):
-        from repro.campaign import worker as worker_mod
-        path = tmp_path / "leases" / "cell.lease"
-        assert worker_mod.try_claim(path, "w1")
-        iofaults.arm("eio:site=lease.read")
-        assert worker_mod.lease_age_s(path) is None
-        # Unknown age must never be treated as stale.
-        assert worker_mod.reclaim_if_stale(path, 0.0, "w2") is False
-        iofaults.disarm()
-        assert worker_mod.lease_age_s(path) is not None
-
-
 class TestStoreLayer:
     def test_open_fault_fails_construction(self, tmp_path):
         from repro.campaign.store import CampaignStore
@@ -350,7 +329,7 @@ class TestStoreLayer:
 
     def test_commit_fault_raises_oserror(self, tmp_path):
         from repro.campaign.store import CampaignStore
-        from test_campaign_worker import tiny_campaign
+        from conftest import tiny_campaign
         campaign = tiny_campaign()
         with CampaignStore(tmp_path / "c.sqlite") as store:
             iofaults.arm("eio:site=store.commit")

@@ -8,9 +8,12 @@ machinery — no mocking of the failure itself.
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,8 @@ from repro.sim.supervisor import (
     max_retries,
     run_timeout,
 )
+
+from conftest import live_children, wait_until_gone
 
 N = 600
 
@@ -321,6 +326,33 @@ class TestWorkers:
         with pytest.raises(ValueError, match="l1d"):
             run_batch([req(l1d="bogus"), req("soplex")], jobs=2)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_workers_exit_when_their_supervisor_is_killed(self, tmp_path):
+        # A SIGKILLed parent cannot stop its workers: each must see its
+        # pipe close.  Run 0 hangs on one worker (busy when the parent
+        # dies) while the other finishes runs 1 and 2 and waits (idle).
+        script = ("from repro.sim.runner import RunRequest, run_batch\n"
+                  "run_batch([RunRequest(w, 'spp', 'psa', n_accesses=600)"
+                  " for w in ('lbm', 'milc', 'mcf')], jobs=2,"
+                  " use_cache=False, strict=False)\n")
+        env = dict(os.environ, REPRO_FAULTS="hang@0:secs=3",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(Path(__file__).resolve().parents[1] / "src"),
+                        os.environ.get("PYTHONPATH", "")]))
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while (len(live_children(parent.pid)) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            workers = live_children(parent.pid)
+            assert len(workers) == 2
+            time.sleep(0.5)
+        finally:
+            parent.kill()
+            parent.wait()
+        assert wait_until_gone(workers) == []
 
     def test_fail_fast_checkpoints_the_run_in_flight(self, monkeypatch):
         # Run 0 fails at once while run 1 is still running on the other
