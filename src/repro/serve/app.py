@@ -13,6 +13,16 @@ crash-safe: a daemon SIGKILLed mid-queue loses its queue but none of its
 completed work, and every finished request resubmitted to a fresh daemon
 is a cache hit.
 
+The engine thread runs every batch on one ``supervisor.WorkerPool`` of
+the engine's width (``engine_jobs``, else ``runner.job_count()``), whose
+worker processes live as long as the daemon: a simulation never holds
+the daemon's GIL, and a miss pays no fork once the workers are up.  A
+job finishes as soon as its own run does, not when its batch does.  The
+dispatcher lingers ``batch_linger_s`` for a burst only while the pending
+jobs cannot fill the engine's width, so a one-job engine never waits.
+Every exit path closes the pool (after the in-flight batch), so no
+worker outlives the daemon.
+
 Endpoints::
 
     GET  /healthz                 liveness probe (+ draining, member_id,
@@ -60,7 +70,7 @@ from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.sim import cache as disk_cache
-from repro.sim import runner, snapshot
+from repro.sim import runner, snapshot, supervisor
 from repro.sim.cache import metrics_to_dict
 from repro.sim.config import env_int, env_str
 from repro.serve import cluster as cluster_mod
@@ -132,7 +142,6 @@ class ServeApp:
             queue_depth if queue_depth is not None else queue_max())
         self.quotas = ClientQuotas(
             quota if quota is not None else client_quota())
-        self.engine_jobs = engine_jobs
         self.cluster_enabled = cluster
         self.member: Optional[cluster_mod.MemberRecord] = None
         self._heartbeat: Optional[asyncio.Task] = None
@@ -148,6 +157,10 @@ class ServeApp:
         self._dispatcher: Optional[asyncio.Task] = None
         self._engine_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-engine")
+        #: The engine's worker processes; only the engine thread uses
+        #: it once the daemon has started.
+        self._pool = supervisor.WorkerPool(engine_jobs
+                                           or runner.job_count())
         self._handlers: set = set()
         #: Writers of kept-alive connections waiting for their next
         #: request line; a drain closes them.
@@ -261,7 +274,18 @@ class ServeApp:
                 await self._dispatcher
             except (asyncio.CancelledError, Exception):
                 pass
+        # The engine thread stops the workers after its in-flight batch,
+        # whose runs keep checkpointing to the disk cache.
+        self._engine_pool.submit(self._pool.close)
         self._engine_pool.shutdown(wait=False)
+
+    def close_engine(self) -> None:
+        """Wait out the in-flight batch and the pool's close queued by
+        ``wait_closed``; then close the pool here, in case no drain
+        queued it (a loop that stopped by an exception).  Call on the
+        loop's thread once the loop has stopped."""
+        self._engine_pool.shutdown(wait=True)
+        self._pool.close()
 
     def run(self) -> int:
         """Foreground entrypoint for ``repro serve`` (blocks until
@@ -279,6 +303,8 @@ class ServeApp:
             asyncio.run(_main())
         except KeyboardInterrupt:
             pass
+        finally:
+            self.close_engine()
         return 0
 
     # -- test hooks (thread-safe) --------------------------------------
@@ -318,51 +344,71 @@ class ServeApp:
         while not self._closing:
             await self._wake.wait()
             self._wake.clear()
-            if self.batch_linger_s:
-                # Let a burst accumulate so it becomes one engine batch.
+            if self.batch_linger_s and (len(self.queue.pending)
+                                        < self._pool.width):
+                # Let a burst accumulate so it can fill the engine's
+                # workers.  A batch that fills them already, and any
+                # batch of a one-job engine, whose runs go one after
+                # another, would only start later.
                 await asyncio.sleep(self.batch_linger_s)
             while (self.queue.pending and not self._paused
                    and not self._closing):
                 jobs = self.queue.drain()
                 begin = time.monotonic()
-                outcome = await self._loop.run_in_executor(
-                    self._engine_pool, self._run_jobs,
-                    [job.request for job in jobs])
+                error = await self._loop.run_in_executor(
+                    self._engine_pool, self._run_jobs, jobs)
                 self.busy_s += time.monotonic() - begin
-                self._apply_batch(jobs, outcome)
+                if error is not None:
+                    self._apply_batch(jobs, error)
 
-    def _run_jobs(self, requests: List) -> object:
-        """Engine-thread entry: run one claimed batch non-strictly."""
+    def _run_jobs(self, jobs: List[Job]) -> Optional[Exception]:
+        """Engine-thread entry: run one claimed batch non-strictly on the
+        pool, finishing each job on the loop as soon as its run's
+        outcome is final.  Returns an engine-level failure, if any."""
+        def finished(index: int, run: supervisor.RunOutcome) -> None:
+            job = jobs[index]
+            result = self._job_result(job, run)
+            try:
+                self._loop.call_soon_threadsafe(self._finish_job, job,
+                                                result)
+            except RuntimeError:
+                pass    # the loop is gone; the run is on disk
+
         try:
-            return runner.run_batch(requests, jobs=self.engine_jobs,
-                                    strict=False, fail_fast=False)
+            runner.run_batch([job.request for job in jobs], strict=False,
+                             fail_fast=False, pool=self._pool,
+                             on_outcome=finished)
         except Exception as exc:       # engine-level failure, not per-run
             return exc
+        return None
 
-    def _apply_batch(self, jobs: List[Job], outcome: object) -> None:
-        if isinstance(outcome, Exception):
-            failure = {"kind": "engine", "exc_type": type(outcome).__name__,
-                       "message": str(outcome)}
-            for job in jobs:
+    @staticmethod
+    def _job_result(job: Job, run: supervisor.RunOutcome) -> dict:
+        result = {"status": run.status, "source": run.source,
+                  "attempts": run.attempts, "metrics": None,
+                  "failure": None}
+        if run.ok:
+            # Prefer the raw on-disk payload the engine just
+            # checkpointed: the served bytes are then identical to any
+            # other reader of the same cache entry.
+            payload = disk_cache.load_payload(job.key, job.digest)
+            if payload is None:
+                payload = metrics_to_dict(run.metrics)
+            result["metrics"] = payload
+        elif run.failure is not None:
+            result["failure"] = run.failure.to_dict()
+        return result
+
+    def _apply_batch(self, jobs: List[Job], error: Exception) -> None:
+        """Fail the jobs of a batch the engine raised out of; those
+        whose runs had finished keep their results."""
+        failure = {"kind": "engine", "exc_type": type(error).__name__,
+                   "message": str(error)}
+        for job in jobs:
+            if not job.terminal:
                 self._finish_job(job, {
                     "status": "failed", "source": "engine", "attempts": 0,
                     "metrics": None, "failure": failure})
-            return
-        for job, run in zip(jobs, outcome.outcomes):
-            result = {"status": run.status, "source": run.source,
-                      "attempts": run.attempts, "metrics": None,
-                      "failure": None}
-            if run.ok:
-                # Prefer the raw on-disk payload the engine just
-                # checkpointed: the served bytes are then identical to
-                # any other reader of the same cache entry.
-                payload = disk_cache.load_payload(job.key, job.digest)
-                if payload is None:
-                    payload = metrics_to_dict(run.metrics)
-                result["metrics"] = payload
-            elif run.failure is not None:
-                result["failure"] = run.failure.to_dict()
-            self._finish_job(job, result)
 
     def _finish_job(self, job: Job, result: dict) -> None:
         self.queue.finish(job, result)
@@ -540,7 +586,7 @@ class ServeApp:
             return await self._respond(writer, 200, {
                 "ok": True, "queue_depth": self.queue.depth(),
                 "draining": self._closing,
-                "engine_jobs": self.engine_jobs or runner.job_count(),
+                "engine_jobs": self._pool.width,
                 "client_quota": self.quotas.limit,
                 "member_id": self.member.member_id
                 if self.member is not None else None,
@@ -784,6 +830,12 @@ def start_in_thread(**kwargs) -> "ServeHandle":
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
         try:
+            _serve(loop)
+        finally:
+            app.close_engine()
+
+    def _serve(loop: asyncio.AbstractEventLoop) -> None:
+        try:
             loop.run_until_complete(app.start())
         except BaseException as exc:           # surface bind errors
             failure.append(exc)
@@ -836,5 +888,9 @@ class ServeHandle:
         self.app.resume_dispatch()
 
     def stop(self, timeout: float = 30.0) -> None:
+        """Drain the daemon and wait up to *timeout* seconds for its
+        thread, which ends once the in-flight batch has returned and the
+        engine's workers are stopped.  On a timeout the thread goes on
+        and closes the workers when the batch returns."""
         self.app._call_on_loop(self.app.request_shutdown)
         self.thread.join(timeout=timeout)

@@ -38,7 +38,7 @@ import functools
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.sim import cache as disk_cache
 from repro.sim import config
@@ -281,7 +281,9 @@ def run_batch(requests: Iterable[Union[RunRequest, dict]],
               strict: bool = True,
               timeout: Optional[float] = None,
               retries: Optional[int] = None,
-              fail_fast: Optional[bool] = None
+              fail_fast: Optional[bool] = None,
+              pool: Optional[supervisor.WorkerPool] = None,
+              on_outcome: Optional[Callable[[int, RunOutcome], None]] = None
               ) -> Union[List[Union[RunMetrics, MixResult]], BatchResult]:
     """Execute a batch of runs under supervision.
 
@@ -293,7 +295,9 @@ def run_batch(requests: Iterable[Union[RunRequest, dict]],
     transient failures (default ``REPRO_MAX_RETRIES``), a fresh worker
     in place of a dead one, and per-completion cache checkpointing.
     With ``use_cache=False`` every request is simulated fresh and
-    nothing is read from or written to either cache.
+    nothing is read from or written to either cache.  With a ``pool``
+    (``supervisor.WorkerPool``) every miss runs on the pool's workers,
+    which outlive the batch, and ``jobs`` is not read.
 
     With ``strict=True`` (the default) the first failure re-raises its
     original exception and a plain list of results is returned in
@@ -301,6 +305,9 @@ def run_batch(requests: Iterable[Union[RunRequest, dict]],
     per-request :class:`RunOutcome` records is returned and no exception
     propagates.  ``fail_fast`` (default: the value of ``strict``)
     controls whether remaining runs are skipped after the first failure.
+    ``on_outcome(index, outcome)`` is called once per request, by its
+    index in *requests*, as soon as its outcome is final: a cache hit
+    before anything runs, a simulated run after its cache checkpoint.
     """
     batch_start = time.perf_counter()
     reqs = [_coerce(r).resolved() for r in requests]
@@ -332,17 +339,30 @@ def run_batch(requests: Iterable[Union[RunRequest, dict]],
         pending.append((key, req))
     plan = faults.plan_from_env(len(pending)) if pending else None
 
-    def _checkpoint(index: int, metrics) -> None:
+    positions: Dict[tuple, List[int]] = {}
+    if on_outcome is not None:
+        for position, key in enumerate(keys):
+            positions.setdefault(key, []).append(position)
+        for key, outcome in outcomes.items():     # the cache hits
+            for position in positions[key]:
+                on_outcome(position, outcome)
+
+    def _checkpoint(index: int, outcome: RunOutcome) -> None:
         key, req = pending[index]
-        cores = len(req.workload) if isinstance(req.workload, tuple) else 1
-        _STATS.simulated += 1
-        _STATS.sim_wall_s += metrics.wall_time_s
-        _STATS.simulated_accesses += req.n_accesses * cores
-        if use_cache:
-            _CACHE[key] = metrics
-            disk_cache.store(key, metrics)
-            for _ in plan.post_store_actions(index) if plan else ():
-                faults.corrupt_file(disk_cache.entry_path(key))
+        if outcome.ok:
+            metrics = outcome.metrics
+            cores = (len(req.workload) if isinstance(req.workload, tuple)
+                     else 1)
+            _STATS.simulated += 1
+            _STATS.sim_wall_s += metrics.wall_time_s
+            _STATS.simulated_accesses += req.n_accesses * cores
+            if use_cache:
+                _CACHE[key] = metrics
+                disk_cache.store(key, metrics)
+                for _ in plan.post_store_actions(index) if plan else ():
+                    faults.corrupt_file(disk_cache.entry_path(key))
+        for position in positions.get(key, ()):
+            on_outcome(position, outcome)
 
     done: List[RunOutcome] = []
     try:
@@ -355,8 +375,9 @@ def run_batch(requests: Iterable[Union[RunRequest, dict]],
                          else (timeout if timeout > 0 else None)),
                 retries=(supervisor.max_retries() if retries is None
                          else max(0, retries)),
-                plan=plan, on_result=_checkpoint,
-                fail_fast=strict if fail_fast is None else fail_fast)
+                plan=plan, on_outcome=_checkpoint,
+                fail_fast=strict if fail_fast is None else fail_fast,
+                pool=pool)
             _STATS.retries += stats.retries
             _STATS.failed += stats.failed
             _STATS.timeouts += stats.timeouts

@@ -8,9 +8,15 @@ misses to :func:`supervise`, which runs each under supervision:
   supervisor owns.  Each has its own pipe and holds one run at a time,
   so the parent knows which run every worker holds: a worker that dies
   costs exactly its own run one attempt, and a fresh worker takes its
-  place at the next dispatch.  An untimed width-1 batch runs
-  in-process, and so does the rest of a batch when not even one worker
-  process can start.
+  place at the next dispatch.  A worker holds no socket of its parent
+  but its own pipe.  An untimed width-1 batch runs in-process, and so
+  does the rest of a batch when not even one worker process can start.
+- **Pool** — a caller that runs batch after batch (``repro serve``'s
+  engine thread) passes one :class:`WorkerPool` to every call: each
+  run of every batch then goes to the pool's workers, also at width 1
+  without a watchdog, and the idle workers outlive the batch, so no
+  run executes in the caller's process or pays a fork once the pool
+  has its workers.
 - **Watchdog** — each run gets ``REPRO_RUN_TIMEOUT`` seconds (unset or
   <= 0 disables), timed from its dispatch.  The parent ``SIGKILL``s the
   worker of a run that outlives it, from whatever thread it runs on.
@@ -25,9 +31,10 @@ misses to :func:`supervise`, which runs each under supervision:
 - **Structured outcomes** — every request resolves to a
   :class:`RunOutcome` (``ok``/``failed``/``timeout``/``skipped``) with a
   :class:`RunFailure` record (exception class, traceback, attempts,
-  worker pid) on failure, and completed runs are checkpointed through an
-  ``on_result`` callback as they finish, so a killed batch resumes from
-  the on-disk cache.
+  worker pid) on failure, and each outcome is handed to an
+  ``on_outcome`` callback as it is final, so completed runs are
+  checkpointed as they finish and a killed batch resumes from the
+  on-disk cache.
 
 Exceptions raised by a run cross the process boundary as a payload dict
 (with the original exception pickled best-effort), so an ordinary
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import stat
 import time
 import traceback as traceback_mod
 import warnings
@@ -267,6 +275,37 @@ def _worker_run(task: tuple) -> dict:
         faults.disarm()
 
 
+def _release_inherited_sockets(keep: int) -> None:
+    """Point every inherited socket descriptor but *keep* and stdio at
+    ``/dev/null``.
+
+    A forked worker inherits its parent's sockets: a daemon's listening
+    socket and client connections, and the pipes (socketpairs) of the
+    other workers.  Held here, they would keep a killed daemon's port
+    bound and a connection the daemon closed open until the worker
+    exits.  The descriptor numbers stay taken, so a socket object or the
+    signal wakeup fd that still names one reaches ``/dev/null``, never a
+    file the worker opens later.  Pipes, such as the process sentinel,
+    are left alone.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:
+        return                  # no /proc: nothing to sweep
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            if fd in (keep, devnull) or fd <= 2:
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:
+                pass            # the listing's own descriptor, gone now
+    finally:
+        os.close(devnull)
+
+
 def _worker_main(conn, parent_end) -> None:
     """A worker's life: run each task received, answer with its payload,
     and exit on ``None`` or once the supervisor is gone.
@@ -276,6 +315,7 @@ def _worker_main(conn, parent_end) -> None:
     dies, SIGKILL included, instead of blocking forever.
     """
     parent_end.close()
+    _release_inherited_sockets(conn.fileno())
     os.environ["REPRO_IN_WORKER"] = "1"
     faults.mark_pool_worker()
     try:
@@ -332,9 +372,7 @@ class _Worker:
 
     def close(self) -> None:
         """Stop and reap the worker: an idle one is told to exit, and
-        killed if it has not within a second; a busy one is killed.
-        Closing the pipe would not stop it, because every worker forked
-        later holds a copy of this pipe's parent end."""
+        killed if it has not within a second; a busy one is killed."""
         if self.index is None:
             try:
                 self.conn.send(None)
@@ -345,6 +383,30 @@ class _Worker:
         self.process.kill()
         self.process.join()
         self.conn.close()
+
+
+class WorkerPool:
+    """Worker processes that outlive a batch.
+
+    Pass one pool to every :func:`supervise` call of a caller that runs
+    batch after batch: the batches start workers up to ``width`` and
+    replace a dead or watchdog-killed one, and a worker left idle at the
+    end of a batch waits in the pool for the next.  A worker sees the
+    environment and module state of the moment it was forked; what the
+    engine reads per batch (``REPRO_FAULTS``, ``REPRO_RUN_TIMEOUT``,
+    ``REPRO_MAX_RETRIES``) is read by the caller and sent with each run.
+    Use a pool from one thread, and :meth:`close` it when done.
+    """
+
+    def __init__(self, width: int) -> None:
+        self.width = max(1, width)
+        self.workers: List[_Worker] = []
+
+    def close(self) -> None:
+        """Stop every worker (an idle one exits, a busy one is killed)."""
+        workers, self.workers = self.workers, []
+        for worker in workers:
+            worker.close()
 
 
 # ----------------------------------------------------------------------
@@ -360,14 +422,15 @@ class _Supervisor:
     def __init__(self, requests: Sequence, width: int,
                  timeout: Optional[float], retries: int,
                  plan: Optional[faults.FaultPlan],
-                 on_result: Optional[Callable[[int, RunMetrics], None]],
-                 fail_fast: bool):
+                 on_outcome: Optional[Callable[[int, RunOutcome], None]],
+                 fail_fast: bool, pool: Optional[WorkerPool]):
         self.requests = list(requests)
-        self.width = width
+        self.pool = pool
+        self.width = pool.width if pool is not None else width
         self.timeout = timeout
         self.retries = retries
         self.plan = plan
-        self.on_result = on_result
+        self.on_outcome = on_outcome
         self.fail_fast = fail_fast
         n = len(self.requests)
         self.outcomes: List[Optional[RunOutcome]] = [None] * n
@@ -396,19 +459,22 @@ class _Supervisor:
             return []
         return [i for i in self._unfinished() if self.not_before[i] <= now]
 
+    def _finalize(self, index: int, outcome: RunOutcome) -> None:
+        self.outcomes[index] = outcome
+        if self.on_outcome is not None:
+            self.on_outcome(index, outcome)
+
     def _finalize_ok(self, index: int, metrics: RunMetrics) -> None:
         self.attempts[index] += 1
-        self.outcomes[index] = RunOutcome(
-            status=OK, metrics=metrics, attempts=self.attempts[index])
-        if self.on_result is not None:
-            self.on_result(index, metrics)
+        self._finalize(index, RunOutcome(
+            status=OK, metrics=metrics, attempts=self.attempts[index]))
 
     def _finalize_failure(self, index: int, failure: RunFailure,
                           status: str = FAILED) -> None:
         failure.attempts = self.attempts[index]
         failure.run_index = index
-        self.outcomes[index] = RunOutcome(
-            status=status, failure=failure, attempts=self.attempts[index])
+        self._finalize(index, RunOutcome(
+            status=status, failure=failure, attempts=self.attempts[index]))
         if status == TIMEOUT:
             self.stats.timeouts += 1
         else:
@@ -437,8 +503,12 @@ class _Supervisor:
         """Run the batch on owned workers until every run is resolved, or
         after a fail-fast stop until the runs in flight are.  Returns
         early, leaving the rest to the serial phase, only when no worker
-        is alive and none can start."""
-        workers: List[_Worker] = []
+        is alive and none can start.
+
+        With a pool, the batch takes its workers from the pool and leaves
+        the idle ones there; without one, it closes every worker.
+        """
+        workers = self.pool.workers if self.pool is not None else []
         try:
             while self._dispatch(workers):
                 busy = [w for w in workers if w.index is not None]
@@ -463,7 +533,11 @@ class _Supervisor:
                           and now - worker.started > self.timeout):
                         self._kill_overdue(worker, workers)
         finally:
-            for worker in workers:
+            # A worker still holding a run (the phase ended by an
+            # exception) would answer into the next batch: close it.
+            for worker in [w for w in workers
+                           if self.pool is None or w.index is not None]:
+                workers.remove(worker)
                 worker.close()
         if self.timeout is not None:
             warnings.warn(
@@ -586,20 +660,22 @@ class _Supervisor:
     # -- entry ---------------------------------------------------------
 
     def run(self) -> Tuple[List[RunOutcome], SupervisorStats]:
-        if self.requests and (self.width > 1 or self.timeout is not None):
+        if self.requests and (self.pool is not None or self.width > 1
+                              or self.timeout is not None):
             self._worker_phase()
         self._serial_phase()
         for index in self._unfinished():
-            self.outcomes[index] = RunOutcome(
-                status=SKIPPED, attempts=self.attempts[index])
+            self._finalize(index, RunOutcome(
+                status=SKIPPED, attempts=self.attempts[index]))
         return list(self.outcomes), self.stats
 
 
 def supervise(requests: Sequence, width: int,
               timeout: Optional[float], retries: int,
               plan: Optional[faults.FaultPlan] = None,
-              on_result: Optional[Callable[[int, RunMetrics], None]] = None,
-              fail_fast: bool = False
+              on_outcome: Optional[Callable[[int, RunOutcome], None]] = None,
+              fail_fast: bool = False,
+              pool: Optional[WorkerPool] = None
               ) -> Tuple[List[RunOutcome], SupervisorStats]:
     """Execute *requests* under supervision; see the module docstring.
 
@@ -607,9 +683,11 @@ def supervise(requests: Sequence, width: int,
     returning its ``RunMetrics`` (a ``MixResult`` for a mix).  Returns
     one :class:`RunOutcome` per request (in order), plus the
     :class:`SupervisorStats` describing retries, timeouts and worker
-    restarts.  ``on_result(index, metrics)`` is invoked as each run
-    completes so the caller can checkpoint incrementally.
+    restarts.  ``on_outcome(index, outcome)`` is invoked once per
+    request as its outcome is final, so the caller can checkpoint (and
+    answer) each run as it completes.  With a *pool*, every run goes to
+    the pool's workers, up to its width (``width`` is not read).
     """
     supervisor = _Supervisor(requests, width, timeout, retries, plan,
-                             on_result, fail_fast)
+                             on_outcome, fail_fast, pool)
     return supervisor.run()

@@ -366,7 +366,7 @@ class TestWorkers:
     def test_idle_worker_death_costs_no_attempt(self):
         killed = []
 
-        def kill_idle_worker(index, metrics):
+        def kill_idle_worker(index, outcome):
             # The worker that just answered is idle now.
             for child in multiprocessing.active_children():
                 if not killed:
@@ -376,7 +376,7 @@ class TestWorkers:
 
         outcomes, stats = supervisor.supervise(
             [req().resolved(), req("milc").resolved()], width=1,
-            timeout=60.0, retries=0, on_result=kill_idle_worker)
+            timeout=60.0, retries=0, on_outcome=kill_idle_worker)
         assert [o.status for o in outcomes] == ["ok", "ok"]
         assert [o.attempts for o in outcomes] == [1, 1]
         assert len(killed) == 1
