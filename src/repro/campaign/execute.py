@@ -134,8 +134,7 @@ def run_missing(campaign: Campaign,
             else:
                 outcomes = run_batch([cell.request for cell in missing],
                                      jobs=jobs, use_cache=use_cache,
-                                     strict=False, fail_fast=False,
-                                     timeout=timeout,
+                                     strict=False, timeout=timeout,
                                      retries=retries).outcomes
             for cell, outcome in zip(missing, outcomes):
                 if outcome.ok:
@@ -167,13 +166,13 @@ def _serve_cells(campaign: Campaign, cells: List[CampaignCell],
                  replicas: Sequence[Tuple[str, int]]) -> List[RunOutcome]:
     """One outcome per cell, in order: its ``/submit`` body through one
     ``ClusterClient``, which owns placement, coalescing, failover,
-    429/503 and daemon restarts."""
-    # Here, not at the top: serve.protocol imports campaign.grid, and
-    # the local route should not pay for the serving layer's imports.
+    429/503 and daemon restarts.  A replica parses the body to the
+    cell's own digest and publishes the result there."""
+    # Here, not at the top: the local route should not pay for the
+    # serving layer's imports.
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.sim import cache as disk_cache
-    from repro.serve import protocol
     from repro.serve.client import ServeClientError
     from repro.serve.cluster import ClusterClient
 
@@ -181,9 +180,9 @@ def _serve_cells(campaign: Campaign, cells: List[CampaignCell],
                            client_id=f"campaign-{campaign.campaign_id}")
 
     def run(cell: CampaignCell) -> RunOutcome:
-        body = cell.submit_body()
         try:
-            reply = client.submit_and_wait(body, timeout=CELL_TIMEOUT_S)
+            reply = client.submit_and_wait(cell.submit_body(),
+                                           timeout=CELL_TIMEOUT_S)
         except ServeClientError as exc:
             result = {"status": "failed", "failure": {
                 "kind": "transport", "message": str(exc)}}
@@ -194,13 +193,10 @@ def _serve_cells(campaign: Campaign, cells: List[CampaignCell],
                                                f"{reply.body}"}}
         attempts = result.get("attempts", 0)      # a cache hit has none
         if result["status"] == "ok":
-            metrics = disk_cache.metrics_from_dict(result["metrics"])
-            if protocol.request_digest(body) != cell.digest:
-                # An int table_scale or gb_fraction, which the daemon
-                # reads as a float: the cell's own address gets a copy.
-                disk_cache.store(cell.key, metrics)
             return RunOutcome("ok", attempts=attempts,
-                              source=result["source"], metrics=metrics)
+                              source=result["source"],
+                              metrics=disk_cache.metrics_from_dict(
+                                  result["metrics"]))
         failure = result.get("failure") or {}
         return RunOutcome(result["status"], attempts=attempts,
                           failure=RunFailure(

@@ -9,13 +9,15 @@ SystemConfig` attribute addressed by dotted path (``llc.size_bytes``,
 applied to every cell and *excludes* that drop unwanted combinations.
 
 The grid expands deterministically (itertools.product in axis
-declaration order) into :class:`CampaignCell`\\ s, each carrying the
-fully-resolved ``RunRequest``, its engine fingerprint ``key`` and the
-same content-address ``digest`` the on-disk run cache uses.  That shared
-address is the whole coordination model of the campaign layer: any
-process that simulated a cell — this host, or a ``repro serve`` replica
-sharing the cache directory — has already published its result under
-the cell's digest.
+declaration order) into :class:`CampaignCell`\\ s.  Each cell's
+parameters pass through :func:`~repro.sim.runner.parse_run_request`, the
+rule ``repro serve`` reads a ``/submit`` body with, so a typo'd value
+fails the expansion, and the cell carries the resolved ``RunRequest``,
+its engine fingerprint ``key`` and the same content-address ``digest``
+the on-disk run cache uses.  That shared address is the whole
+coordination model of the campaign layer: any process that simulated a
+cell — this host, or a ``repro serve`` replica sharing the cache
+directory — has already published its result under the cell's digest.
 
 Campaign declarations are JSON round-trippable (``save``/``load``) so a
 grid can be declared once from the CLI and then driven by any number of
@@ -25,28 +27,27 @@ grid can be declared once from the CLI and then driven by any number of
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.sim import cache as disk_cache
 from repro.sim.config import SystemConfig
-from repro.sim.runner import RunRequest
+from repro.sim.runner import (
+    REQUEST_AXES,
+    RequestError,
+    RunRequest,
+    parse_run_request,
+    resolve_config_attr,
+)
 
 
-class CampaignSpecError(ValueError):
+class CampaignSpecError(RequestError):
     """A campaign declaration is malformed (bad axis, value, or exclude)."""
 
-
-#: RunRequest fields an axis may target directly (config/dueling are
-#: reached through SystemConfig attribute paths instead).
-REQUEST_AXES = ("workload", "prefetcher", "variant", "l1d",
-                "oracle_page_size", "n_accesses", "table_scale",
-                "gb_fraction")
 
 #: JSON-safe scalar types an axis value may take.
 _SCALARS = (str, int, float, bool)
@@ -70,56 +71,6 @@ def _check_scalar(axis: str, value) -> None:
         raise CampaignSpecError(
             f"axis {axis!r}: value {value!r} is not a JSON scalar "
             f"(str/int/float/bool)")
-
-
-def _resolve_config_attr(config: SystemConfig, path: str):
-    """Walk a dotted SystemConfig attribute path to (owner, leaf name)."""
-    parts = path.split(".")
-    obj = config
-    for part in parts[:-1]:
-        if not hasattr(obj, part):
-            raise CampaignSpecError(
-                f"unknown configuration path {path!r} "
-                f"(no attribute {part!r} on {type(obj).__name__})")
-        obj = getattr(obj, part)
-    leaf = parts[-1]
-    if not dataclasses.is_dataclass(obj) or not hasattr(obj, leaf):
-        raise CampaignSpecError(
-            f"unknown configuration path {path!r} "
-            f"(no field {leaf!r} on {type(obj).__name__})")
-    return obj, leaf
-
-
-def _apply_override(config: SystemConfig, path: str, value) -> None:
-    """Set one dotted-path override, enforcing type compatibility."""
-    obj, leaf = _resolve_config_attr(config, path)
-    current = getattr(obj, leaf)
-    if isinstance(current, bool):
-        if not isinstance(value, bool):
-            raise CampaignSpecError(
-                f"configuration path {path!r} expects a bool, "
-                f"got {value!r}")
-    elif isinstance(current, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise CampaignSpecError(
-                f"configuration path {path!r} expects an int, "
-                f"got {value!r}")
-    elif isinstance(current, float):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise CampaignSpecError(
-                f"configuration path {path!r} expects a number, "
-                f"got {value!r}")
-    elif isinstance(current, str):
-        if not isinstance(value, str):
-            raise CampaignSpecError(
-                f"configuration path {path!r} expects a string, "
-                f"got {value!r}")
-    else:
-        raise CampaignSpecError(
-            f"configuration path {path!r} targets a non-scalar field "
-            f"({type(current).__name__}); address its scalar leaves "
-            f"instead")
-    setattr(obj, leaf, value)
 
 
 @dataclass(frozen=True)
@@ -146,11 +97,16 @@ class CampaignCell:
     def submit_body(self) -> dict:
         """This cell's ``repro serve`` ``/submit`` body, its run length
         pinned against the replica's ``REPRO_SCALE``."""
-        body = {"n_accesses": self.request.resolved().n_accesses,
-                "config": {}}
-        for name, value in self.params:
-            (body if name in REQUEST_AXES else body["config"])[name] = value
-        return body
+        return dict(_body(self.params), n_accesses=self.request.n_accesses)
+
+
+def _body(params: Sequence[Tuple[str, object]]) -> dict:
+    """The parser's form of a parameter point: request axes at the top
+    level, dotted SystemConfig paths under ``config``."""
+    body: Dict[str, object] = {"config": {}}
+    for name, value in params:
+        (body if name in REQUEST_AXES else body["config"])[name] = value
+    return body
 
 
 @dataclass
@@ -173,7 +129,6 @@ class Campaign:
         if not self.axes:
             raise CampaignSpecError(
                 f"campaign {self.name!r} declares no axes")
-        probe = SystemConfig()
         for axis, values in self.axes.items():
             values = list(values)
             if not values:
@@ -184,15 +139,18 @@ class Campaign:
                     f"axis {axis!r} repeats a value")
             for value in values:
                 _check_scalar(axis, value)
-            if axis not in REQUEST_AXES:
-                _resolve_config_attr(probe, axis)
         for name, value in self.fixed.items():
             if name in self.axes:
                 raise CampaignSpecError(
                     f"{name!r} is both an axis and a fixed value")
             _check_scalar(name, value)
+        probe = SystemConfig()
+        for name in [*self.axes, *self.fixed]:
             if name not in REQUEST_AXES:
-                _resolve_config_attr(probe, name)
+                try:
+                    resolve_config_attr(probe, name)
+                except RequestError as exc:
+                    raise CampaignSpecError(str(exc)) from exc
         known = set(self.axes) | set(self.fixed)
         for exclude in self.excludes:
             if not exclude:
@@ -262,43 +220,27 @@ class Campaign:
             if not self._excluded(params):
                 yield params
 
-    def request_for(self, params: Mapping[str, object]) -> RunRequest:
-        """Build the engine request for one cell's parameter point."""
-        req_kwargs: Dict[str, object] = {}
-        overrides: List[Tuple[str, object]] = []
-        for name, value in params.items():
-            if name in REQUEST_AXES:
-                req_kwargs[name] = value
-            else:
-                overrides.append((name, value))
-        config = SystemConfig()
-        for path, value in overrides:
-            _apply_override(config, path, value)
-        if overrides:
-            try:
-                config.validate()
-            except ValueError as exc:
-                raise CampaignSpecError(
-                    f"cell {params!r}: invalid configuration "
-                    f"({exc})") from exc
-        return RunRequest(config=config, **req_kwargs)
-
     def cells(self) -> List[CampaignCell]:
         """Deterministic expansion of the grid into resolved cells.
 
         Cell order — and therefore ``index`` — is a pure function of the
         declaration, so every process that loads the same spec agrees on
-        the numbering without coordination.
+        the numbering without coordination.  Each cell is parsed as a
+        daemon parses its ``/submit`` body, so its key is the one a
+        replica computes for it; a cell the parser rejects raises
+        :class:`CampaignSpecError`.
         """
         cells: List[CampaignCell] = []
         ordered_names = list(self.fixed) + list(self.axes)
-        for index, params in enumerate(self._iter_params()):
-            request = self.request_for(params)
+        for index, point in enumerate(self._iter_params()):
+            params = tuple((n, point[n]) for n in ordered_names)
+            try:
+                request = parse_run_request(_body(params))
+            except RequestError as exc:
+                raise CampaignSpecError(f"cell {point!r}: {exc}") from exc
             key = request.key()
             cells.append(CampaignCell(
-                index=index,
-                params=tuple((n, params[n]) for n in ordered_names),
-                request=request, key=key,
+                index=index, params=params, request=request, key=key,
                 digest=disk_cache.key_digest(key)))
         if not cells:
             raise CampaignSpecError(

@@ -59,7 +59,13 @@ from repro.core.factory import PREFETCHERS, VARIANTS
 from repro.sim import cache as disk_cache
 from repro.sim.config import SCALE_ACCESSES, SystemConfig
 from repro.sim.metrics import RunMetrics
-from repro.sim.runner import RunRequest, engine_stats, run_batch
+from repro.sim.runner import (
+    RequestError,
+    RunRequest,
+    engine_stats,
+    parse_run_request,
+    run_batch,
+)
 from repro.sim.simulator import L1D_PREFETCHERS, simulate_trace
 from repro.workloads.io import load_trace, save_trace
 from repro.workloads.suites import catalog
@@ -153,10 +159,18 @@ def _engine_epilogue(args) -> None:
         print(f"\n{engine_stats().summary_line()}")
 
 
-def _request_for(args, config, variant) -> RunRequest:
-    return RunRequest(args.workload, args.prefetcher, variant,
-                      l1d=args.l1d, n_accesses=args.accesses,
-                      gb_fraction=args.gb_fraction, config=config)
+def _request_for(args, variant) -> RunRequest:
+    """The run that ``run``/``compare`` flags name, read by the daemon's
+    parser: a typo raises ``RequestError`` before any worker starts."""
+    config = {}
+    if args.no_ppm:
+        config["ppm_enabled"] = False
+    if args.tlb_prefetch:
+        config["tlb_prefetch"] = True
+    return parse_run_request({
+        "workload": args.workload, "prefetcher": args.prefetcher,
+        "variant": variant, "l1d": args.l1d, "n_accesses": args.accesses,
+        "gb_fraction": args.gb_fraction, "config": config})
 
 
 def _supervised_batch(args, requests):
@@ -176,10 +190,9 @@ def _supervised_batch(args, requests):
 
 
 def cmd_run(args) -> int:
-    config = _config_from(args)
-    requests = [_request_for(args, config, args.variant)]
+    requests = [_request_for(args, args.variant)]
     if args.baseline:
-        requests.append(_request_for(args, config, args.baseline))
+        requests.append(_request_for(args, args.baseline))
     results, code = _supervised_batch(args, requests)
     metrics = results[0]
     if metrics is not None:
@@ -195,15 +208,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _config_from(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    for variant in variants:
-        if variant not in VARIANTS:
-            print(f"error: unknown variant {variant!r} "
-                  f"(choose from {VARIANTS})", file=sys.stderr)
-            return 2
     metrics_list, code = _supervised_batch(
-        args, [_request_for(args, config, variant) for variant in variants])
+        args, [_request_for(args, variant) for variant in variants])
     results = {v: m for v, m in zip(variants, metrics_list)
                if m is not None}
     if not results:
@@ -334,8 +341,9 @@ def cmd_campaign_new(args) -> int:
                 for text in args.exclude or []]
     campaign = Campaign(name=args.name, axes=axes, fixed=fixed,
                         excludes=excludes)
+    description = campaign.describe()   # expands, so a typo writes no spec
     campaign.save(args.spec)
-    print(campaign.describe())
+    print(description)
     print(f"spec written to {args.spec}")
     return 0
 
@@ -882,14 +890,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.campaign.grid import CampaignSpecError
     from repro.sim.config import ConfigurationError
 
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CampaignSpecError, ConfigurationError) as exc:
+    except (RequestError, ConfigurationError) as exc:   # campaign specs too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -376,8 +376,7 @@ class ServeApp:
 
         try:
             runner.run_batch([job.request for job in jobs], strict=False,
-                             fail_fast=False, pool=self._pool,
-                             on_outcome=finished)
+                             pool=self._pool, on_outcome=finished)
         except Exception as exc:       # engine-level failure, not per-run
             return exc
         return None
@@ -441,8 +440,7 @@ class ServeApp:
         try:
             request = protocol.parse_run_request(data)
         except protocol.ProtocolError as exc:
-            return exc.status, {"error": "bad_request",
-                                "detail": str(exc)}, {}
+            return 400, {"error": "bad_request", "detail": str(exc)}, {}
         self.queue.counters["submitted"] += 1
         key = request.key()
         digest = disk_cache.key_digest(key)

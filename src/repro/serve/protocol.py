@@ -1,12 +1,14 @@
 """Wire protocol of the serving layer: JSON bodies -> validated requests.
 
-The daemon accepts the same parameter surface the campaign grid does: a
-flat JSON object with :data:`~repro.campaign.grid.REQUEST_AXES` fields
-(``workload``, ``prefetcher``, ``variant``, ...) plus an optional
-``config`` mapping of dotted :class:`~repro.sim.config.SystemConfig`
-paths (``llc.size_bytes``, ``dram.transfer_rate_mts``) to scalar
-overrides — so a campaign cell's ``params`` dict round-trips through
-``/submit`` unchanged.
+A ``/submit`` body is a flat JSON object of run parameters:
+:data:`~repro.sim.runner.REQUEST_AXES` fields (``workload``,
+``prefetcher``, ``variant``, ...) plus an optional ``config`` mapping of
+dotted :class:`~repro.sim.config.SystemConfig` paths
+(``llc.size_bytes``, ``dram.transfer_rate_mts``) to scalar overrides.
+The daemon reads it with :func:`~repro.sim.runner.parse_run_request`,
+the one rule that also expands campaign cells and builds the ``repro
+run``/``compare`` requests, so a campaign cell's ``submit_body()``
+names the cell's own cache address.
 
 Validation happens entirely at admission, before anything reaches the
 engine: an unknown workload/prefetcher/variant, a malformed override
@@ -17,129 +19,12 @@ slot on a request that could not possibly succeed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.campaign.grid import CampaignSpecError, _apply_override
-from repro.core.factory import PREFETCHERS, VARIANTS
-from repro.sim.config import SystemConfig
-from repro.sim.runner import RunRequest
-from repro.sim.simulator import L1D_PREFETCHERS
+from repro.sim.runner import RequestError, parse_run_request  # noqa: F401
 
-
-class ProtocolError(ValueError):
-    """A submission body is malformed; maps to an HTTP 4xx response."""
-
-    def __init__(self, message: str, status: int = 400):
-        super().__init__(message)
-        self.status = status
-
-
-#: Fields a submission object may carry (all optional but ``workload``).
-REQUEST_FIELDS = ("workload", "prefetcher", "variant", "l1d",
-                  "oracle_page_size", "n_accesses", "table_scale",
-                  "gb_fraction", "config")
-
-_WORKLOADS: Optional[frozenset] = None
-
-
-def known_workloads() -> frozenset:
-    """Workload names the daemon admits (catalog build memoised)."""
-    global _WORKLOADS
-    if _WORKLOADS is None:
-        from repro.workloads.suites import catalog
-        _WORKLOADS = frozenset(catalog(include_non_intensive=True))
-    return _WORKLOADS
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ProtocolError(message)
-
-
-def _check_choice(name: str, value, choices) -> None:
-    _require(isinstance(value, str),
-             f"{name!r} must be a string, got {type(value).__name__}")
-    if value not in choices:
-        raise ProtocolError(
-            f"unknown {name} {value!r} (choose from "
-            f"{sorted(choices)})")
-
-
-def _check_number(name: str, value, minimum=None, maximum=None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(
-            f"{name!r} must be a number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ProtocolError(f"{name!r} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ProtocolError(f"{name!r} must be <= {maximum}, got {value}")
-    return value
-
-
-def parse_run_request(data) -> RunRequest:
-    """Validate one submission object into a :class:`RunRequest`.
-
-    Every field is checked against the same registries the CLI uses
-    (workload catalog, prefetcher/variant/l1d tables, dotted config
-    paths through the campaign grid's override machinery); the returned
-    request is ``resolved()`` so its fingerprint is immediately usable
-    as the job identity.
-    """
-    _require(isinstance(data, dict),
-             f"submission must be a JSON object, got "
-             f"{type(data).__name__}")
-    unknown = sorted(set(data) - set(REQUEST_FIELDS))
-    _require(not unknown,
-             f"unknown field(s) {unknown} (expected a subset of "
-             f"{list(REQUEST_FIELDS)})")
-    _require("workload" in data, "submission needs a 'workload' field")
-
-    workload = data["workload"]
-    _check_choice("workload", workload, known_workloads())
-    prefetcher = data.get("prefetcher", "spp")
-    _check_choice("prefetcher", prefetcher, PREFETCHERS)
-    variant = data.get("variant", "psa")
-    _check_choice("variant", variant, VARIANTS)
-    l1d = data.get("l1d", "none")
-    _check_choice("l1d", l1d, L1D_PREFETCHERS)
-
-    oracle = data.get("oracle_page_size", False)
-    _require(isinstance(oracle, bool), "'oracle_page_size' must be a bool")
-
-    n_accesses = data.get("n_accesses")
-    if n_accesses is not None:
-        _require(isinstance(n_accesses, int)
-                 and not isinstance(n_accesses, bool)
-                 and n_accesses >= 1,
-                 f"'n_accesses' must be a positive integer, "
-                 f"got {n_accesses!r}")
-
-    table_scale = _check_number(
-        "table_scale", data.get("table_scale", 1.0), minimum=0.0)
-    _require(table_scale > 0, "'table_scale' must be > 0")
-    gb_fraction = _check_number(
-        "gb_fraction", data.get("gb_fraction", 0.0),
-        minimum=0.0, maximum=1.0)
-
-    config = SystemConfig()
-    overrides = data.get("config", {})
-    _require(isinstance(overrides, dict),
-             "'config' must be an object of dotted-path overrides")
-    for path, value in sorted(overrides.items()):
-        try:
-            _apply_override(config, path, value)
-        except CampaignSpecError as exc:
-            raise ProtocolError(str(exc)) from exc
-    if overrides:
-        try:
-            config.validate()
-        except ValueError as exc:
-            raise ProtocolError(f"invalid configuration: {exc}") from exc
-
-    return RunRequest(
-        workload, prefetcher, variant, l1d=l1d, oracle_page_size=oracle,
-        n_accesses=n_accesses, table_scale=float(table_scale),
-        gb_fraction=float(gb_fraction), config=config).resolved()
+#: The parser's one error type; admission answers it with HTTP 400.
+ProtocolError = RequestError
 
 
 def request_digest(data) -> str:
@@ -158,9 +43,10 @@ def request_digest(data) -> str:
 
 def parse_submission(body) -> Dict[str, list]:
     """Parse a ``/batch`` body: ``{"requests": [...]}`` of objects."""
-    _require(isinstance(body, dict) and isinstance(
-        body.get("requests"), list),
-        "batch submission must be {'requests': [...]}")
+    if not (isinstance(body, dict)
+            and isinstance(body.get("requests"), list)):
+        raise ProtocolError("batch submission must be {'requests': [...]}")
     requests = body["requests"]
-    _require(len(requests) >= 1, "'requests' must not be empty")
+    if not requests:
+        raise ProtocolError("'requests' must not be empty")
     return {"requests": requests}

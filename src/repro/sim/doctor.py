@@ -259,14 +259,18 @@ def _scan_store(report: DoctorReport, repair: bool) -> None:
                 report.scanned["store"] += 1
                 try:
                     campaign = store.campaign(meta["campaign_id"])
-                except (ValueError, TypeError, KeyError):
+                    missing = store.missing(campaign)
+                except (ValueError, TypeError, KeyError) as exc:
+                    # A spec that no longer parses, or one whose cells
+                    # the request parser rejects: an older version
+                    # registered cells without parsing them.
                     _fix(report, repair, "store", "bad-spec", path,
                          "no safe repair (rows kept)", None,
                          f"campaign {meta['campaign_id']}: "
-                         f"unparseable spec_json")
+                         f"unparseable spec_json ({exc})")
                     continue
                 divergent = [
-                    cell for cell in store.missing(campaign)
+                    cell for cell in missing
                     if disk_cache.load(cell.key, cell.digest) is not None]
                 if divergent:       # _fix calls the repair right away
                     _fix(report, repair, "store", "divergence", path,

@@ -29,6 +29,11 @@ engine removes that redundancy at three levels:
 
 ``run``/``speedup``/``speedups_over_baseline``/``variant_sweep``/
 ``run_many``/``pair_metrics`` are all thin frontends over ``run_batch``.
+
+User parameters become a request through one rule,
+:func:`parse_run_request`: a ``repro serve`` ``/submit`` body, a
+campaign cell and the ``repro run``/``compare`` flags all pass through
+it, so each names a run the same way, and so the same cache address.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.core.factory import PREFETCHERS, VARIANTS
 from repro.sim import cache as disk_cache
 from repro.sim import config
 from repro.sim import faults, supervisor
@@ -50,8 +56,8 @@ from repro.sim.supervisor import (   # re-exported for callers
 )
 from repro.sim.config import DuelingConfig, SystemConfig, accesses_for_scale
 from repro.sim.metrics import MixResult, RunMetrics
-from repro.sim.simulator import simulate_workload
-from repro.workloads.suites import WorkloadSpec
+from repro.sim.simulator import L1D_PREFETCHERS, simulate_workload
+from repro.workloads.suites import WorkloadSpec, catalog
 
 _CACHE: Dict[tuple, RunMetrics] = {}
 
@@ -147,6 +153,169 @@ class RunRequest:
         widens the key — two different configurations can never collide.
         """
         return ("run", _freeze(self.resolved()))
+
+
+# ----------------------------------------------------------------------
+# Parameters -> requests
+# ----------------------------------------------------------------------
+
+class RequestError(ValueError):
+    """Run parameters that name no valid run: ``/submit`` answers it
+    with HTTP 400, and the CLI exits 2."""
+
+
+#: The run parameters a request names directly.  A parameter mapping
+#: holds these plus ``config``: dotted ``SystemConfig`` paths
+#: (``llc.size_bytes``, ``dram.transfer_rate_mts``) to scalar overrides.
+REQUEST_AXES = ("workload", "prefetcher", "variant", "l1d",
+                "oracle_page_size", "n_accesses", "table_scale",
+                "gb_fraction")
+
+
+@functools.lru_cache(maxsize=None)
+def known_workloads() -> frozenset:
+    """Workload names a request may name (catalog build memoised)."""
+    return frozenset(catalog(include_non_intensive=True))
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise RequestError(message)
+
+
+def _check_choice(name: str, value, choices) -> None:
+    _require(isinstance(value, str),
+             f"{name!r} must be a string, got {type(value).__name__}")
+    if value not in choices:
+        raise RequestError(
+            f"unknown {name} {value!r} (choose from "
+            f"{sorted(choices)})")
+
+
+def _check_number(name: str, value, minimum=None, maximum=None) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise RequestError(
+            f"{name!r} must be a number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise RequestError(f"{name!r} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise RequestError(f"{name!r} must be <= {maximum}, got {value}")
+    return value
+
+
+def resolve_config_attr(config: SystemConfig, path: str):
+    """Walk a dotted SystemConfig attribute path to (owner, leaf name)."""
+    parts = path.split(".")
+    obj = config
+    for part in parts[:-1]:
+        if not hasattr(obj, part):
+            raise RequestError(
+                f"unknown configuration path {path!r} "
+                f"(no attribute {part!r} on {type(obj).__name__})")
+        obj = getattr(obj, part)
+    leaf = parts[-1]
+    if not dataclasses.is_dataclass(obj) or not hasattr(obj, leaf):
+        raise RequestError(
+            f"unknown configuration path {path!r} "
+            f"(no field {leaf!r} on {type(obj).__name__})")
+    return obj, leaf
+
+
+def apply_override(config: SystemConfig, path: str, value) -> None:
+    """Set one dotted-path override, enforcing type compatibility."""
+    obj, leaf = resolve_config_attr(config, path)
+    current = getattr(obj, leaf)
+    if isinstance(current, bool):
+        if not isinstance(value, bool):
+            raise RequestError(
+                f"configuration path {path!r} expects a bool, "
+                f"got {value!r}")
+    elif isinstance(current, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise RequestError(
+                f"configuration path {path!r} expects an int, "
+                f"got {value!r}")
+    elif isinstance(current, float):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise RequestError(
+                f"configuration path {path!r} expects a number, "
+                f"got {value!r}")
+    elif isinstance(current, str):
+        if not isinstance(value, str):
+            raise RequestError(
+                f"configuration path {path!r} expects a string, "
+                f"got {value!r}")
+    else:
+        raise RequestError(
+            f"configuration path {path!r} targets a non-scalar field "
+            f"({type(current).__name__}); address its scalar leaves "
+            f"instead")
+    setattr(obj, leaf, value)
+
+
+def parse_run_request(data) -> RunRequest:
+    """Validate one parameter mapping into a resolved :class:`RunRequest`.
+
+    Every field is checked against the registries the engine runs on
+    (workload catalog, prefetcher/variant/l1d tables, dotted config
+    paths), so a bad value raises :class:`RequestError` here and never
+    reaches a worker.  ``table_scale`` and ``gb_fraction`` are read as
+    floats, so ``1`` and ``1.0`` name one run.  The request is
+    ``resolved()``: its fingerprint is the run's cache address.
+    """
+    _require(isinstance(data, dict),
+             f"submission must be a JSON object, got "
+             f"{type(data).__name__}")
+    fields = REQUEST_AXES + ("config",)
+    unknown = sorted(set(data) - set(fields))
+    _require(not unknown,
+             f"unknown field(s) {unknown} (expected a subset of "
+             f"{list(fields)})")
+    _require("workload" in data, "submission needs a 'workload' field")
+
+    workload = data["workload"]
+    _check_choice("workload", workload, known_workloads())
+    prefetcher = data.get("prefetcher", "spp")
+    _check_choice("prefetcher", prefetcher, PREFETCHERS)
+    variant = data.get("variant", "psa")
+    _check_choice("variant", variant, VARIANTS)
+    l1d = data.get("l1d", "none")
+    _check_choice("l1d", l1d, L1D_PREFETCHERS)
+
+    oracle = data.get("oracle_page_size", False)
+    _require(isinstance(oracle, bool), "'oracle_page_size' must be a bool")
+
+    n_accesses = data.get("n_accesses")
+    if n_accesses is not None:
+        _require(isinstance(n_accesses, int)
+                 and not isinstance(n_accesses, bool)
+                 and n_accesses >= 1,
+                 f"'n_accesses' must be a positive integer, "
+                 f"got {n_accesses!r}")
+
+    table_scale = _check_number(
+        "table_scale", data.get("table_scale", 1.0), minimum=0.0)
+    _require(table_scale > 0, "'table_scale' must be > 0")
+    gb_fraction = _check_number(
+        "gb_fraction", data.get("gb_fraction", 0.0),
+        minimum=0.0, maximum=1.0)
+
+    config = SystemConfig()
+    overrides = data.get("config", {})
+    _require(isinstance(overrides, dict),
+             "'config' must be an object of dotted-path overrides")
+    for path, value in sorted(overrides.items()):
+        apply_override(config, path, value)
+    if overrides:
+        try:
+            config.validate()
+        except ValueError as exc:
+            raise RequestError(f"invalid configuration: {exc}") from exc
+
+    return RunRequest(
+        workload, prefetcher, variant, l1d=l1d, oracle_page_size=oracle,
+        n_accesses=n_accesses, table_scale=float(table_scale),
+        gb_fraction=float(gb_fraction), config=config).resolved()
 
 
 # ----------------------------------------------------------------------
@@ -267,21 +436,12 @@ def _execute(request: RunRequest) -> Union[RunMetrics, MixResult]:
     return result
 
 
-def _coerce(request) -> RunRequest:
-    if isinstance(request, RunRequest):
-        return request
-    if isinstance(request, dict):
-        return RunRequest(**request)
-    raise TypeError(f"expected RunRequest or dict, got {type(request)!r}")
-
-
-def run_batch(requests: Iterable[Union[RunRequest, dict]],
+def run_batch(requests: Iterable[RunRequest],
               jobs: Optional[int] = None,
               use_cache: bool = True,
               strict: bool = True,
               timeout: Optional[float] = None,
               retries: Optional[int] = None,
-              fail_fast: Optional[bool] = None,
               pool: Optional[supervisor.WorkerPool] = None,
               on_outcome: Optional[Callable[[int, RunOutcome], None]] = None
               ) -> Union[List[Union[RunMetrics, MixResult]], BatchResult]:
@@ -299,18 +459,17 @@ def run_batch(requests: Iterable[Union[RunRequest, dict]],
     (``supervisor.WorkerPool``) every miss runs on the pool's workers,
     which outlive the batch, and ``jobs`` is not read.
 
-    With ``strict=True`` (the default) the first failure re-raises its
-    original exception and a plain list of results is returned in
-    request order.  With ``strict=False`` a :class:`BatchResult` of
-    per-request :class:`RunOutcome` records is returned and no exception
-    propagates.  ``fail_fast`` (default: the value of ``strict``)
-    controls whether remaining runs are skipped after the first failure.
+    With ``strict=True`` (the default) the first failure skips the runs
+    not yet started and re-raises its original exception, and a plain
+    list of results is returned in request order.  With ``strict=False``
+    every run is attempted, a :class:`BatchResult` of per-request
+    :class:`RunOutcome` records is returned and no exception propagates.
     ``on_outcome(index, outcome)`` is called once per request, by its
     index in *requests*, as soon as its outcome is final: a cache hit
     before anything runs, a simulated run after its cache checkpoint.
     """
     batch_start = time.perf_counter()
-    reqs = [_coerce(r).resolved() for r in requests]
+    reqs = [r.resolved() for r in requests]
     keys = [r.key() for r in reqs]
     _STATS.requests += len(reqs)
 
@@ -376,7 +535,7 @@ def run_batch(requests: Iterable[Union[RunRequest, dict]],
                 retries=(supervisor.max_retries() if retries is None
                          else max(0, retries)),
                 plan=plan, on_outcome=_checkpoint,
-                fail_fast=strict if fail_fast is None else fail_fast,
+                fail_fast=strict,
                 pool=pool)
             _STATS.retries += stats.retries
             _STATS.failed += stats.failed

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import stat
 import time
 import traceback as traceback_mod
@@ -308,20 +309,25 @@ def _release_inherited_sockets(keep: int) -> None:
 
 def _worker_main(conn, parent_end) -> None:
     """A worker's life: run each task received, answer with its payload,
-    and exit on ``None`` or once the supervisor is gone.
+    and exit on ``None``, on SIGTERM or SIGINT, or once the supervisor is
+    gone.
 
     A forked worker inherits *parent_end*, the supervisor's end of its
     own pipe; closing it lets ``conn.recv`` read EOF when the supervisor
-    dies, SIGKILL included, instead of blocking forever.
+    dies, SIGKILL included, instead of blocking forever.  It also
+    inherits its parent's signal handlers: an event loop's would ignore
+    SIGTERM and SIGINT, so the defaults are restored.
     """
     parent_end.close()
     _release_inherited_sockets(conn.fileno())
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     os.environ["REPRO_IN_WORKER"] = "1"
     faults.mark_pool_worker()
     try:
         for task in iter(conn.recv, None):
             conn.send(_worker_run(task))
-    except (EOFError, OSError):
+    except (EOFError, OSError, KeyboardInterrupt):
         pass
 
 
@@ -594,6 +600,10 @@ class _Supervisor:
                 worker_pid=worker.process.pid, run_index=index))
             return
         worker.index = None
+        self._settle(index, payload)
+
+    def _settle(self, index: int, payload: dict) -> None:
+        """Finish or charge one attempt from its ``_worker_run`` payload."""
         if payload["ok"]:
             self._finalize_ok(index, payload["metrics"])
         else:
@@ -623,7 +633,8 @@ class _Supervisor:
     # -- serial phase --------------------------------------------------
 
     def _serial_phase(self) -> None:
-        from repro.sim.runner import _execute
+        """Run what is left in this process, each attempt on the
+        worker's own path."""
         remaining = self._unfinished()
         progress = True
         while remaining and progress:
@@ -634,24 +645,9 @@ class _Supervisor:
                 delay = self.not_before[index] - time.monotonic()
                 if delay > 0:
                     time.sleep(delay)
-                faults.arm(self._actions(index), self.attempts[index])
-                try:
-                    metrics = _execute(self.requests[index])
-                except faults.InjectedCrash as exc:
-                    self._record_attempt_failure(
-                        index, _failure_from_payload(
-                            _failure_payload(exc, os.getpid(),
-                                             kind="crash"),
-                            index, self.attempts[index] + 1))
-                except Exception as exc:
-                    self._record_attempt_failure(
-                        index, _failure_from_payload(
-                            _failure_payload(exc, os.getpid()),
-                            index, self.attempts[index] + 1))
-                else:
-                    self._finalize_ok(index, metrics)
-                finally:
-                    faults.disarm()
+                self._settle(index, _worker_run((self.requests[index],
+                                                 self.attempts[index],
+                                                 self._actions(index))))
                 progress = True
             remaining = self._unfinished()
             if self._stop_new:

@@ -117,6 +117,33 @@ class TestConfigAxes:
                      fixed={"workload": "lbm"}).cells()
 
 
+class TestCellsParse:
+    """A cell is parsed as ``repro serve`` parses its ``/submit`` body."""
+
+    @pytest.mark.parametrize("axes, message", [
+        ({"workload": ["lbm", "lmb"]}, "unknown workload 'lmb'"),
+        ({"workload": ["lbm"], "prefetcher": ["spq"]},
+         "unknown prefetcher 'spq'"),
+        ({"workload": ["lbm"], "variant": ["psa", "bogus"]},
+         "unknown variant 'bogus'"),
+        ({"workload": ["lbm"], "l1d": ["ipcq"]}, "unknown l1d 'ipcq'"),
+        ({"workload": ["lbm"], "n_accesses": [500.0]},
+         "'n_accesses' must be a positive integer"),
+    ], ids=["workload", "prefetcher", "variant", "l1d", "float-accesses"])
+    def test_rejected_value_fails_the_expansion(self, axes, message):
+        campaign = Campaign(name="typo", axes=axes)   # declaring parses none
+        with pytest.raises(CampaignSpecError, match=message):
+            campaign.cells()
+
+    def test_int_valued_float_axes_take_the_float_key(self):
+        cells = Campaign(name="ints", axes={"workload": ["lbm"],
+                                            "table_scale": [1, 1.0],
+                                            "gb_fraction": [0, 0.0]}).cells()
+        plain = RunRequest("lbm", table_scale=1.0, gb_fraction=0.0)
+        assert {cell.digest for cell in cells} \
+            == {disk_cache.key_digest(plain.key())}
+
+
 class TestValidation:
     def test_needs_name(self):
         with pytest.raises(CampaignSpecError, match="name"):

@@ -163,16 +163,10 @@ class TestSubmitBody:
                           fixed={"prefetcher": "spp", "variant": "psa"})
         cells = mixed.cells() + tiny_campaign().cells() + scaled.cells()
         for cell in cells:
-            body = cell.submit_body()
-            params = cell.param_dict()
-            # The daemon reads table_scale and gb_fraction as floats,
-            # so an int there names another address; the cluster route
-            # copies such a cell's result to its own.
-            as_float = all(isinstance(params[name], float)
-                           for name in ("table_scale", "gb_fraction")
-                           if name in params)
-            assert (protocol.request_digest(body) == cell.digest) \
-                == as_float, cell.params
+            # One parser on both sides: an int table_scale or
+            # gb_fraction names the float's address in a cell too.
+            assert protocol.request_digest(cell.submit_body()) \
+                == cell.digest, cell.params
         assert mixed.cells()[0].submit_body()["config"] == {
             "ppm_enabled": False, "llc.size_bytes": 1 << 20}
 

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _request_for, build_parser, main
+from repro.sim import runner
+from repro.sim.config import SystemConfig
+from repro.sim.runner import RunRequest
 
 
 @pytest.fixture
@@ -29,6 +36,49 @@ class TestRun:
     def test_run_unknown_variant_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--workload", "lbm", "--variant", "turbo"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--workload", "lmb"], "unknown workload 'lmb'"),
+        (["run", "--workload", "lbm", "--baseline", "bogus"],
+         "unknown variant 'bogus'"),
+        (["compare", "--workload", "lbm", "--variants", "original,bogus"],
+         "unknown variant 'bogus'"),
+        (["run", "--workload", "lbm", "--gb-fraction", "1.5"],
+         "'gb_fraction' must be <= 1.0"),
+    ], ids=["workload", "baseline", "compare-variant", "gb-fraction"])
+    def test_rejected_parameters_exit_2_before_any_run(self, argv, message,
+                                                       capsys):
+        runner.reset_engine_stats()
+        assert main(argv + ["--accesses", "500"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert runner.engine_stats().requests == 0   # no batch, no worker
+
+    def test_flags_keep_their_run_keys(self):
+        # The flags name the runs of the equivalent hand-built requests.
+        args = build_parser().parse_args(["run", "--workload", "lbm"])
+        assert _request_for(args, args.variant).key() == RunRequest(
+            "lbm", "spp", "psa", config=SystemConfig()).key()
+        args = build_parser().parse_args(
+            ["compare", "--workload", "milc", "--no-ppm", "--tlb-prefetch",
+             "--l1d", "ipcp", "--gb-fraction", "0.25", "--accesses", "1234"])
+        config = SystemConfig()
+        config.ppm_enabled = False
+        config.tlb_prefetch = True
+        assert _request_for(args, "original").key() == RunRequest(
+            "milc", "spp", "original", l1d="ipcp", n_accesses=1234,
+            gb_fraction=0.25, config=config).key()
+
+    def test_run_does_not_import_the_campaign_package(self):
+        program = ("import sys; sys.path.insert(0, 'src'); "
+                   "from repro.cli import main; "
+                   "assert main(['run', '--workload', 'lmb']) == 2; "
+                   "print(sorted(m for m in sys.modules "
+                   "if m.startswith('repro.campaign')))")
+        result = subprocess.run(
+            [sys.executable, "-c", program], capture_output=True, text=True,
+            cwd=os.path.dirname(os.path.dirname(__file__)))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("accesses", ["0", "-5"])
     @pytest.mark.parametrize("command", [
@@ -315,6 +365,27 @@ class TestCampaign:
                      "--spec", str(tmp_path / "bad.json"),
                      "--axis", "warp_factor=9"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_new_typo_exits_2_and_writes_no_spec(self, tmp_path, capsys):
+        path = tmp_path / "typo.json"
+        assert main(["campaign", "new", "--name", "typo",
+                     "--spec", str(path),
+                     "--axis", "workload=lbm,lmb"]) == 2
+        assert "unknown workload 'lmb'" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_run_of_a_typo_spec_exits_2_and_registers_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.campaign import Campaign, CampaignStore
+
+        spec = Campaign(name="typo", axes={"workload": ["lbm", "lmb"]}
+                        ).save(tmp_path / "typo.json")
+        db = tmp_path / "typo.sqlite"
+        monkeypatch.setenv("REPRO_CAMPAIGN_DB", str(db))
+        assert main(["campaign", "run", "--spec", str(spec)]) == 2
+        assert "unknown workload 'lmb'" in capsys.readouterr().err
+        with CampaignStore(db) as store:
+            assert store.campaigns() == []
 
     def test_run_status_query_export(self, spec, tmp_path, capsys):
         assert main(["campaign", "run", "--spec", spec,

@@ -544,8 +544,8 @@ class TestCampaignOverReplicas:
 
     def test_int_valued_float_axes_land_at_the_cell_address(
             self, daemon, store, tmp_path, monkeypatch):
-        # The daemon runs table_scale=1 as 1.0, another address; the
-        # result still lands at the cell's own, equal to a local run.
+        # A cell parses table_scale=1 as 1.0, as the daemon does: the
+        # served sweep writes one entry per cell, equal to a local run.
         campaign = Campaign(name="int-t",
                             axes={"workload": ["lbm"],
                                   "table_scale": [1, 2]},
@@ -554,6 +554,7 @@ class TestCampaignOverReplicas:
         report = run_missing(campaign, store=store,
                              replicas=[self.address(daemon())])
         assert report.ok == 2, report.describe()
+        assert disk_cache.stats().entries == 2
         served = store.metrics_for(campaign)
         with CampaignStore(tmp_path / "synced.sqlite") as fresh:
             assert fresh.sync_from_cache(campaign) == 2
@@ -562,6 +563,7 @@ class TestCampaignOverReplicas:
         with CampaignStore(tmp_path / "clean.sqlite") as clean:
             assert run_missing(campaign, store=clean, jobs=1).ok == 2
             local = clean.metrics_for(campaign)
+        assert disk_cache.stats().entries == 2
         assert ({i: metrics_digest(m) for i, m in served.items()}
                 == {i: metrics_digest(m) for i, m in local.items()})
 

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.campaign.grid import Campaign
 from repro.campaign.store import CampaignStore, store_path
 from repro.sim import cache, doctor, iofaults, runner
 from repro.sim import snapshot as snapshot_store
@@ -131,7 +132,39 @@ class TestSnapshotHealing:
         assert doctor.diagnose().clean
 
 
+def register_unparsed(campaign):
+    """Register *campaign* as an older version did, without parsing its
+    cells, with one failed result row."""
+    with CampaignStore() as store, store._conn as conn:
+        conn.execute(
+            "INSERT INTO campaigns (campaign_id, name, spec_json, "
+            "created_at) VALUES (?, ?, ?, ?)",
+            (campaign.campaign_id, campaign.name,
+             json.dumps(campaign.to_dict(), sort_keys=True), time.time()))
+        conn.execute(
+            "INSERT INTO results (campaign_id, cell_index, digest, status, "
+            "recorded_at) VALUES (?, 1, 'lmb', 'failed', ?)",
+            (campaign.campaign_id, time.time()))
+
+
+TYPO = Campaign(name="typo", axes={"workload": ["lbm", "lmb"]},
+                fixed={"n_accesses": 1430})
+
+
 class TestStoreHealing:
+    def test_typo_campaign_is_a_bad_spec_and_keeps_its_rows(self, capsys):
+        from repro.cli import main
+
+        register_unparsed(TYPO)
+        report = doctor.diagnose(repair=True)
+        (finding,) = [f for f in report.findings if f.layer == "store"]
+        assert finding.kind == "bad-spec" and not finding.repaired
+        assert "unknown workload 'lmb'" in finding.detail
+        with CampaignStore() as store:
+            assert store.done_indices(TYPO.campaign_id) == {1: "failed"}
+        assert main(["doctor", "--repair"]) == 1   # reported, not raised
+        assert "bad-spec" in capsys.readouterr().out
+
     def test_divergence_is_synced_from_cache(self):
         campaign = tiny_campaign(n_accesses=1410)
         with CampaignStore() as store:
@@ -294,6 +327,18 @@ class TestServeStartupHealing:
         finally:
             handle.stop()
         assert doctor.diagnose().clean
+
+    def test_daemon_starts_on_a_store_with_a_typo_campaign(self):
+        from repro.serve.app import start_in_thread
+        from repro.serve.client import ServeClient
+        register_unparsed(TYPO)
+        handle = start_in_thread(port=0, queue_depth=8, quota=0)
+        try:
+            assert handle.app.doctor_report.count("store", "bad-spec") == 1
+            with ServeClient(port=handle.port) as client:
+                assert client.healthz().ok
+        finally:
+            handle.stop()
 
     def test_heal_on_start_opt_out(self, tmp_path):
         from repro.serve.app import start_in_thread

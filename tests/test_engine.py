@@ -59,11 +59,6 @@ class TestRunBatch:
         assert stats.simulated == 3
         assert stats.deduped == 1
 
-    def test_dict_requests_accepted(self):
-        metrics = run_batch([dict(workload="lbm", prefetcher="spp",
-                                  variant="psa", n_accesses=N)])
-        assert metrics[0].workload == "lbm"
-
     def test_memo_hit_on_second_batch(self):
         run_batch(requests())
         reset_engine_stats()

@@ -15,6 +15,8 @@ Covered here:
 - no worker outlives the daemon: ``ServeHandle.stop()`` (which keeps
   its timeout: the daemon's thread closes the workers after the batch
   in flight), SIGTERM and SIGKILL;
+- SIGTERM ends a worker: it does not keep the event loop's handler, and
+  the next miss runs on its replacement;
 - a worker holds none of the daemon's sockets, so a SIGKILLed daemon
   restarts on its port while its workers still run, and a connection
   the daemon closes reads EOF at once.
@@ -293,6 +295,24 @@ class TestDaemonExit:
             stderr = reap(proc, log)
         assert "Traceback" not in stderr, stderr
         assert wait_until_gone(workers, 1.0) == []
+
+    def test_sigterm_ends_a_worker_and_the_next_miss_restarts_it(
+            self, client_for, tmp_path):
+        # The worker does not keep the event loop's SIGTERM handler.
+        log = tmp_path / "daemon.log"
+        proc, port = spawn_daemon(log, 0, jobs=1)
+        try:
+            assert port is not None
+            client = client_for(port)
+            assert client.submit_and_wait(body()).run_status == "ok"
+            (worker,) = live_children(proc.pid)
+            os.kill(worker, signal.SIGTERM)
+            assert wait_until_gone([worker], 2.0) == []
+            assert client.submit_and_wait(body(N + 1)).run_status == "ok"
+            assert client.metrics().body["engine"]["worker_restarts"] == 1
+        finally:
+            stderr = reap(proc, log)
+        assert "Traceback" not in stderr, stderr
 
     def test_sigkill_idle_workers_exit_at_once(self, client_for, tmp_path):
         log = tmp_path / "daemon.log"

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.sim import cache as disk_cache
-from repro.sim import runner, supervisor
+from repro.sim import faults, runner, supervisor
 from repro.sim.runner import (
     RunRequest,
     engine_stats,
@@ -106,6 +106,19 @@ class TestRetries:
         assert outcome.failure.exc_type == "InjectedError"
         assert outcome.failure.traceback        # full traceback captured
 
+    def test_in_process_crash_is_a_transient_crash_here(self, monkeypatch):
+        # An untimed width-1 batch runs in this process, where an
+        # injected crash raises instead of killing the interpreter.
+        monkeypatch.setenv("REPRO_FAULTS", "crash@0")
+        batch = run_batch([req()], jobs=1, strict=False, retries=1)
+        outcome = batch.outcomes[0]
+        assert outcome.status == "failed"
+        assert outcome.attempts == 2            # transient: retried once
+        assert outcome.failure.kind == "crash"
+        assert outcome.failure.exc_type == "InjectedCrash"
+        assert outcome.failure.worker_pid == os.getpid()
+        assert not outcome.failure.permanent
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_permanent_error_fails_immediately(self, jobs):
         batch = run_batch([req(l1d="bogus"), req("milc")], jobs=jobs,
@@ -137,9 +150,11 @@ class TestStrictMode:
 
     def test_fail_fast_skips_remaining(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "error@0")
-        batch = run_batch([req(), req("milc")], jobs=1, strict=False,
-                          retries=0, fail_fast=True)
-        assert [o.status for o in batch.outcomes] == ["failed", "skipped"]
+        requests = [req().resolved(), req("milc").resolved()]
+        outcomes, _ = supervisor.supervise(
+            requests, width=1, timeout=None, retries=0,
+            plan=faults.plan_from_env(len(requests)), fail_fast=True)
+        assert [o.status for o in outcomes] == ["failed", "skipped"]
 
 
 class TestWatchdog:
